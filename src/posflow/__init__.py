@@ -10,13 +10,11 @@ scenario-driven CLI.
 
 from .graph import AssumptionReport, IncidenceMatrices, MetricGraph, build_matrices, check_assumptions
 from .lattice import (
-    ConeVector,
     Quadrature,
     SpectralRadiusResult,
     decompose_pm,
     dense_spectral_radius,
     is_nonneg,
-    signal_norm,
     spectral_radius,
     state_norm,
     trapezoid_weights,
@@ -46,8 +44,10 @@ from .transport import (
     StateField,
     TransportSystem,
     boundary_traces,
+    characteristic_read,
     closed_loop_resolvent,
     dirichlet_apply,
+    flow_trace,
     input_map,
     io_map,
     resolvent_apply,

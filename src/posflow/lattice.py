@@ -1,6 +1,6 @@
 """Ordered-vector-space primitives on quadrature grids.
 
-Discretized L1/Lp spaces are represented by their samples against a fixed
+Discretized L1 spaces are represented by their samples against a fixed
 quadrature grid together with strictly positive weights.  Cone membership,
 lattice decomposition and norms all act componentwise on the samples, so
 every operation here is a pure function of plain arrays.
@@ -108,40 +108,6 @@ class Quadrature:
         return float(np.dot(self.weights, np.asarray(samples, dtype=float)))
 
 
-@dataclass(frozen=True)
-class ConeVector:
-    """Quadrature samples of an L1 element, tagged with its cone tolerance."""
-
-    values: np.ndarray
-    weights: np.ndarray
-    tolerance: float = CONE_TOL
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-        if values.shape != weights.shape:
-            raise ValueError("values/weights shape mismatch")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-
-    def norm(self) -> float:
-        return math.fsum((self.weights * np.abs(self.values)).tolist())
-
-    def is_nonneg(self) -> bool:
-        return is_nonneg(self.values, self.tolerance)
-
-    def decompose(self) -> tuple["ConeVector", "ConeVector"]:
-        plus, minus = decompose_pm(self.values)
-        return (
-            ConeVector(plus, self.weights, self.tolerance),
-            ConeVector(minus, self.weights, self.tolerance),
-        )
-
-
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     """Weights turning samples on the grid x into the integral of their
     piecewise-linear interpolant (exact for piecewise-linear data)."""
@@ -173,44 +139,11 @@ def state_norm(parts) -> float:
     return math.fsum(terms)
 
 
-def signal_norm(
-    values: np.ndarray,
-    p: float,
-    grid: Quadrature,
-    unit_weights: np.ndarray | None = None,
-) -> float:
-    """Discretized Lp([0,tau]; U) norm of a time-sampled signal.
-
-    ``values`` has shape (n_times,) for scalar signals or (n_times, ...) with
-    ``unit_weights`` matching the trailing shape, in which case the U-norm at
-    each time is the weighted L1 norm of that slice.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != grid.n:
-        raise ValueError("signal length does not match the time grid")
-    if values.ndim == 1:
-        per_t = np.abs(values)
-    else:
-        if unit_weights is None:
-            raise ValueError("unit_weights required for vector-valued signals")
-        uw = np.asarray(unit_weights, dtype=float).ravel()
-        flat = np.abs(values.reshape(values.shape[0], -1))
-        if flat.shape[1] != uw.size:
-            raise ValueError("unit_weights do not match the value slices")
-        per_t = flat @ uw
-    return float(np.dot(grid.weights, per_t**p) ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class SpectralRadiusResult:
     value: float
     converged: bool
     iterations: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def dense_spectral_radius(matrix: np.ndarray) -> float:

@@ -90,9 +90,6 @@ class StepSignal:
         breaks = np.append(self.breaks[keep], horizon)
         return StepSignal(breaks, self.values[: breaks.size - 1])
 
-    def __abs__(self) -> "StepSignal":
-        return StepSignal(self.breaks, np.abs(self.values))
-
     def scaled(self, c: float) -> "StepSignal":
         return StepSignal(self.breaks, c * self.values)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import StepSignal
-from .transport import StateField, TransportSystem
+from .transport import StateField, TransportSystem, characteristic_read, flow_trace
 
 
 def _locate(times: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
@@ -56,52 +56,34 @@ class TraceLedger:
         if np.any(np.diff(self.times) < 0):
             raise ValueError("stamps must be sorted")
 
-    @property
-    def n_stamps(self) -> int:
-        return self.times.size
-
-    def _interp(
-        self, times: np.ndarray, vals: np.ndarray, t: np.ndarray, side: str
+    def eval_channel(
+        self,
+        vertex,
+        node,
+        t: np.ndarray,
+        side: str = "right",
+        upto: int | None = None,
     ) -> np.ndarray:
+        """g_vertex(t, v_node) for times within [0, horizon].
+
+        ``vertex``, ``node`` and ``t`` broadcast against each other, so an
+        array of nodes reads node i at time t[i].  ``upto`` restricts the
+        interpolation to the first ``upto`` stamps.
+        """
+        t = np.asarray(t, dtype=float)
+        times = self.times[: self.times.size if upto is None else upto]
         idx = _locate(times, t, side)
         nxt = np.minimum(idx + 1, times.size - 1)
         t0, t1 = times[idx], times[nxt]
         gap = t1 - t0
         safe = np.where(gap > 0, gap, 1.0)
         frac = np.clip(np.where(gap > 0, (t - t0) / safe, 0.0), 0.0, 1.0)
-        if vals.ndim == 1:
-            return (1.0 - frac) * vals[idx] + frac * vals[nxt]
-        take = np.arange(vals.shape[1])
-        return (1.0 - frac) * vals[idx, take] + frac * vals[nxt, take]
-
-    def eval_channel(
-        self,
-        vertex: int,
-        node: int,
-        t: np.ndarray,
-        side: str = "right",
-        upto: int | None = None,
-    ) -> np.ndarray:
-        """g_vertex(t, v_node) for an array of times within [0, horizon]."""
-        t = np.asarray(t, dtype=float)
-        n = self.times.size if upto is None else upto
-        return self._interp(self.times[:n], self.values[:n, vertex, node], t, side)
-
-    def eval_nodes(
-        self, vertex: int, t_per_node: np.ndarray, side: str = "right", upto: int | None = None
-    ) -> np.ndarray:
-        """One read per velocity node, node k at time t_per_node[k]."""
-        n = self.times.size if upto is None else upto
-        return self._interp(
-            self.times[:n], self.values[:n, vertex, :], np.asarray(t_per_node, dtype=float), side
-        )
+        return (1.0 - frac) * self.values[idx, vertex, node] + frac * self.values[nxt, vertex, node]
 
     def eval(self, t: float, side: str = "right") -> np.ndarray:
         """Full (N, K) boundary slice at one time."""
-        tt = np.full(self.values.shape[2], float(t))
-        return np.stack(
-            [self.eval_nodes(i, tt, side=side) for i in range(self.values.shape[1])]
-        )
+        N, K = self.values.shape[1:]
+        return self.eval_channel(np.arange(N)[:, None], np.arange(K), float(t), side=side)
 
     def min_value(self) -> float:
         return float(self.values.min()) if self.values.size else 0.0
@@ -199,23 +181,9 @@ class ClosedLoopSolution:
 
     def eval_edge(self, j: int, k: int, x: np.ndarray, t: float) -> np.ndarray:
         """z_j(t, x, v_k) along the characteristic through (x, t)."""
-        sys_ = self.system
-        q = sys_.absorption
-        l = sys_.graph.lengths[j]
-        v = sys_.vgrid.nodes[k]
-        x = np.clip(np.asarray(x, dtype=float), 0.0, l)
-        xe = x + v * t
-        inside = xe <= l
-        xe_c = np.minimum(xe, l)
-        init_part = np.exp(q.path_integral(j, k, x, xe_c) / v) * self.initial.eval(j, k, xe_c)
-        s = np.clip(t - (l - x) / v, 0.0, self.horizon)
-        bdry_growth = np.exp(q.path_integral(j, k, x, np.full_like(x, l)) / v)
-        bdry_part = (
-            bdry_growth
-            * sys_.graph.weights[j]
-            * self.ledger.eval_channel(sys_.graph.tails[j], k, s)
+        return characteristic_read(
+            self.system, j, k, x, t, initial=self.initial, inflow=self.ledger.eval_channel
         )
-        return np.where(inside, init_part, bdry_part)
 
     def snapshot(self, t: float, n_x: int | None = None) -> StateField:
         """State at time t as a field with an exact evaluator attached."""
@@ -226,9 +194,6 @@ class ClosedLoopSolution:
             return self.eval_edge(j, k, x, t)
 
         return StateField.from_function(self.system, ev, n_x)
-
-    def boundary_at(self, t: float) -> np.ndarray:
-        return self.ledger.eval(t)
 
     def edge_mass(self, j: int, t: float) -> float:
         """int int z_j(t, x, v) dx dv by knot-split Gauss quadrature.
@@ -281,11 +246,11 @@ def closed_loop_solve(
     """Solve the coupled network flow on [0, horizon] by generation recursion.
 
     At each stamp t the outflow trace of edge j at velocity node k is read
-    from the initial data while v_k t <= l_j and from the ledger at
-    t - l_j / v_k afterwards; scattering and the control matrix assemble the
-    new vertex inflow slice.  Every delay is at least Delta = min_j l_j /
-    v_max and stamp gaps stay below Delta, so each slice depends only on
-    completed ledger entries.
+    from the initial data while t - l_j / v_k <= 0 (for all stamps at once,
+    by :func:`flow_trace`) and from the ledger at t - l_j / v_k afterwards;
+    scattering and the control matrix assemble the new vertex inflow slice.
+    Every delay is at least Delta = min_j l_j / v_max and stamp gaps stay
+    below Delta, so each slice depends only on completed ledger entries.
 
     ``u`` is the control signal (one channel per control column of the
     graph).  In positive mode negative initial data or inputs are rejected;
@@ -319,57 +284,33 @@ def closed_loop_solve(
             expanded.append((t, "left"))
         expanded.append((t, "right"))
 
-    N, K, M = system.n_vertices, system.n_nodes, system.n_edges
-    nodes = system.vgrid.nodes
+    M, K = system.n_edges, system.n_nodes
     wv = system.vgrid.weights
-    lengths = system.graph.lengths
     tails, heads = system.graph.tails, system.graph.heads
-    w = system.graph.weights
     bmat = system.graph.control
-    delays_per_edge = [lengths[j] / nodes for j in range(M)]
-    full_growth = np.stack(
-        [
-            np.array(
-                [
-                    np.exp(system.absorption.path_integral(j, k, 0.0, lengths[j]) / nodes[k])
-                    for k in range(K)
-                ]
-            )
-            for j in range(M)
-        ]
-    )
+    node_idx = np.arange(K)
+    delays = [system.graph.lengths[j] / system.vgrid.nodes for j in range(M)]
+    gains = system.edge_growth * system.graph.weights[:, None]
 
     S = len(expanded)
     stamp_times = np.array([t for t, _ in expanded])
-    G = np.zeros((S, N, K))
+    # traces of characteristics that still carry initial data; the sweep adds
+    # the ledger-fed rest, the complement t - l_j / v_k > 0
+    G = flow_trace(system, x0, stamp_times)
     ledger = TraceLedger(stamp_times, G, horizon)
 
     for s_idx, (t, side) in enumerate(expanded):
-        gamma = np.zeros((N, K))
+        gamma = G[s_idx]
         for j in range(M):
-            s_arr = t - delays_per_edge[j]
+            s_arr = t - delays[j]
             served = s_arr > 0.0
-            if np.all(served):
-                vals = ledger.eval_nodes(tails[j], s_arr, side=side, upto=s_idx)
-                trace = full_growth[j] * w[j] * vals
-            else:
-                trace = np.empty(K)
-                for k in range(K):
-                    if served[k]:
-                        val = ledger.eval_channel(
-                            tails[j], k, np.array([s_arr[k]]), side=side, upto=s_idx
-                        )[0]
-                        trace[k] = full_growth[j][k] * w[j] * val
-                    else:
-                        xe = min(nodes[k] * t, lengths[j])
-                        grow = np.exp(
-                            system.absorption.path_integral(j, k, 0.0, xe) / nodes[k]
-                        )
-                        trace[k] = grow * x0.eval(j, k, np.array([xe]))[0]
+            if not served.any():
+                continue
+            vals = ledger.eval_channel(tails[j], node_idx, s_arr, side=side, upto=s_idx)
+            trace = np.where(served, gains[j] * vals, 0.0)
             gamma[heads[j]] += system.kernel.scatter(j, trace, wv)
         if u is not None and n_controls:
             gamma += bmat @ u.eval(t, side=side)
-        G[s_idx] = gamma
 
     generations = int(np.ceil(horizon / delta)) if horizon > 0 else 0
     return ClosedLoopSolution(

@@ -16,6 +16,7 @@ so compositions such as T(t)T(s)f incur no re-gridding error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,19 +93,10 @@ class Absorption:
         """int_0^x q_j(s, v_k) ds, piecewise linear in x (flat beyond [0, l])."""
         return np.interp(x, self.breaks[j], self._cums[j][:, k])
 
-    def path_integral(self, j: int, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """int_a^b q_j(s, v_k) ds for arrays of endpoints."""
-        return self.primitive(j, k, b) - self.primitive(j, k, a)
-
     @property
     def q_sup(self) -> float:
         """sup_j ||q_j||_inf, the upper edge of the positivity regime in mu."""
         return max(float(np.max(np.abs(v))) for v in self.values)
-
-    @property
-    def q_min(self) -> float:
-        """Recorded lower bound of the rates (kappa)."""
-        return min(float(np.min(v)) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -203,9 +195,17 @@ class TransportSystem:
     def xgrid(self, j: int, n: int | None = None) -> np.ndarray:
         return np.linspace(0.0, float(self.graph.lengths[j]), n or self.space_samples)
 
-    def boundary_weights(self) -> np.ndarray:
-        """Quadrature weights of the flattened boundary space (N * K)."""
-        return np.tile(self.vgrid.weights, self.n_vertices)
+    def growth(self, j: int, k: int, a, b) -> np.ndarray:
+        """Absorption growth exp(int_a^b q_j(s, v_k) ds / v_k) of the
+        characteristic segment from x = b down to x = a."""
+        q = self.absorption
+        return np.exp((q.primitive(j, k, b) - q.primitive(j, k, a)) / self.vgrid.nodes[k])
+
+    @cached_property
+    def edge_growth(self) -> np.ndarray:
+        """(M, K) full-edge growth exp(int_0^{l_j} q_j(s, v_k) ds / v_k)."""
+        totals = np.stack([c[-1] for c in self.absorption._cums])
+        return np.exp(totals / self.vgrid.nodes)
 
     def assumptions(self):
         return check_assumptions(self.graph)
@@ -238,9 +238,13 @@ class StateField:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_function(cls, system: TransportSystem, fn, n_x: int | None = None) -> "StateField":
-        """Exact field defined by ``fn(j, x_array, k) -> values``."""
-        xs = [system.xgrid(j, n_x) for j in range(system.n_edges)]
+    def from_function(
+        cls, system: TransportSystem, fn, n_x: int | None = None, xs=None
+    ) -> "StateField":
+        """Exact field defined by ``fn(j, x_array, k) -> values``, sampled on
+        the grids ``xs`` (default: uniform grids of ``n_x`` points)."""
+        if xs is None:
+            xs = [system.xgrid(j, n_x) for j in range(system.n_edges)]
         values = [
             np.stack([np.asarray(fn(j, xs[j], k), dtype=float) for k in range(system.n_nodes)])
             for j in range(system.n_edges)
@@ -275,12 +279,8 @@ class StateField:
         return StateField(self.system, self.xs, self.values)
 
     def resampled(self, n_x: int) -> "StateField":
-        xs = [self.system.xgrid(j, n_x) for j in range(self.system.n_edges)]
-        values = [
-            np.stack([self.eval(j, k, xs[j]) for k in range(self.system.n_nodes)])
-            for j in range(self.system.n_edges)
-        ]
-        return StateField(self.system, xs, values, evaluator=self.evaluator)
+        field = StateField.from_function(self.system, lambda j, x, k: self.eval(j, k, x), n_x)
+        return field if self.evaluator is not None else field.sampled()
 
     def norm(self) -> float:
         """Discretized X-norm: sum over edges of the L1(x, v) norm."""
@@ -387,6 +387,56 @@ def _exp_linear_integral(beta: np.ndarray, h: np.ndarray, c0: np.ndarray, c1: np
 
 
 # ---------------------------------------------------------------------------
+# the characteristic read
+
+
+def characteristic_read(
+    system: TransportSystem, j: int, k: int, x, t, initial=None, inflow=None
+) -> np.ndarray:
+    """z_j(t, x, v_k) read along the characteristic through (x, t).
+
+    The characteristic entered edge j at x = l_j at the entry time
+    s = t - (l_j - x)/v_k.  When s <= 0 it still carries the initial datum,
+    ``initial`` read at the foot min(x + v_k t, l_j); otherwise it carries
+    the vertex inflow w_j * inflow(tail_j, k, s).  Either read is multiplied
+    by the absorption growth of the travelled segment, and a missing source
+    reads as zero.  This is the only place that decides the wavefront of
+    the state (:func:`io_map` samples its output right-continuously).
+    ``x`` and ``t`` broadcast against each other.
+    """
+    l = system.graph.lengths[j]
+    v = system.vgrid.nodes[k]
+    x = np.clip(np.asarray(x, dtype=float), 0.0, l)
+    s = t - (l - x) / v
+    out = np.zeros(np.shape(s))
+    if initial is not None:
+        foot = np.minimum(x + v * t, l)
+        out = np.where(s <= 0.0, system.growth(j, k, x, foot) * initial.eval(j, k, foot), out)
+    if inflow is not None:
+        fed = inflow(system.graph.tails[j], k, s)
+        out = np.where(s > 0.0, system.growth(j, k, x, l) * system.graph.weights[j] * fed, out)
+    return out
+
+
+def flow_trace(system: TransportSystem, f: StateField, t) -> np.ndarray:
+    """Gamma T(t) f, the scattered outflow traces of the zero-inflow flow,
+    read along characteristics at x = 0 without assembling a field.
+
+    ``t`` is a time or an array of times; the result has shape
+    ``t.shape + (N, K)``.
+    """
+    t = np.asarray(t, dtype=float)
+    K = system.n_nodes
+    out = np.zeros(t.shape + (system.n_vertices, K))
+    for j in range(system.n_edges):
+        trace = np.empty(t.shape + (K,))
+        for k in range(K):
+            trace[..., k] = characteristic_read(system, j, k, 0.0, t, initial=f)
+        out[..., system.graph.heads[j], :] += system.kernel.scatter(j, trace, system.vgrid.weights)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the explicit operators
 
 
@@ -394,30 +444,18 @@ def semigroup_apply(system: TransportSystem, f: StateField, t: float) -> StateFi
     """Flow semigroup T(t): transport toward x = 0 with zero inflow.
 
     (T(t) f)_j(x, v) = exp(int_x^{x+vt} q_j(s, v)/v ds) * f_j(x + vt, v)
-    when x + vt <= l_j, and 0 once the foot of the characteristic has left
-    the edge.  The returned field carries an exact evaluator, so composing
+    while the characteristic still carries initial data, and 0 once it
+    entered at x = l_j (see :func:`characteristic_read`).  The returned field
+    keeps the grids of ``f`` and carries an exact evaluator, so composing
     applications does not re-grid.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    q = system.absorption
-    nodes = system.vgrid.nodes
-    lengths = system.graph.lengths
 
     def ev(j, x, k):
-        l = lengths[j]
-        xe = x + nodes[k] * t
-        inside = xe <= l
-        xe_c = np.minimum(xe, l)
-        growth = np.exp(q.path_integral(j, k, x, xe_c) / nodes[k])
-        return np.where(inside, growth * f.eval(j, k, xe_c), 0.0)
+        return characteristic_read(system, j, k, x, t, initial=f)
 
-    xs = [x.copy() for x in f.xs]
-    values = [
-        np.stack([ev(j, xs[j], k) for k in range(system.n_nodes)])
-        for j in range(system.n_edges)
-    ]
-    return StateField(system, xs, values, evaluator=ev)
+    return StateField.from_function(system, ev, xs=f.xs)
 
 
 def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateField:
@@ -470,7 +508,6 @@ def dirichlet_apply(
     satisfies G(D_mu g) = g under the Kirchhoff weight normalization and is
     positive for g >= 0 at every real mu.
     """
-    q = system.absorption
     nodes = system.vgrid.nodes
     lengths = system.graph.lengths
     tails = system.graph.tails
@@ -479,16 +516,10 @@ def dirichlet_apply(
 
     def ev(j, x, k):
         l = lengths[j]
-        v = nodes[k]
-        expo = (q.path_integral(j, k, x, np.full_like(x, l)) - mu * (l - x)) / v
-        return np.exp(expo) * w[j] * gvals[tails[j], k]
+        decay = np.exp(-mu * (l - x) / nodes[k])
+        return system.growth(j, k, x, l) * decay * w[j] * gvals[tails[j], k]
 
-    xs = [system.xgrid(j, n_x) for j in range(system.n_edges)]
-    values = [
-        np.stack([ev(j, xs[j], k) for k in range(system.n_nodes)])
-        for j in range(system.n_edges)
-    ]
-    return StateField(system, xs, values, evaluator=ev)
+    return StateField.from_function(system, ev, n_x)
 
 
 def boundary_traces(system: TransportSystem, f: StateField) -> dict[str, BoundaryVector]:
@@ -519,35 +550,19 @@ def input_map(
 
     (Phi_t u)_j(x, v) = exp(int_x^{l_j} q_j(s,v)/v ds)
                         * w_j * u_{tail(j)}((tv - l_j + x)/v)
-    where the characteristic has reached x before time t, i.e. for
-    t >= (l_j - x)/v, and exactly 0 otherwise.  ``u`` is a boundary-space
+    where the characteristic entered the edge after time 0, i.e. for
+    t > (l_j - x)/v, and exactly 0 otherwise.  ``u`` is a boundary-space
     history (N channels) defined on [0, t].
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if u.horizon < t - 1e-12:
         raise ValueError(f"input history covers [0, {u.horizon}] but t = {t}")
-    q = system.absorption
-    nodes = system.vgrid.nodes
-    lengths = system.graph.lengths
-    tails = system.graph.tails
-    w = system.graph.weights
 
     def ev(j, x, k):
-        l = lengths[j]
-        v = nodes[k]
-        s = t - (l - x) / v
-        filled = s >= 0.0
-        s_c = np.clip(s, 0.0, u.horizon)
-        growth = np.exp(q.path_integral(j, k, x, np.full_like(x, l)) / v)
-        return np.where(filled, growth * w[j] * u.eval_channel(tails[j], k, s_c), 0.0)
+        return characteristic_read(system, j, k, x, t, inflow=u.eval_channel)
 
-    xs = [system.xgrid(j, n_x) for j in range(system.n_edges)]
-    values = [
-        np.stack([ev(j, xs[j], k) for k in range(system.n_nodes)])
-        for j in range(system.n_edges)
-    ]
-    return StateField(system, xs, values, evaluator=ev)
+    return StateField.from_function(system, ev, n_x)
 
 
 def io_map(system: TransportSystem, u: StepSignal, times: np.ndarray) -> BoundarySignal:
@@ -564,25 +579,15 @@ def io_map(system: TransportSystem, u: StepSignal, times: np.ndarray) -> Boundar
     if times.size and u.horizon < times.max() - 1e-12:
         raise ValueError("input history shorter than the requested time grid")
     K = system.n_nodes
-    nodes = system.vgrid.nodes
-    wv = system.vgrid.weights
+    node_idx = np.arange(K)
     out = np.zeros((times.size, system.n_vertices, K))
     for j in range(system.n_edges):
-        l = system.graph.lengths[j]
-        w = system.graph.weights[j]
-        tail, head = system.graph.tails[j], system.graph.heads[j]
-        growth = np.exp(
-            np.array([system.absorption.path_integral(j, k, 0.0, l) / nodes[k] for k in range(K)])
-        )
-        trace = np.zeros((times.size, K))
-        for k in range(K):
-            delay = l / nodes[k]
-            arrived = times >= delay
-            if not np.any(arrived):
-                continue
-            s = np.clip(times[arrived] - delay, 0.0, u.horizon)
-            trace[arrived, k] = growth[k] * w * u.eval_channel(tail, k, s)
-        out[:, head, :] += system.kernel.scatter(j, trace, wv)
+        s = times[:, None] - system.graph.lengths[j] / system.vgrid.nodes
+        # the output is right-continuous: u(0) is read at the arrival time itself
+        vals = u.eval_channel(system.graph.tails[j], node_idx, s)
+        gain = system.edge_growth[j] * system.graph.weights[j]
+        trace = np.where(s >= 0.0, gain * vals, 0.0)
+        out[:, system.graph.heads[j], :] += system.kernel.scatter(j, trace, system.vgrid.weights)
     return BoundarySignal(times, out)
 
 
@@ -603,9 +608,7 @@ def transfer_operator(system: TransportSystem, mu: float) -> DiscretizedOperator
         l = system.graph.lengths[j]
         w = system.graph.weights[j]
         tail, head = system.graph.tails[j], system.graph.heads[j]
-        decay = np.array(
-            [np.exp((system.absorption.path_integral(j, k, 0.0, l) - mu * l) / nodes[k]) for k in range(K)]
-        )
+        decay = system.edge_growth[j] * np.exp(-mu * l / nodes)
         if system.kernel.is_identity:
             block = np.diag(decay * w)
         else:
@@ -633,10 +636,4 @@ def closed_loop_resolvent(system: TransportSystem, f: StateField, mu: float) -> 
     lift = dirichlet_apply(
         system, BoundaryVector(sol.reshape(system.n_vertices, system.n_nodes)), mu
     )
-    # evaluate the lift on the base grid and add sample-wise
-    lift_on_grid = [
-        np.stack([lift.eval(j, k, base.xs[j]) for k in range(system.n_nodes)])
-        for j in range(system.n_edges)
-    ]
-    values = [b + l for b, l in zip(base.values, lift_on_grid)]
-    return StateField(system, base.xs, values)
+    return base + StateField.from_function(system, lift.evaluator, xs=base.xs)

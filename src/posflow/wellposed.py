@@ -25,6 +25,7 @@ from .transport import (
     BoundaryVector,
     StateField,
     TransportSystem,
+    flow_trace,
     input_map,
     io_map,
     transfer_operator,
@@ -80,10 +81,7 @@ class TransportHandle:
                 mid, half = 0.5 * (a + b), 0.5 * (b - a)
                 s = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
                 x_of_s = l - v * (tau - s)
-                grow = np.exp(
-                    (sys_.absorption.primitive(j, k, np.full_like(s, l))
-                     - sys_.absorption.primitive(j, k, x_of_s)) / v
-                )
+                grow = sys_.growth(j, k, x_of_s, l)
                 vals = np.abs(u.eval_channel(tail, k, np.minimum(s, u.horizon)))
                 panel = (grow * vals).reshape(mid.size, 5) @ gl_w
                 total += wv[k] * w * v * float(np.dot(half, panel))
@@ -99,29 +97,12 @@ class TransportHandle:
         ]
         return StateField.from_samples(self.system, values, self.n_x)
 
-    def _flow_trace(self, x: StateField, t: float) -> np.ndarray:
-        """Gamma T(t) x evaluated directly along characteristics (no field
-        assembly): the outflow trace of edge j at node k is the initial
-        datum at v_k t with its absorption weight, zero once v_k t > l_j."""
-        sys_ = self.system
-        K = sys_.n_nodes
-        out = np.zeros((sys_.n_vertices, K))
-        for j in range(sys_.n_edges):
-            l = sys_.graph.lengths[j]
-            trace = np.zeros(K)
-            for k in range(K):
-                v = sys_.vgrid.nodes[k]
-                if v * t <= l:
-                    grow = np.exp(sys_.absorption.path_integral(j, k, 0.0, v * t) / v)
-                    trace[k] = grow * x.eval(j, k, np.array([v * t]))[0]
-            out[sys_.graph.heads[j]] += sys_.kernel.scatter(j, trace, sys_.vgrid.weights)
-        return out
+    def _flow_trace(self, x: StateField, t) -> np.ndarray:
+        """Gamma T(t) x at a time or an array of times (see :func:`flow_trace`)."""
+        return flow_trace(self.system, x, t)
 
     def observe_flow(self, x: StateField, t: float) -> np.ndarray:
         return self._flow_trace(x, t)
-
-    def output_norm(self, y: np.ndarray) -> float:
-        return float((np.abs(y) @ self.system.vgrid.weights).sum())
 
     def observation_lp(self, x: StateField, alpha: float, p: float) -> float:
         """(int_0^alpha ||Gamma T(t) x||^p dt)^{1/p}, panels split at the
@@ -134,12 +115,15 @@ class TransportHandle:
             cuts.append(arr[(arr > 0) & (arr < alpha)])
         knots = np.unique(np.concatenate(cuts))
         gl_x, gl_w = _GL5
-        total = 0.0
-        for a, b in zip(knots[:-1], knots[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            for xi, wi in zip(gl_x, gl_w):
-                t = mid + half * xi
-                total += half * wi * self.output_norm(self._flow_trace(x, t)) ** p
+        a, b = knots[:-1], knots[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        ts = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        # blocks of at most 16k times bound the (times, N, K) trace arrays
+        norms = np.concatenate([
+            (np.abs(self._flow_trace(x, block)) @ sys_.vgrid.weights).sum(axis=1)
+            for block in np.array_split(ts, max(1, ts.size // 8192))
+        ])
+        total = float(np.dot(half, (norms**p).reshape(mid.size, 5) @ gl_w))
         return float(total ** (1.0 / p))
 
     def transfer_apply(self, mu: float, g: np.ndarray) -> np.ndarray:

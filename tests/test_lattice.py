@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from posflow import (
-    ConeVector,
     Quadrature,
     decompose_pm,
     dense_spectral_radius,
     is_nonneg,
-    signal_norm,
     spectral_radius,
     state_norm,
     trapezoid_weights,
@@ -36,6 +34,10 @@ class TestDecompose:
         plus, minus = decompose_pm(f)
         assert np.all(np.minimum(plus, minus) == 0.0)
         assert np.all(plus >= 0) and np.all(minus >= 0)
+
+    def test_tolerant_cone_membership(self):
+        assert is_nonneg(np.array([1.0, -1e-13]))
+        assert not is_nonneg(np.array([1.0, -1e-6]))
 
 
 class TestQuadrature:
@@ -87,46 +89,6 @@ class TestStateNorm:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             state_norm([(np.ones(3), np.ones(4))])
-
-
-class TestSignalNorm:
-    def test_zero_and_unit(self):
-        grid = Quadrature.midpoint(0.0, 1.0, 50)
-        assert signal_norm(np.zeros(50), 2.0, grid) == 0.0
-        assert abs(signal_norm(np.ones(50), 2.0, grid) - 1.0) < 1e-12
-
-    def test_linear_ramp_l1(self):
-        grid = Quadrature.midpoint(0.0, 1.0, 400)
-        u = grid.nodes.copy()
-        # exact integral of t on [0,1] is 1/2; midpoint is exact for linear
-        assert abs(signal_norm(u, 1.0, grid) - 0.5) < 1e-12
-
-    def test_homogeneity(self, rng):
-        grid = Quadrature.midpoint(0.0, 2.0, 33)
-        u = rng.normal(size=(33, 4))
-        uw = rng.uniform(0.5, 1.0, 4)
-        base = signal_norm(u, 3.0, grid, unit_weights=uw)
-        scaled = signal_norm(-2.5 * u, 3.0, grid, unit_weights=uw)
-        assert abs(scaled - 2.5 * base) < 1e-12 * max(1.0, scaled)
-
-    def test_rejects_p_below_one(self):
-        grid = Quadrature.midpoint(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            signal_norm(np.ones(4), 0.5, grid)
-
-
-class TestConeVector:
-    def test_norm_and_decompose(self):
-        v = ConeVector(np.array([1.0, -2.0]), np.array([0.5, 0.25]))
-        assert v.norm() == 1.0
-        plus, minus = v.decompose()
-        assert plus.values.tolist() == [1.0, 0.0]
-        assert minus.values.tolist() == [0.0, 2.0]
-        assert not v.is_nonneg() and plus.is_nonneg()
-
-    def test_tolerant_cone_membership(self):
-        assert is_nonneg(np.array([1.0, -1e-13]))
-        assert not is_nonneg(np.array([1.0, -1e-6]))
 
 
 class TestSpectralRadius:

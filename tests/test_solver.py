@@ -119,6 +119,20 @@ class TestClosedLoopSolve:
         with pytest.raises(ValueError):
             closed_loop_solve(sys, StateField.zeros(sys), None, -1.0)
 
+    def test_wavefront_tie_reads_initial_datum(self):
+        # at t = l / v_1 the entry time t - l / v_1 is exactly 0 while v_1 t
+        # overshoots l by one ulp: the characteristic still carries the
+        # initial datum, so node 1 reads datum 1 plus input 2 (a foot test
+        # v t <= l would drop the datum and give 2)
+        sys = make_loop(n_nodes=4, length=0.9, control=np.ones((1, 1)))
+        v = sys.vgrid.nodes[1]
+        t = 0.9 / v
+        assert v == 0.875 and v * t > 0.9 and t - 0.9 / v == 0.0
+        u = StepSignal.constant(np.full((1, 4), 2.0), 2.0)
+        sol = closed_loop_solve(sys, StateField.constant(sys, 1.0), u, 2.0)
+        (stamp,) = np.flatnonzero(sol.ledger.times == t)
+        assert sol.ledger.values[stamp, 0].tolist() == [3.0, 3.0, 5.0, 5.0]
+
     def test_matches_open_loop_input_map_before_first_return(self, rng):
         # zero initial data: until the first transit the scattered echo is
         # zero and the closed loop IS the open-loop input map, including the

@@ -8,6 +8,7 @@ from posflow import (
     StepSignal,
     boundary_traces,
     dirichlet_apply,
+    flow_trace,
     input_map,
     io_map,
     resolvent_apply,
@@ -321,6 +322,47 @@ class TestIOMap:
         for i, t in enumerate(times):
             expected = u.eval(t - 1.0)[0, 0] if t >= 1.0 else 0.0
             assert abs(out.values[i, 0, 0] - expected) < 1e-12
+
+
+def io_map_per_node(system, u, times):
+    """Reference F u: one read per (edge, velocity node), arrival at t >= l_j / v_k."""
+    out = np.zeros((times.size, system.n_vertices, system.n_nodes))
+    for j in range(system.n_edges):
+        l = system.graph.lengths[j]
+        trace = np.zeros((times.size, system.n_nodes))
+        for k, v in enumerate(system.vgrid.nodes):
+            arrived = times >= l / v
+            gain = system.growth(j, k, 0.0, l) * system.graph.weights[j]
+            vals = u.eval_channel(system.graph.tails[j], k, times[arrived] - l / v)
+            trace[arrived, k] = gain * vals
+        out[:, system.graph.heads[j], :] += system.kernel.scatter(j, trace, system.vgrid.weights)
+    return out
+
+
+class TestArrayForms:
+    def network(self, rng):
+        sys = random_network(rng)
+        assert sys.q_sup > 0 and not sys.kernel.is_identity
+        # probe the wavefront itself: every transit time l_j / v_k
+        arrivals = np.concatenate([l / sys.vgrid.nodes for l in sys.graph.lengths])
+        return sys, np.union1d(np.linspace(0.0, 2.0, 41), arrivals[arrivals <= 2.0])
+
+    def test_flow_trace_over_times_matches_scalar_calls(self, rng):
+        for _ in range(3):
+            sys, times = self.network(rng)
+            f = random_field(rng, sys)
+            batched = flow_trace(sys, f, times)
+            scalar = np.stack([flow_trace(sys, f, t) for t in times])
+            np.testing.assert_allclose(batched, scalar, rtol=1e-14, atol=0.0)
+
+    def test_io_map_matches_per_node_loop(self, rng):
+        for _ in range(3):
+            sys, times = self.network(rng)
+            u = StepSignal(
+                np.linspace(0.0, 2.0, 9), rng.uniform(0.0, 1.0, (8, sys.n_vertices, sys.n_nodes))
+            )
+            got = io_map(sys, u, times).values
+            np.testing.assert_allclose(got, io_map_per_node(sys, u, times), rtol=1e-14, atol=0.0)
 
 
 class TestTransferOperator:
