@@ -98,12 +98,6 @@ class MetricGraph:
     def n_controls(self) -> int:
         return self.control.shape[1]
 
-    def out_edges(self, vertex: int) -> np.ndarray:
-        return np.flatnonzero(self.tails == vertex)
-
-    def in_edges(self, vertex: int) -> np.ndarray:
-        return np.flatnonzero(self.heads == vertex)
-
 
 def build_matrices(graph: MetricGraph) -> IncidenceMatrices:
     """Assemble the 0/1 incidence matrices, their weighted variant, and the

@@ -17,9 +17,6 @@ import numpy as np
 #: exact, but interpolation and exponential weights introduce rounding.
 CONE_TOL = 1e-12
 
-#: Largest matrix accepted by the dense eigenvalue fallback.
-DENSE_EIG_LIMIT = 512
-
 
 def cone_floor(values: np.ndarray, tol: float = CONE_TOL) -> float:
     """Absolute tolerance below zero that still counts as 'in the cone'."""
@@ -82,10 +79,6 @@ class Quadrature:
     def n(self) -> int:
         return self.nodes.size
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
     @classmethod
     def midpoint(cls, lo: float, hi: float, n: int) -> "Quadrature":
         """Composite midpoint rule with n cells (the default everywhere)."""
@@ -147,12 +140,10 @@ class SpectralRadiusResult:
 
 
 def dense_spectral_radius(matrix: np.ndarray) -> float:
-    """max |eigenvalue| from a dense eigensolver (matrices up to 512x512)."""
+    """max |eigenvalue| from a dense eigensolver, at any size: O(n^3) time."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    if matrix.shape[0] > DENSE_EIG_LIMIT:
-        raise ValueError(f"dense eigenvalue path limited to {DENSE_EIG_LIMIT}x{DENSE_EIG_LIMIT}")
     if matrix.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
@@ -166,9 +157,8 @@ def spectral_radius(
     Iterates x -> Mx from a strictly positive start and brackets the radius
     with the Collatz-Wielandt ratios min_i (Mx)_i/x_i <= r <= max_i (Mx)_i/x_i;
     convergence is declared when the bracket closes to ``tol``.  Matrices with
-    negative entries fall through to the dense eigenvalue path (testing aid,
-    limited to 512x512); non-convergence is reported via the flag, never
-    silently.
+    negative entries fall through to the dense eigenvalue path (testing
+    aid); non-convergence is reported via the flag, never silently.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

@@ -279,7 +279,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     if np.any(snapshots < 0) or np.any(snapshots > horizon + 1e-12):
         raise ScenarioError("snapshot times must lie in [0, horizon]")
 
-    tolerances = {"positivity": 1e-9, "mass_drift": 1e-8, "characteristic_mu": None}
+    tolerances = {"positivity": 1e-9, "mass_drift": 1e-8}
     tolerances.update(raw.get("tolerances", {}) or {})
     probes = {"count": 16, "p": 2.0}
     probes.update(raw.get("probes", {}) or {})

@@ -10,6 +10,8 @@ generations.  The solver performs the equivalent single forward sweep over a
 time-stamp set containing the characteristic arrival events (so the ledger
 is exact whenever the data is piecewise linear and the event closure fits
 the budget) plus a uniform ceiling that bounds interpolation error otherwise.
+Each stamp costs one ledger read over all (edge, velocity node) pairs and
+one application of Gamma (:meth:`TransportSystem.route`).
 """
 
 from __future__ import annotations
@@ -89,6 +91,31 @@ class TraceLedger:
         return float(self.values.min()) if self.values.size else 0.0
 
 
+def _delay_closure(
+    seeds: np.ndarray, delays: np.ndarray, horizon: float, budget: int, inclusive: bool
+) -> tuple[np.ndarray, bool]:
+    """Close ``seeds`` under shifts by ``delays``, keeping shifted points
+    <= horizon (``inclusive``) or < horizon.
+
+    Returns the sorted points and whether the closure completed within
+    ``budget`` points; a truncated closure stops at the last full shift
+    generation that fit, or returns the seeds alone if they exceed it.
+    """
+    points = np.unique(seeds)
+    if points.size > budget:
+        return points, False
+    front = points
+    while front.size:
+        shifted = (front[:, None] + delays[None, :]).ravel()
+        kept = shifted <= horizon if inclusive else shifted < horizon
+        fresh = np.setdiff1d(shifted[kept], points)
+        if points.size + fresh.size > budget:
+            return points, False
+        points = np.union1d(points, fresh)
+        front = fresh
+    return points, True
+
+
 def _event_stamps(
     system: TransportSystem,
     x0: StateField,
@@ -106,54 +133,22 @@ def _event_stamps(
     stay below the shortest delay (the forward sweep relies on that) and
     bound interpolation error.  Returns (times, jump_times, closure_complete).
     """
-    delays = np.unique(
-        np.concatenate(
-            [system.graph.lengths[j] / system.vgrid.nodes for j in range(system.n_edges)]
-        )
-    )
+    delays = np.unique(system.delays)
     seeds = [np.array([0.0, horizon])]
-    jump_seeds = []
-    if u is not None:
-        inner = u.breaks[(u.breaks > 0) & (u.breaks < horizon)]
-        seeds.append(inner)
-        jump_seeds.append(inner)
     for j in range(system.n_edges):
         knots = np.union1d(x0.xs[j], system.absorption.breaks[j])
         arrivals = (knots[:, None] / system.vgrid.nodes[None, :]).ravel()
         seeds.append(arrivals[arrivals <= horizon])
-
-    stamps = np.unique(np.concatenate(seeds))
-    complete = True
-    if stamps.size > budget:
-        stamps = stamps[:budget]
-        complete = False
-    frontier = stamps
-    while complete and frontier.size:
-        shifted = (frontier[:, None] + delays[None, :]).ravel()
-        shifted = shifted[shifted <= horizon]
-        fresh = np.setdiff1d(np.unique(shifted), stamps)
-        if fresh.size == 0:
-            break
-        if stamps.size + fresh.size > budget:
-            complete = False
-            break
-        stamps = np.union1d(stamps, fresh)
-        frontier = fresh
+    inner = np.empty(0) if u is None else u.breaks[(u.breaks > 0) & (u.breaks < horizon)]
+    stamps, complete = _delay_closure(
+        np.concatenate(seeds + [inner]), delays, horizon, budget, inclusive=True
+    )
+    stamps = stamps[:budget]  # the seeds alone may exceed the budget
 
     # jumps propagate along characteristics; track them so both one-sided
     # limits get their own ledger entry
-    jumps = np.unique(np.concatenate(jump_seeds)) if jump_seeds else np.empty(0)
-    if jumps.size:
-        front = jumps
-        while front.size and jumps.size <= budget:
-            shifted = (front[:, None] + delays[None, :]).ravel()
-            shifted = shifted[shifted < horizon]
-            fresh = np.setdiff1d(np.unique(shifted), jumps)
-            if fresh.size == 0 or jumps.size + fresh.size > budget:
-                break
-            jumps = np.union1d(jumps, fresh)
-            front = fresh
-        stamps = np.union1d(stamps, jumps)
+    jumps, _ = _delay_closure(inner, delays, horizon, budget, inclusive=False)
+    stamps = np.union1d(stamps, jumps)
 
     if horizon > 0:
         stamps = np.union1d(stamps, np.arange(0.0, horizon, dt_max))
@@ -247,8 +242,10 @@ def closed_loop_solve(
 
     At each stamp t the outflow trace of edge j at velocity node k is read
     from the initial data while t - l_j / v_k <= 0 (for all stamps at once,
-    by :func:`flow_trace`) and from the ledger at t - l_j / v_k afterwards;
-    scattering and the control matrix assemble the new vertex inflow slice.
+    by :func:`flow_trace`) and from the ledger at t - l_j / v_k afterwards,
+    in one read over all (M, K) pairs; Gamma
+    (:meth:`TransportSystem.route`) and the control matrix assemble the new
+    vertex inflow slice.  The sweep loops only over stamps.
     Every delay is at least Delta = min_j l_j / v_max and stamp gaps stay
     below Delta, so each slice depends only on completed ledger entries.
 
@@ -284,15 +281,10 @@ def closed_loop_solve(
             expanded.append((t, "left"))
         expanded.append((t, "right"))
 
-    M, K = system.n_edges, system.n_nodes
-    wv = system.vgrid.weights
-    tails, heads = system.graph.tails, system.graph.heads
-    bmat = system.graph.control
-    node_idx = np.arange(K)
-    delays = [system.graph.lengths[j] / system.vgrid.nodes for j in range(M)]
+    tails = system.graph.tails[:, None]
+    node_idx = np.arange(system.n_nodes)
     gains = system.edge_growth * system.graph.weights[:, None]
 
-    S = len(expanded)
     stamp_times = np.array([t for t, _ in expanded])
     # traces of characteristics that still carry initial data; the sweep adds
     # the ledger-fed rest, the complement t - l_j / v_k > 0
@@ -300,17 +292,13 @@ def closed_loop_solve(
     ledger = TraceLedger(stamp_times, G, horizon)
 
     for s_idx, (t, side) in enumerate(expanded):
-        gamma = G[s_idx]
-        for j in range(M):
-            s_arr = t - delays[j]
-            served = s_arr > 0.0
-            if not served.any():
-                continue
-            vals = ledger.eval_channel(tails[j], node_idx, s_arr, side=side, upto=s_idx)
-            trace = np.where(served, gains[j] * vals, 0.0)
-            gamma[heads[j]] += system.kernel.scatter(j, trace, wv)
+        s_arr = t - system.delays
+        served = s_arr > 0.0
+        if served.any():
+            vals = ledger.eval_channel(tails, node_idx, s_arr, side=side, upto=s_idx)
+            G[s_idx] += system.route(np.where(served, gains * vals, 0.0))
         if u is not None and n_controls:
-            gamma += bmat @ u.eval(t, side=side)
+            G[s_idx] += system.graph.control @ u.eval(t, side=side)
 
     generations = int(np.ceil(horizon / delta)) if horizon > 0 else 0
     return ClosedLoopSolution(
@@ -320,7 +308,7 @@ def closed_loop_solve(
         ledger=ledger,
         horizon=horizon,
         generations=generations,
-        stamp_count=S,
+        stamp_count=len(expanded),
         events_complete=complete,
         min_state=min(x0.min_value(), ledger.min_value()),
     )

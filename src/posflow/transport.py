@@ -105,7 +105,7 @@ class ScatteringKernel:
 
     ``matrices`` is None in identity mode (no velocity mixing); otherwise one
     nonnegative (K, K) table per edge sampling ell_j(0, v, v'), applied with
-    the velocity quadrature weights folded in:
+    the velocity quadrature weights folded in (:attr:`TransportSystem.scatter`):
     (J_j f)(v_k) = sum_k' ell_j(0, v_k, v_k') w_k' f(v_k').
     """
 
@@ -134,12 +134,6 @@ class ScatteringKernel:
         if c < 0:
             raise ValueError("kernel constant must be nonnegative")
         return cls(tuple(np.full((n_nodes, n_nodes), float(c)) for _ in range(n_edges)))
-
-    def scatter(self, j: int, trace: np.ndarray, vweights: np.ndarray) -> np.ndarray:
-        """Apply J_j to velocity samples (trailing axis is the node axis)."""
-        if self.matrices is None:
-            return trace
-        return (trace * vweights) @ self.matrices[j].T
 
 
 @dataclass(frozen=True)
@@ -190,7 +184,7 @@ class TransportSystem:
     @property
     def min_delay(self) -> float:
         """Shortest boundary-to-boundary transit time min_j l_j / v_max."""
-        return float(np.min(self.graph.lengths)) / float(self.vgrid.nodes[-1])
+        return float(self.delays.min())
 
     def xgrid(self, j: int, n: int | None = None) -> np.ndarray:
         return np.linspace(0.0, float(self.graph.lengths[j]), n or self.space_samples)
@@ -206,6 +200,30 @@ class TransportSystem:
         """(M, K) full-edge growth exp(int_0^{l_j} q_j(s, v_k) ds / v_k)."""
         totals = np.stack([c[-1] for c in self.absorption._cums])
         return np.exp(totals / self.vgrid.nodes)
+
+    @cached_property
+    def delays(self) -> np.ndarray:
+        """(M, K) boundary-to-boundary transit times l_j / v_k."""
+        return self.graph.lengths[:, None] / self.vgrid.nodes
+
+    @cached_property
+    def scatter(self) -> np.ndarray:
+        """(M, K, K) scattering tables J_j with the velocity quadrature
+        weights folded in, J_j[k, k'] = ell_j(0, v_k, v_k') w_k'; identity
+        matrices for the identity kernel."""
+        M, K = self.n_edges, self.n_nodes
+        if self.kernel.is_identity:
+            return np.broadcast_to(np.eye(K), (M, K, K))
+        return np.stack(self.kernel.matrices) * self.vgrid.weights
+
+    def route(self, traces: np.ndarray) -> np.ndarray:
+        """Gamma on outflow traces: (..., M, K) edge traces at x = 0 are
+        scattered by J_j and added into their head vertices, (..., N, K).
+        Edges entering one vertex accumulate in edge order."""
+        scattered = np.einsum("jkl,...jl->...jk", self.scatter, traces)
+        out = np.zeros(scattered.shape[:-2] + (self.n_vertices, self.n_nodes))
+        np.add.at(np.moveaxis(out, -2, 0), self.graph.heads, np.moveaxis(scattered, -2, 0))
+        return out
 
     def assumptions(self):
         return check_assumptions(self.graph)
@@ -358,7 +376,6 @@ class DiscretizedOperator:
     matrix: np.ndarray
     n_vertices: int
     n_nodes: int
-    mu: float | None = None
 
     def apply(self, g: BoundaryVector) -> BoundaryVector:
         out = self.matrix @ g.flat()
@@ -426,14 +443,11 @@ def flow_trace(system: TransportSystem, f: StateField, t) -> np.ndarray:
     ``t.shape + (N, K)``.
     """
     t = np.asarray(t, dtype=float)
-    K = system.n_nodes
-    out = np.zeros(t.shape + (system.n_vertices, K))
+    traces = np.empty(t.shape + (system.n_edges, system.n_nodes))
     for j in range(system.n_edges):
-        trace = np.empty(t.shape + (K,))
-        for k in range(K):
-            trace[..., k] = characteristic_read(system, j, k, 0.0, t, initial=f)
-        out[..., system.graph.heads[j], :] += system.kernel.scatter(j, trace, system.vgrid.weights)
-    return out
+        for k in range(system.n_nodes):
+            traces[..., j, k] = characteristic_read(system, j, k, 0.0, t, initial=f)
+    return system.route(traces)
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +544,11 @@ def boundary_traces(system: TransportSystem, f: StateField) -> dict[str, Boundar
     outflow traces at x = 0 and routes them along incoming edges,
     (Gamma f)_i = sum over edges j entering i of (J_j f_j)(0, .).
     """
-    N, K = system.n_vertices, system.n_nodes
-    G = np.zeros((N, K))
-    Gam = np.zeros((N, K))
-    wv = system.vgrid.weights
+    G = np.zeros((system.n_vertices, system.n_nodes))
     for j in range(system.n_edges):
-        l = system.graph.lengths[j]
-        trace_l = np.array([f.eval(j, k, np.array([l]))[0] for k in range(K)])
-        trace_0 = np.array([f.eval(j, k, np.array([0.0]))[0] for k in range(K)])
-        G[system.graph.tails[j]] += trace_l
-        Gam[system.graph.heads[j]] += system.kernel.scatter(j, trace_0, wv)
-    return {"G": BoundaryVector(G), "Gamma": BoundaryVector(Gam)}
+        l = np.array([system.graph.lengths[j]])
+        G[system.graph.tails[j]] += [f.eval(j, k, l)[0] for k in range(system.n_nodes)]
+    return {"G": BoundaryVector(G), "Gamma": BoundaryVector(flow_trace(system, f, 0.0))}
 
 
 def input_map(
@@ -578,17 +586,12 @@ def io_map(system: TransportSystem, u: StepSignal, times: np.ndarray) -> Boundar
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size and u.horizon < times.max() - 1e-12:
         raise ValueError("input history shorter than the requested time grid")
-    K = system.n_nodes
-    node_idx = np.arange(K)
-    out = np.zeros((times.size, system.n_vertices, K))
-    for j in range(system.n_edges):
-        s = times[:, None] - system.graph.lengths[j] / system.vgrid.nodes
-        # the output is right-continuous: u(0) is read at the arrival time itself
-        vals = u.eval_channel(system.graph.tails[j], node_idx, s)
-        gain = system.edge_growth[j] * system.graph.weights[j]
-        trace = np.where(s >= 0.0, gain * vals, 0.0)
-        out[:, system.graph.heads[j], :] += system.kernel.scatter(j, trace, system.vgrid.weights)
-    return BoundarySignal(times, out)
+    s = times[:, None, None] - system.delays
+    vals = u.eval_channel(system.graph.tails[:, None], np.arange(system.n_nodes), s)
+    gains = system.edge_growth * system.graph.weights[:, None]
+    # the output is right-continuous: u(0) is read at the arrival time itself
+    traces = np.where(s >= 0.0, gains * vals, 0.0)
+    return BoundarySignal(times, system.route(traces))
 
 
 def transfer_operator(system: TransportSystem, mu: float) -> DiscretizedOperator:
@@ -597,24 +600,18 @@ def transfer_operator(system: TransportSystem, mu: float) -> DiscretizedOperator
 
     Entry ((i,k), (i',k')): sum over edges j from i' to i of the kernel
     coupling at (k, k') times the full-edge decay
-    E_j(mu, k') = exp((int_0^{l_j} q_j - mu l_j)/v_{k'}) times w_j; identity
-    kernels couple nodes diagonally with no quadrature weight.
+    E_j(mu, k') = exp((int_0^{l_j} q_j - mu l_j)/v_{k'}) times w_j: the block
+    of edge j is J_j (:attr:`TransportSystem.scatter`) times E_j w_j per column.
     """
     N, K = system.n_vertices, system.n_nodes
-    nodes = system.vgrid.nodes
-    wv = system.vgrid.weights
     H = np.zeros((N * K, N * K))
     for j in range(system.n_edges):
         l = system.graph.lengths[j]
-        w = system.graph.weights[j]
         tail, head = system.graph.tails[j], system.graph.heads[j]
-        decay = system.edge_growth[j] * np.exp(-mu * l / nodes)
-        if system.kernel.is_identity:
-            block = np.diag(decay * w)
-        else:
-            block = system.kernel.matrices[j] * (wv * decay * w)[np.newaxis, :]
+        decay = system.edge_growth[j] * np.exp(-mu * l / system.vgrid.nodes)
+        block = system.scatter[j] * (decay * system.graph.weights[j])
         H[head * K : (head + 1) * K, tail * K : (tail + 1) * K] += block
-    return DiscretizedOperator(H, N, K, mu=mu)
+    return DiscretizedOperator(H, N, K)
 
 
 def closed_loop_resolvent(system: TransportSystem, f: StateField, mu: float) -> StateField:

@@ -26,7 +26,6 @@ from .transport import (
     StateField,
     TransportSystem,
     flow_trace,
-    input_map,
     io_map,
     transfer_operator,
 )
@@ -49,9 +48,6 @@ class TransportHandle:
 
     def input_norm(self, u: StepSignal, p: float) -> float:
         return u.lp_norm(p, unit_weights=self._uw)
-
-    def apply_input(self, u: StepSignal, tau: float) -> StateField:
-        return input_map(self.system, u, tau, self.n_x)
 
     def input_map_norm(self, u: StepSignal, tau: float) -> float:
         """||Phi_tau u|| computed exactly by the characteristic substitution

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from posflow.cli import main
+from posflow.scenario import parse_scenario
+from posflow.transport import transfer_operator
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -117,6 +120,42 @@ class TestSpectrum:
         assert len(mus) == 7
         # loop with identity kernel: radius e^{-mu}
         assert all(abs(r - np.exp(-m)) < 1e-12 for m, r in zip(mus, radii))
+
+
+def ladder_yaml(path: Path, n: int, nodes: int, rng, cycle: bool = False) -> Path:
+    """A Kirchhoff network with two out-edges per vertex to random heads, or
+    with both out-edges to the next vertex of one long directed cycle."""
+    edges = [
+        {"tail": i + 1, "head": (i + 1) % n + 1 if cycle else int(h) + 1,
+         "length": float(l), "weight": 0.5}
+        for i in range(n)
+        for h, l in zip(rng.integers(0, n, 2), rng.uniform(0.5, 1.5, 2))
+    ]
+    doc = {
+        "graph": {"vertices": n, "edges": edges},
+        "velocity": {"v_min": 0.5, "v_max": 1.5, "nodes": nodes, "rule": "midpoint"},
+        "kernel": {"mode": "flux_preserving"},
+        "space_samples": 9,
+    }
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+class TestLargeBoundarySpace:
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_check_and_spectrum_beyond_512(self, tmp_path, rng, cycle):
+        scenario = ladder_yaml(tmp_path / "ladder.yaml", 130, 4, rng, cycle)
+        system = parse_scenario(scenario).system
+        assert system.n_vertices * system.n_nodes > 512  # the dense path once refused
+        for cmd, key in (("check", "transfer_radii"), ("spectrum", "radii")):
+            out = tmp_path / cmd
+            code = run([cmd, "--scenario", scenario, "--out", out, "--mu-grid", "0.5:4.0:3"])
+            assert code == 0
+            metrics = load_report(out)["metrics"]
+            for mu, r in zip(metrics["mu_grid"], metrics[key]):
+                H = transfer_operator(system, mu).matrix
+                exact = float(np.max(np.abs(np.linalg.eigvals(H))))
+                assert abs(r - exact) <= 1e-12 * exact
 
 
 class TestOracle:

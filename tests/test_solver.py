@@ -11,6 +11,7 @@ from posflow import (
     resolvent_apply,
 )
 from posflow.scenario import flux_preserving_kernel
+from posflow.solver import _event_stamps
 
 from conftest import make_loop, make_two_cycle, random_field, random_network
 
@@ -164,6 +165,51 @@ class TestClosedLoopSolve:
         # is u + (scattered echo of u) = 1 + 1 (identity kernel, w = 1)
         val = sol.eval_edge(0, 0, np.array([0.5]), 1.75)[0]
         assert abs(val - 2.0) < 1e-12
+
+
+def jump_closure_ref(breaks, delays, horizon, budget):
+    """Reference jump set: one shift generation at a time, keeping points
+    < horizon, stopping before a generation would exceed ``budget``."""
+    jumps = set(breaks)
+    front = set(breaks) if len(jumps) <= budget else set()
+    while front:
+        fresh = {t + d for t in front for d in delays if t + d < horizon} - jumps
+        if len(jumps) + len(fresh) > budget:
+            break
+        jumps |= fresh
+        front = fresh
+    return np.array(sorted(jumps))
+
+
+class TestEventStamps:
+    def test_jumps_are_closed_stamps(self, rng):
+        truncated = 0
+        for _ in range(5):
+            sys = random_network(rng, max_nodes=3)
+            horizon = 2.5 * sys.min_delay
+            breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, horizon, 3)), [horizon]])
+            u = StepSignal(breaks, rng.uniform(0.0, 1.0, (4, 1, sys.n_nodes)))
+            x0 = random_field(rng, sys, n_x=3)
+            delays = np.unique(sys.delays)
+            for budget in (60_000, 12, 5, 2):
+                stamps, jumps, complete = _event_stamps(sys, x0, u, horizon, horizon, budget)
+                assert np.all(np.isin(jumps, stamps))
+                ref = jump_closure_ref(breaks[1:-1], delays, horizon, budget)
+                assert np.array_equal(jumps, ref)
+                if budget == 60_000:
+                    assert complete and jumps.size >= 3
+                    shifted = (jumps[:, None] + delays).ravel()
+                    assert np.all(np.isin(shifted[shifted < horizon], jumps))
+                truncated += not complete
+        assert truncated > 0
+
+    def test_jump_at_horizon_takes_no_budget(self):
+        # delays 1.0 and 0.6: the break 0.5 shifts to 1.1 and to the horizon 1.5
+        sys = make_two_cycle(n_nodes=1, v_lo=0.5, v_hi=1.5, lengths=(1.0, 0.6))
+        u = StepSignal(np.array([0.0, 0.5, 1.5]), np.ones((2, 2, 1)))
+        x0 = random_field(np.random.default_rng(0), sys, n_x=3)
+        _, jumps, _ = _event_stamps(sys, x0, u, 1.5, 1.5, budget=2)
+        assert np.array_equal(jumps, [0.5, 0.5 + 0.6])
 
 
 class TestClosedLoopResolvent:

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from posflow import (
+    Absorption,
     BoundaryVector,
+    MetricGraph,
+    Quadrature,
     ScatteringKernel,
     StateField,
     StepSignal,
+    TransportSystem,
     boundary_traces,
     dirichlet_apply,
     flow_trace,
@@ -324,6 +328,21 @@ class TestIOMap:
             assert abs(out.values[i, 0, 0] - expected) < 1e-12
 
 
+def scatter_ref(system, j, trace):
+    """J_j applied to velocity samples (trailing axis), written out per edge."""
+    if system.kernel.is_identity:
+        return trace
+    return (trace * system.vgrid.weights) @ system.kernel.matrices[j].T
+
+
+def route_ref(system, traces):
+    """Reference Gamma: scatter each edge's trace and add it into its head."""
+    out = np.zeros(traces.shape[:-2] + (system.n_vertices, system.n_nodes))
+    for j in range(system.n_edges):
+        out[..., system.graph.heads[j], :] += scatter_ref(system, j, traces[..., j, :])
+    return out
+
+
 def io_map_per_node(system, u, times):
     """Reference F u: one read per (edge, velocity node), arrival at t >= l_j / v_k."""
     out = np.zeros((times.size, system.n_vertices, system.n_nodes))
@@ -335,7 +354,7 @@ def io_map_per_node(system, u, times):
             gain = system.growth(j, k, 0.0, l) * system.graph.weights[j]
             vals = u.eval_channel(system.graph.tails[j], k, times[arrived] - l / v)
             trace[arrived, k] = gain * vals
-        out[:, system.graph.heads[j], :] += system.kernel.scatter(j, trace, system.vgrid.weights)
+        out[:, system.graph.heads[j], :] += scatter_ref(system, j, trace)
     return out
 
 
@@ -363,6 +382,30 @@ class TestArrayForms:
             )
             got = io_map(sys, u, times).values
             np.testing.assert_allclose(got, io_map_per_node(sys, u, times), rtol=1e-14, atol=0.0)
+
+
+class TestRoute:
+    def test_matches_per_edge_loop_with_parallel_edges(self, rng):
+        for _ in range(3):
+            k = int(rng.integers(2, 7))
+            # edges 0, 3 and 4 all run 0 -> 1: parallel edges into one head
+            tails, heads = [0, 1, 2, 0, 0, 1, 2], [1, 1, 1, 1, 1, 0, 0]
+            graph = MetricGraph(3, tails, heads, rng.uniform(0.5, 1.5, 7),
+                                [1 / 3, 0.5, 0.5, 1 / 3, 1 / 3, 0.5, 0.5])
+            vgrid = Quadrature.midpoint(0.5, 1.5, k)
+            kernel = ScatteringKernel(tuple(rng.uniform(0.0, 1.0, (7, k, k))))
+            sys = TransportSystem(graph, vgrid, Absorption.zero(graph.lengths, k), kernel)
+            for shape in ((), (5,), (4, 3)):
+                traces = rng.uniform(0.0, 1.0, shape + (7, k))
+                np.testing.assert_allclose(
+                    sys.route(traces), route_ref(sys, traces), rtol=1e-14, atol=0.0
+                )
+
+    def test_identity_kernel_is_exact(self, rng):
+        sys = make_two_cycle()
+        assert np.array_equal(sys.scatter, np.broadcast_to(np.eye(3), (2, 3, 3)))
+        traces = rng.uniform(0.0, 1.0, (9, 2, 3))
+        assert np.array_equal(sys.route(traces), route_ref(sys, traces))
 
 
 class TestTransferOperator:
