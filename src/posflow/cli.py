@@ -47,8 +47,10 @@ TRACE_HEADER = "# schema=posflow.traces.v1\ntime,vertex,v,value\n"
 SPECTRUM_HEADER = "# schema=posflow.spectrum.v1\nmu,spectral_radius,max_entry\n"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cells(values) -> list[str]:
+    """CSV cells of ``values`` in C order, 17 significant digits each, which
+    round-trips every float64."""
+    return list(map("{:.17g}".format, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 def _parse_linspace(spec: str) -> np.ndarray:
@@ -86,32 +88,35 @@ def _write_report(outdir: Path, payload: dict) -> Path:
 
 
 def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
-    sol = closed_loop_solve(
-        sc.system, sc.initial, sc.control, sc.horizon, positive=not args.signed
-    )
+    sys_ = sc.system
+    sol = closed_loop_solve(sys_, sc.initial, sc.control, sc.horizon, positive=not args.signed)
     outdir = Path(args.out)
 
-    rows = [SNAPSHOT_HEADER]
+    # Rows go out one (time, edge, node) block at a time, so no whole file is
+    # held in memory.  Snapshot fields sample on the system's x-grids, so the
+    # coordinate cells are formatted once; each block formats only its values.
+    v_cells = _cells(sys_.vgrid.nodes)
+    x_cells = [_cells(sys_.xgrid(j)) for j in range(sys_.n_edges)]
     snapshot_min = np.inf
     masses = []
-    for t in sc.snapshot_times:
-        fld = sol.snapshot(float(t))
-        snapshot_min = min(snapshot_min, fld.min_value())
-        masses.append(sol.total_mass(float(t)))
-        for j in range(sc.system.n_edges):
-            xs = fld.xs[j]
-            for k, v in enumerate(sc.system.vgrid.nodes):
-                for x, val in zip(xs, fld.values[j][k]):
-                    rows.append(f"{_fmt(t)},{j + 1},{_fmt(x)},{_fmt(v)},{_fmt(val)}\n")
-    (outdir / "snapshots.csv").write_text("".join(rows))
+    with (outdir / "snapshots.csv").open("w") as fh:
+        fh.write(SNAPSHOT_HEADER)
+        for t, t_cell in zip(sc.snapshot_times, _cells(sc.snapshot_times)):
+            fld = sol.snapshot(float(t))
+            snapshot_min = min(snapshot_min, fld.min_value())
+            masses.append(sol.total_mass(float(t)))
+            for j, block in enumerate(fld.values):
+                for v_cell, vals in zip(v_cells, block):
+                    row = f"{t_cell},{j + 1},{{}},{v_cell},{{}}\n".format
+                    fh.write("".join(map(row, x_cells[j], _cells(vals))))
 
-    rows = [TRACE_HEADER]
     led = sol.ledger
-    for s, t in enumerate(led.times):
-        for i in range(sc.system.n_vertices):
-            for k, v in enumerate(sc.system.vgrid.nodes):
-                rows.append(f"{_fmt(t)},{i + 1},{_fmt(v)},{_fmt(led.values[s, i, k])}\n")
-    (outdir / "traces.csv").write_text("".join(rows))
+    site_cells = [f"{i + 1},{v_cell}," for i in range(sys_.n_vertices) for v_cell in v_cells]
+    with (outdir / "traces.csv").open("w") as fh:
+        fh.write(TRACE_HEADER)
+        for t_cell, block in zip(_cells(led.times), led.values):
+            row = f"{t_cell},{{}}{{}}\n".format
+            fh.write("".join(map(row, site_cells, _cells(block))))
 
     pos_tol = float(sc.tolerances["positivity"])
     drift = 0.0
@@ -213,7 +218,7 @@ def cmd_spectrum(sc: Scenario, args) -> tuple[list[dict], dict]:
         op = transfer_operator(sc.system, float(mu))
         r = op.spectral_radius()
         radii.append(r)
-        rows.append(f"{_fmt(mu)},{_fmt(r)},{_fmt(np.max(np.abs(op.matrix)))}\n")
+        rows.append(",".join(_cells([mu, r, np.max(np.abs(op.matrix))])) + "\n")
     (Path(args.out) / "spectrum.csv").write_text("".join(rows))
     metrics = {"mu_grid": [float(m) for m in mus], "radii": [float(r) for r in radii]}
     return [], metrics

@@ -23,6 +23,8 @@ import numpy as np
 from .signals import StepSignal
 from .transport import StateField, TransportSystem, characteristic_read, flow_trace
 
+_GL5 = np.polynomial.legendre.leggauss(5)
+
 
 def _locate(times: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
     """Index of the stamp anchoring the interpolation segment for each t.
@@ -200,7 +202,7 @@ class ClosedLoopSolution:
         """
         sys_ = self.system
         l = float(sys_.graph.lengths[j])
-        gl_x, gl_w = np.polynomial.legendre.leggauss(5)
+        gl_x, gl_w = _GL5
         total = 0.0
         for k in range(sys_.n_nodes):
             v = sys_.vgrid.nodes[k]

@@ -271,6 +271,7 @@ def test_c09_regularity_monotonicity():
 
 def test_c10_determinism(tmp_path):
     battery = ["simulate", "check", "admissibility", "spectrum", "oracle"]
+    artifacts = {"simulate": ["snapshots.csv", "traces.csv"], "spectrum": ["spectrum.csv"]}
     digests = []
     for tag in ("a", "b"):
         blobs = []
@@ -281,11 +282,13 @@ def test_c10_determinism(tmp_path):
                 "--out", str(out), "--seed", "424242",
             ])
             assert code == 0
-            blobs.append((out / "report.json").read_bytes())
+            names = ["report.json", *artifacts.get(cmd, [])]
+            blobs.append({name: (out / name).read_bytes() for name in names})
         digests.append(blobs)
     for cmd, blob_a, blob_b in zip(battery, digests[0], digests[1]):
-        assert blob_a == blob_b, f"report.json differs between runs for {cmd}"
+        for name in blob_a:
+            assert blob_a[name] == blob_b[name], f"{name} differs between runs for {cmd}"
     # reports are valid JSON with the pinned schema
-    sample = json.loads(digests[0][0].decode())
+    sample = json.loads(digests[0][0]["report.json"].decode())
     assert sample["schema_version"] == 1 and "scenario_hash" in sample
-    report("C10 determinism", "byte-identical report.json across the CLI battery")
+    report("C10 determinism", "byte-identical report.json and CSVs across the CLI battery")

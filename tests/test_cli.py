@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import yaml
 
-from posflow.cli import main
+from posflow.cli import SNAPSHOT_HEADER, SPECTRUM_HEADER, TRACE_HEADER, main
 from posflow.scenario import parse_scenario
+from posflow.solver import closed_loop_solve
 from posflow.transport import transfer_operator
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -50,6 +51,101 @@ class TestSimulate:
         gate = {g["name"]: g for g in report["gates"]}
         assert gate["mass_drift"]["passed"]
         assert gate["mass_drift"]["value"] < 1e-8
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_csvs(scenario: Path, signed: bool = False) -> dict[str, str]:
+    """snapshots.csv, traces.csv and spectrum.csv as written by the reference
+    per-row loops: one ``format(float(x), ".17g")`` per cell."""
+    sc = parse_scenario(scenario)
+    sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon, positive=not signed)
+    rows = [SNAPSHOT_HEADER]
+    for t in sc.snapshot_times:
+        fld = sol.snapshot(float(t))
+        for j in range(sc.system.n_edges):
+            for k, v in enumerate(sc.system.vgrid.nodes):
+                for x, val in zip(fld.xs[j], fld.values[j][k]):
+                    rows.append(f"{_fmt(t)},{j + 1},{_fmt(x)},{_fmt(v)},{_fmt(val)}\n")
+    snapshots = "".join(rows)
+    rows = [TRACE_HEADER]
+    led = sol.ledger
+    for s, t in enumerate(led.times):
+        for i in range(sc.system.n_vertices):
+            for k, v in enumerate(sc.system.vgrid.nodes):
+                rows.append(f"{_fmt(t)},{i + 1},{_fmt(v)},{_fmt(led.values[s, i, k])}\n")
+    traces = "".join(rows)
+    rows = [SPECTRUM_HEADER]
+    q_sup = sc.system.q_sup
+    for mu in np.linspace(q_sup + 0.5, q_sup + 8.0, 31):
+        op = transfer_operator(sc.system, float(mu))
+        rows.append(f"{_fmt(mu)},{_fmt(op.spectral_radius())},{_fmt(np.max(np.abs(op.matrix)))}\n")
+    return {"snapshots.csv": snapshots, "traces.csv": traces, "spectrum.csv": "".join(rows)}
+
+
+def signed_yaml(path: Path) -> Path:
+    """A signed two-cycle whose data reach -0.0, +-1e300 and 1e-300, with a
+    step input whose breaks put jump pairs into the trace ledger."""
+    doc = {
+        "graph": {
+            "vertices": 2,
+            "edges": [
+                {"tail": 1, "head": 2, "length": 1.0, "weight": 1.0},
+                {"tail": 2, "head": 1, "length": 0.7, "weight": 1.0},
+                {"tail": 2, "head": 2, "length": 0.45, "weight": 1.0},
+            ],
+            "control_matrix": [[1.0], [0.0]],
+        },
+        "velocity": {"v_min": 0.8, "v_max": 1.4, "nodes": 3, "rule": "midpoint"},
+        "kernel": {"mode": "constant", "value": 0.8},
+        "initial_state": [
+            {"table": {"x": [0.0, 0.5, 1.0], "values": [-1e300, 3e-300, 1e300]}},
+            {"constant": -0.0},
+            {"table": {"x": [0.0, 0.45], "values": [-2.5, 1e-300]}},
+        ],
+        "inputs": [{"steps": {"times": [0.0, 0.5, 1.5], "values": [-0.3, 1e-300, -7.0]}}],
+        "horizon": 2.5,
+        "snapshots": [0.0, 0.35, 1.2, 2.5],
+        "space_samples": 17,
+    }
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+class TestCsvBytes:
+    """The block writers match the per-row reference byte for byte."""
+
+    def assert_matches_reference(self, scenario: Path, out: Path, signed: bool) -> dict:
+        flags = ["--signed"] if signed else []
+        for cmd in ("simulate", "spectrum"):
+            run([cmd, "--scenario", scenario, "--out", out, *flags])
+        want = reference_csvs(scenario, signed)
+        for name, text in want.items():
+            assert (out / name).read_bytes() == text.encode(), name
+        return want
+
+    @pytest.mark.parametrize("name", ["loop", "conservation", "two_cycle", "blocked"])
+    def test_shipped_scenarios(self, tmp_path, name):
+        self.assert_matches_reference(SCENARIOS / f"{name}.yaml", tmp_path / "out", False)
+
+    def test_signed_extremes_and_jump_pairs(self, tmp_path):
+        want = self.assert_matches_reference(
+            signed_yaml(tmp_path / "signed.yaml"), tmp_path / "out", True
+        )
+        cells = {
+            line.rsplit(",", 1)[1]
+            for name in ("snapshots.csv", "traces.csv")
+            for line in want[name].splitlines()[2:]
+        }
+        assert "-0" in cells
+        assert any(c.startswith("-") and c != "-0" for c in cells)
+        assert any(c.endswith("e+300") for c in cells)
+        assert any(c.endswith("e-300") for c in cells)
+        stamps = [line.split(",", 1)[0] for line in want["traces.csv"].splitlines()[2:]]
+        times = stamps[:: 2 * 3]  # one row per (vertex, velocity node) per stamp
+        assert len(times) > len(set(times))  # jump pairs: left limit, then right limit
 
 
 class TestCheck:
