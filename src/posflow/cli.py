@@ -25,7 +25,7 @@ import numpy as np
 
 from . import poslti
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .solver import closed_loop_solve
+from .solver import NegativeDataError, closed_loop_solve
 from .transport import (
     BoundaryVector,
     StateField,
@@ -89,7 +89,10 @@ def _write_report(outdir: Path, payload: dict) -> Path:
 
 def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
     sys_ = sc.system
-    sol = closed_loop_solve(sys_, sc.initial, sc.control, sc.horizon, positive=not args.signed)
+    try:
+        sol = closed_loop_solve(sys_, sc.initial, sc.control, sc.horizon, positive=not args.signed)
+    except NegativeDataError as exc:
+        raise ScenarioError(f"{exc}; pass --signed to simulate signed data") from None
     outdir = Path(args.out)
 
     # Rows go out one (time, edge, node) block at a time, so no whole file is
@@ -123,17 +126,18 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
     if masses:
         m0 = masses[0]
         drift = max(abs(m - m0) for m in masses) / max(abs(m0), 1e-30)
-    gates = [
-        _gate("positivity", min(sol.min_state, float(snapshot_min)) >= -pos_tol,
-              value=min(sol.min_state, float(snapshot_min)), threshold=-pos_tol)
-    ]
+    min_state = min(sol.min_state, float(snapshot_min))
+    gates = []
+    if not args.signed:
+        gates.append(_gate("positivity", min_state >= -pos_tol,
+                           value=min_state, threshold=-pos_tol))
     if sc.expect_mass_conservation:
         tol = float(sc.tolerances["mass_drift"])
         gates.append(_gate("mass_drift", drift <= tol, value=drift, threshold=tol))
     metrics = {
         "mass_by_time": [float(m) for m in masses],
         "mass_drift": float(drift),
-        "min_state": float(min(sol.min_state, float(snapshot_min))),
+        "min_state": float(min_state),
         "generations": sol.generations,
         "stamps": sol.stamp_count,
         "events_complete": sol.events_complete,
@@ -358,11 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        sc = parse_scenario(args.scenario)
+        return run_command(args.command, parse_scenario(args.scenario), args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    return run_command(args.command, sc, args)
 
 
 if __name__ == "__main__":

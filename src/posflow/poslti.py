@@ -247,35 +247,46 @@ def simulate_interconnection(
 
     The output equation is solved pointwise, y = (I - DK)^{-1} (C z + D v),
     and the coupled ODE is marched with classical RK4 in ``substeps``
-    sub-intervals per grid step.  This route never forms the closed-loop
-    operators, so it serves as an independent check of
-    :func:`feedback_compose`.  ``v`` is a constant external input.  Returns
-    (states, outputs) sampled on the grid.
+    sub-intervals per grid step.  ``v`` is a constant external input, so the
+    right-hand side is affine in z and one RK4 substep of length h is an
+    exact linear map Phi_h of the augmented state (z, s), where s scales v.
+    Phi_h is one RK4 step of the interconnection right-hand side applied to
+    the identity's columns, and each grid step applies Phi_h^substeps.  The
+    closed-loop operators are never formed, so this route serves as an
+    independent check of :func:`feedback_compose`.  Returns (states,
+    outputs) sampled on the grid.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     v = np.asarray(v, dtype=float).ravel()
     inv_DK = np.linalg.inv(np.eye(sys.p) - sys.D @ K)
+    n = sys.n
 
-    def rhs(z: np.ndarray) -> np.ndarray:
-        y = inv_DK @ (sys.C @ z + sys.D @ v)
-        return sys.A @ z + sys.B @ (K @ y + v)
+    def rhs(w: np.ndarray) -> np.ndarray:
+        """Interconnection right-hand side on the columns (z, s) of ``w``."""
+        z, s = w[:n], w[n:]
+        y = inv_DK @ (sys.C @ z + np.outer(sys.D @ v, s))
+        return np.vstack([sys.A @ z + sys.B @ (K @ y + np.outer(v, s)), np.zeros_like(s)])
+
+    def rk4_step(w: np.ndarray, h: float) -> np.ndarray:
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * h * k1)
+        k3 = rhs(w + 0.5 * h * k2)
+        k4 = rhs(w + h * k3)
+        return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     tgrid = np.asarray(tgrid, dtype=float)
-    states = np.empty((tgrid.size, sys.n))
-    outputs = np.empty((tgrid.size, sys.p))
-    z = np.asarray(x0, dtype=float).ravel().copy()
-    states[0] = z
-    outputs[0] = inv_DK @ (sys.C @ z + sys.D @ v)
+    states = np.empty((tgrid.size, n))
+    w = np.append(np.asarray(x0, dtype=float).ravel(), 1.0)
+    states[0] = w[:n]
+    # keyed by substep length: linspace intervals can differ in the last ulp
+    cache: dict[float, np.ndarray] = {}
     for idx in range(tgrid.size - 1):
-        h = (tgrid[idx + 1] - tgrid[idx]) / substeps
-        for _ in range(substeps):
-            k1 = rhs(z)
-            k2 = rhs(z + 0.5 * h * k1)
-            k3 = rhs(z + 0.5 * h * k2)
-            k4 = rhs(z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[idx + 1] = z
-        outputs[idx + 1] = inv_DK @ (sys.C @ z + sys.D @ v)
+        h = float(tgrid[idx + 1] - tgrid[idx]) / substeps
+        if h not in cache:
+            cache[h] = np.linalg.matrix_power(rk4_step(np.eye(n + 1), h), substeps)
+        w = cache[h] @ w
+        states[idx + 1] = w[:n]
+    outputs = (states @ sys.C.T + sys.D @ v) @ inv_DK.T
     return states, outputs
 
 

@@ -23,6 +23,11 @@ import numpy as np
 from .signals import StepSignal
 from .transport import StateField, TransportSystem, characteristic_read, flow_trace
 
+
+class NegativeDataError(ValueError):
+    """Negative initial data or input given to a positivity-mode solve."""
+
+
 _GL5 = np.polynomial.legendre.leggauss(5)
 
 
@@ -259,9 +264,9 @@ def closed_loop_solve(
         raise ValueError("horizon must be nonnegative")
     if positive:
         if not x0.is_nonneg(tol):
-            raise ValueError("positivity mode requires nonnegative initial data")
+            raise NegativeDataError("positivity mode requires nonnegative initial data")
         if u is not None and u.min_value() < -tol:
-            raise ValueError("positivity mode requires nonnegative inputs")
+            raise NegativeDataError("positivity mode requires nonnegative inputs")
     n_controls = system.graph.n_controls
     if u is not None:
         if u.value_shape != (n_controls, system.n_nodes):

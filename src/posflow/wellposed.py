@@ -512,7 +512,8 @@ def feedback_admissibility(
     if K_mat.shape != (d, d):
         raise ValueError("K must act on flattened output slices")
     F = io_matrix(handle, tau, n_steps)
-    KF = np.kron(np.eye(n_steps), K_mat) @ F
+    # block-diagonal K applied one row block (output sample) at a time
+    KF = (K_mat @ F.reshape(n_steps, d, -1)).reshape(F.shape)
     if np.all(KF >= 0.0):
         # power iteration resolves exactly-nilpotent delay structure as an
         # exact zero, which dense eigensolvers cannot (defective spectra)

@@ -148,6 +148,27 @@ class TestCsvBytes:
         assert len(times) > len(set(times))  # jump pairs: left limit, then right limit
 
 
+class TestSignedData:
+    def test_negative_data_without_flag_is_a_scenario_error(self, tmp_path, capsys):
+        scenario = signed_yaml(tmp_path / "signed.yaml")
+        assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0
+        assert "nonnegative initial data" in err and "--signed" in err
+
+    def test_signed_run_skips_positivity_gate(self, tmp_path):
+        scenario, out = signed_yaml(tmp_path / "signed.yaml"), tmp_path / "out"
+        assert run(["simulate", "--scenario", scenario, "--out", out, "--signed"]) == 0
+        report = load_report(out)
+        assert "positivity" not in {g["name"] for g in report["gates"]}
+        assert report["metrics"]["min_state"] < 0
+
+    def test_unsigned_run_keeps_positivity_gate(self, tmp_path):
+        out = tmp_path / "out"
+        run(["simulate", "--scenario", SCENARIOS / "loop.yaml", "--out", out])
+        assert "positivity" in {g["name"] for g in load_report(out)["gates"]}
+
+
 class TestCheck:
     def test_loop_passes(self, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,57 @@ class TestFeedback:
             z2, _ = simulate_interconnection(sys, K, x0, v, grid)
             worst = max(worst, float(np.max(np.abs(z1 - z2))))
         assert worst < 1e-8
+
+
+def rk4_per_substep(sys, K, x0, v, tgrid, substeps):
+    """Reference: classical RK4 marched one substep at a time on z."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    inv_DK = np.linalg.inv(np.eye(sys.p) - sys.D @ K)
+
+    def rhs(z):
+        y = inv_DK @ (sys.C @ z + sys.D @ v)
+        return sys.A @ z + sys.B @ (K @ y + v)
+
+    states = np.empty((tgrid.size, sys.n))
+    outputs = np.empty((tgrid.size, sys.p))
+    z = np.asarray(x0, dtype=float).copy()
+    states[0] = z
+    outputs[0] = inv_DK @ (sys.C @ z + sys.D @ v)
+    for idx in range(tgrid.size - 1):
+        h = (tgrid[idx + 1] - tgrid[idx]) / substeps
+        for _ in range(substeps):
+            k1 = rhs(z)
+            k2 = rhs(z + 0.5 * h * k1)
+            k3 = rhs(z + 0.5 * h * k2)
+            k4 = rhs(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[idx + 1] = z
+        outputs[idx + 1] = inv_DK @ (sys.C @ z + sys.D @ v)
+    return states, outputs
+
+
+class TestInterconnectionRK4:
+    """The step-matrix march equals the per-substep RK4 loop to round-off."""
+
+    @pytest.mark.parametrize("substeps", [1, 7, 64])
+    def test_matches_per_substep_loop(self, rng, substeps):
+        # two distinct step lengths, interleaved
+        grid = np.concatenate([[0.0], np.cumsum(np.tile([0.13, 0.31], 6))])
+        for _ in range(8):
+            sys = random_positive_system(rng)
+            assert np.all(sys.D > 0)
+            K = 0.3 * rng.uniform(0, 1, (sys.m, sys.p))
+            x0 = rng.uniform(0, 1, sys.n)
+            v = rng.uniform(0, 1, sys.m)
+            z, y = simulate_interconnection(sys, K, x0, v, grid, substeps=substeps)
+            z_ref, y_ref = rk4_per_substep(sys, K, x0, v, grid, substeps)
+            np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+
+    def test_substeps_is_a_keyword_parameter(self):
+        param = inspect.signature(simulate_interconnection).parameters["substeps"]
+        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert param.default == 64
 
 
 class TestNeumann:
