@@ -351,11 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument("--out", default="posflow-out", help="artifact directory")
-        p.add_argument("--mu-grid", default=None, help="mu sweep as a:b:n")
-        p.add_argument("--tau-grid", default=None, help="comma-separated tau values")
-        p.add_argument("--p", type=float, default=None, help="Lp exponent for admissibility")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--signed", action="store_true", help="allow signed data (skip cone checks)")
+        if name == "simulate":
+            p.add_argument("--signed", action="store_true", help="signed data, no positivity gate")
+        if name in ("check", "spectrum"):
+            p.add_argument("--mu-grid", default=None, help="mu sweep as a:b:n")
+        if name == "admissibility":
+            p.add_argument("--tau-grid", default=None, help="comma-separated tau values")
+            p.add_argument("--p", type=float, default=None, help="Lp exponent")
     return parser
 
 

@@ -57,7 +57,6 @@ class Scenario:
     probes: dict
     expect_mass_conservation: bool
     name: str
-    raw: dict
     source_hash: str
     warnings: list[str] = field(default_factory=list)
 
@@ -249,7 +248,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}")
     text = path.read_bytes()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -307,7 +306,6 @@ def parse_scenario(path: str | Path) -> Scenario:
         probes=probes,
         expect_mass_conservation=bool(raw.get("expect_mass_conservation", False)),
         name=str(raw.get("name", path.stem)),
-        raw=raw,
         source_hash=hashlib.sha256(text).hexdigest(),
         warnings=warnings,
     )

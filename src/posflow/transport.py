@@ -603,15 +603,12 @@ def transfer_operator(system: TransportSystem, mu: float) -> DiscretizedOperator
     E_j(mu, k') = exp((int_0^{l_j} q_j - mu l_j)/v_{k'}) times w_j: the block
     of edge j is J_j (:attr:`TransportSystem.scatter`) times E_j w_j per column.
     """
-    N, K = system.n_vertices, system.n_nodes
-    H = np.zeros((N * K, N * K))
-    for j in range(system.n_edges):
-        l = system.graph.lengths[j]
-        tail, head = system.graph.tails[j], system.graph.heads[j]
-        decay = system.edge_growth[j] * np.exp(-mu * l / system.vgrid.nodes)
-        block = system.scatter[j] * (decay * system.graph.weights[j])
-        H[head * K : (head + 1) * K, tail * K : (tail + 1) * K] += block
-    return DiscretizedOperator(H, N, K)
+    N, K, g = system.n_vertices, system.n_nodes, system.graph
+    decay = system.edge_growth * np.exp(-mu * g.lengths[:, None] / system.vgrid.nodes)
+    blocks = system.scatter * (decay * g.weights[:, None])[:, None, :]
+    H = np.zeros((N, K, N, K))
+    np.add.at(H, (g.heads, slice(None), g.tails), blocks)  # parallel edges add in edge order
+    return DiscretizedOperator(H.reshape(N * K, N * K), N, K)
 
 
 def closed_loop_resolvent(system: TransportSystem, f: StateField, mu: float) -> StateField:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poslti
-from .lattice import dense_spectral_radius, spectral_radius
+from .lattice import dense_spectral_radius, spectral_radius  # noqa: F401 (perfbench tracer binds it)
 from .signals import StepSignal
 from .transport import (
     BoundaryVector,
@@ -133,6 +133,20 @@ class TransportHandle:
         sig = io_map(self.system, u, times)
         return sig.values.reshape(times.size, -1)
 
+    def volterra(self, tau: float, n_steps: int) -> np.ndarray:
+        """:func:`io_matrix` in one scatter-add: input piece r at (tail_j, l) reaches (head_j, k)
+        at t_i with gain J_j[k, l] E_j[l] w_j when s = t_i - l_j / v_l >= 0 lies in piece r
+        (StepSignal's rule); parallel edges add in edge order."""
+        sys_, g, h = self.system, self.system.graph, tau / n_steps
+        N, K = self.input_shape
+        s = (h * np.arange(n_steps))[:, None, None] - sys_.delays
+        i, j, l = np.nonzero(s >= 0.0)
+        r = np.searchsorted(h * np.arange(n_steps + 1), s[i, j, l], side="right") - 1
+        gain = sys_.scatter[j, :, l] * (sys_.edge_growth * g.weights[:, None])[j, l][:, None]
+        F = np.zeros((n_steps, N, K, n_steps, N, K))
+        np.add.at(F, (i, g.heads[j], slice(None), r, g.tails[j], l), gain)
+        return F.reshape(n_steps * N * K, -1)
+
 
 class PosLTIHandle:
     """Finite-dimensional positive system seen through the same interface.
@@ -187,6 +201,9 @@ class PosLTIHandle:
 
     def feedthrough_apply(self, g: np.ndarray) -> np.ndarray:
         return self.system.D @ np.asarray(g, dtype=float)
+
+    def volterra(self, tau: float, n_steps: int) -> np.ndarray:
+        return io_matrix(self, tau, n_steps)
 
     def io_samples(self, u: StepSignal, times: np.ndarray) -> np.ndarray:
         grid = np.union1d(u.breaks, times)
@@ -320,7 +337,7 @@ class RegularityReport:
 
 @dataclass
 class FeedbackReport:
-    """Spectral radius of the discretized K*F and the induced solvability."""
+    """Spectral radius of the discretized K*F and the sign of (I - K F)^{-1}."""
 
     radius: float
     admissible: bool
@@ -485,12 +502,10 @@ def io_matrix(handle, tau: float, n_steps: int) -> np.ndarray:
     times = h * np.arange(n_steps)
     breaks = h * np.arange(n_steps + 1)
     F = np.zeros((n_steps * d, n_steps * d))
-    for r in range(n_steps):
-        for b in range(d):
-            vals = np.zeros((n_steps, *handle.input_shape))
-            vals[r].flat[b] = 1.0
-            y = handle.io_samples(StepSignal(breaks, vals), times)
-            F[:, r * d + b] = y.ravel()
+    for c in range(n_steps * d):  # c = r * d + b
+        vals = np.zeros((n_steps, *handle.input_shape))
+        vals.flat[c] = 1.0
+        F[:, c] = handle.io_samples(StepSignal(breaks, vals), times).ravel()
     return F
 
 
@@ -500,9 +515,10 @@ def feedback_admissibility(
     """Admissibility of the feedback operator K through r(K F) < 1.
 
     K acts on output slices (a (d, d) matrix or a scalar multiple of the
-    identity); the radius is that of the block-diagonal K composed with the
-    Volterra discretization of F, and the positivity of (I - K F)^{-1} is
-    checked directly on the inverse.
+    identity) and F is ``handle.volterra``.  F is causal, so r(K F) is the largest
+    r(K F_ii) over the distinct diagonal blocks: exactly 0 for transport (positive
+    delays), r(K D) for a positive LTI system.  When K F >= 0 the Neumann series makes
+    (I - K F)^{-1} nonnegative, so only a K F with a negative entry has it formed.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -511,19 +527,14 @@ def feedback_admissibility(
     K_mat = float(K) * np.eye(d) if K.ndim == 0 else K
     if K_mat.shape != (d, d):
         raise ValueError("K must act on flattened output slices")
-    F = io_matrix(handle, tau, n_steps)
+    F = handle.volterra(tau, n_steps)
     # block-diagonal K applied one row block (output sample) at a time
     KF = (K_mat @ F.reshape(n_steps, d, -1)).reshape(F.shape)
-    if np.all(KF >= 0.0):
-        # power iteration resolves exactly-nilpotent delay structure as an
-        # exact zero, which dense eigensolvers cannot (defective spectra)
-        res = spectral_radius(KF, tol=1e-10, max_iter=10_000)
-        radius = res.value if res.converged else dense_spectral_radius(KF)
-    else:
-        radius = dense_spectral_radius(KF)
+    diagonal = KF.reshape(n_steps, d, n_steps, d)[np.arange(n_steps), :, np.arange(n_steps)]
+    radius = max(dense_spectral_radius(b) for b in np.unique(diagonal, axis=0))
     admissible = radius < 1.0
-    inverse_nonneg = False
-    if admissible:
+    inverse_nonneg = admissible
+    if admissible and np.any(KF < 0.0):
         inv = np.linalg.inv(np.eye(KF.shape[0]) - KF)
         inverse_nonneg = bool(np.all(inv >= -tol))
     return FeedbackReport(

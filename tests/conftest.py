@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from posflow import (
     Absorption,
@@ -94,6 +97,25 @@ def random_field(rng: np.random.Generator, system: TransportSystem, n_x: int | N
         for _ in range(system.n_edges)
     ]
     return StateField.from_samples(system, values, n_x)
+
+
+def ladder_yaml(path: Path, n: int, nodes: int, rng, cycle: bool = False) -> Path:
+    """A Kirchhoff network with two out-edges per vertex to random heads, or
+    with both out-edges to the next vertex of one long directed cycle."""
+    edges = [
+        {"tail": i + 1, "head": (i + 1) % n + 1 if cycle else int(h) + 1,
+         "length": float(l), "weight": 0.5}
+        for i in range(n)
+        for h, l in zip(rng.integers(0, n, 2), rng.uniform(0.5, 1.5, 2))
+    ]
+    doc = {
+        "graph": {"vertices": n, "edges": edges},
+        "velocity": {"v_min": 0.5, "v_max": 1.5, "nodes": nodes, "rule": "midpoint"},
+        "kernel": {"mode": "flux_preserving"},
+        "space_samples": 9,
+    }
+    path.write_text(yaml.safe_dump(doc))
+    return path
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from posflow.cli import SNAPSHOT_HEADER, SPECTRUM_HEADER, TRACE_HEADER, main
 from posflow.scenario import parse_scenario
 from posflow.solver import closed_loop_solve
 from posflow.transport import transfer_operator
+from conftest import ladder_yaml
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -119,8 +120,8 @@ class TestCsvBytes:
 
     def assert_matches_reference(self, scenario: Path, out: Path, signed: bool) -> dict:
         flags = ["--signed"] if signed else []
-        for cmd in ("simulate", "spectrum"):
-            run([cmd, "--scenario", scenario, "--out", out, *flags])
+        run(["simulate", "--scenario", scenario, "--out", out, *flags])
+        run(["spectrum", "--scenario", scenario, "--out", out])
         want = reference_csvs(scenario, signed)
         for name, text in want.items():
             assert (out / name).read_bytes() == text.encode(), name
@@ -167,6 +168,22 @@ class TestSignedData:
         out = tmp_path / "out"
         run(["simulate", "--scenario", SCENARIOS / "loop.yaml", "--out", out])
         assert "positivity" in {g["name"] for g in load_report(out)["gates"]}
+
+
+class TestOptions:
+    """Each subcommand registers only the options it reads."""
+
+    @pytest.mark.parametrize("cmd, flags", [
+        ("check", ["--signed"]),
+        ("simulate", ["--mu-grid", "1:2:3"]),
+        ("spectrum", ["--p", "2"]),
+        ("oracle", ["--tau-grid", "0.1,0.2"]),
+    ])
+    def test_unread_option_is_a_usage_error(self, tmp_path, capsys, cmd, flags):
+        with pytest.raises(SystemExit) as exc:
+            run([cmd, "--scenario", SCENARIOS / "loop.yaml", "--out", tmp_path, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -237,25 +254,6 @@ class TestSpectrum:
         assert len(mus) == 7
         # loop with identity kernel: radius e^{-mu}
         assert all(abs(r - np.exp(-m)) < 1e-12 for m, r in zip(mus, radii))
-
-
-def ladder_yaml(path: Path, n: int, nodes: int, rng, cycle: bool = False) -> Path:
-    """A Kirchhoff network with two out-edges per vertex to random heads, or
-    with both out-edges to the next vertex of one long directed cycle."""
-    edges = [
-        {"tail": i + 1, "head": (i + 1) % n + 1 if cycle else int(h) + 1,
-         "length": float(l), "weight": 0.5}
-        for i in range(n)
-        for h, l in zip(rng.integers(0, n, 2), rng.uniform(0.5, 1.5, 2))
-    ]
-    doc = {
-        "graph": {"vertices": n, "edges": edges},
-        "velocity": {"v_min": 0.5, "v_max": 1.5, "nodes": nodes, "rule": "midpoint"},
-        "kernel": {"mode": "flux_preserving"},
-        "space_samples": 9,
-    }
-    path.write_text(yaml.safe_dump(doc))
-    return path
 
 
 class TestLargeBoundarySpace:

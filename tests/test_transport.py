@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,10 @@ from posflow import (
     semigroup_apply,
     transfer_operator,
 )
+from posflow.scenario import parse_scenario
 from conftest import make_loop, make_two_cycle, random_field, random_network
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def hat_field(system, n_x=None):
@@ -408,7 +413,41 @@ class TestRoute:
         assert np.array_equal(sys.route(traces), route_ref(sys, traces))
 
 
+def transfer_ref(system, mu):
+    """H(mu) assembled one edge block at a time, in edge order."""
+    N, K = system.n_vertices, system.n_nodes
+    H = np.zeros((N * K, N * K))
+    for j in range(system.n_edges):
+        l = system.graph.lengths[j]
+        tail, head = system.graph.tails[j], system.graph.heads[j]
+        decay = system.edge_growth[j] * np.exp(-mu * l / system.vgrid.nodes)
+        block = system.scatter[j] * (decay * system.graph.weights[j])
+        H[head * K : (head + 1) * K, tail * K : (tail + 1) * K] += block
+    return H
+
+
 class TestTransferOperator:
+    def test_matches_edge_loop_with_parallel_edges(self, rng):
+        for _ in range(4):
+            k = int(rng.integers(2, 7))
+            # edges 0, 3 and 4 all run 0 -> 1: parallel edges into one block
+            tails, heads = [0, 1, 2, 0, 0, 1, 2], [1, 1, 1, 1, 1, 0, 0]
+            lengths = rng.uniform(0.5, 1.5, 7)
+            graph = MetricGraph(3, tails, heads, lengths,
+                                [1 / 3, 0.5, 0.5, 1 / 3, 1 / 3, 0.5, 0.5])
+            vgrid = Quadrature.midpoint(0.5, 1.5, k)
+            kernel = ScatteringKernel(tuple(rng.uniform(0.0, 1.0, (7, k, k))))
+            absorption = Absorption.constant(rng.uniform(-0.8, 0.4, 7), lengths, k)
+            for sys in (TransportSystem(graph, vgrid, absorption, kernel), random_network(rng)):
+                for mu in rng.uniform(-1.0, 5.0, 5):
+                    assert np.array_equal(transfer_operator(sys, mu).matrix, transfer_ref(sys, mu))
+
+    @pytest.mark.parametrize("name", ["loop", "conservation", "two_cycle", "blocked"])
+    def test_matches_edge_loop_on_shipped_scenarios(self, name):
+        sys = parse_scenario(SCENARIOS / f"{name}.yaml").system
+        for mu in np.linspace(sys.q_sup + 0.5, sys.q_sup + 8.0, 31):
+            assert np.array_equal(transfer_operator(sys, mu).matrix, transfer_ref(sys, mu))
+
     def test_loop_identity_kernel(self):
         sys = make_loop()
         for mu in (1.0, 2.0, 4.0):

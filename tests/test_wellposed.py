@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from posflow import (
     PosLTI,
     PosLTIHandle,
+    ScatteringKernel,
     StateField,
     StepSignal,
     TransportHandle,
@@ -15,8 +18,12 @@ from posflow import (
     regularity_probe,
     zero_class_scan,
 )
+from posflow.lattice import dense_spectral_radius
+from posflow.scenario import parse_scenario
 
-from conftest import make_loop
+from conftest import ladder_yaml, make_loop, make_two_cycle
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture
@@ -221,3 +228,46 @@ class TestFeedbackAdmissibility:
             for r in range(s, n_steps):
                 block = F[s * d : (s + 1) * d, r * d : (r + 1) * d]
                 assert np.all(block == 0.0)
+
+    def test_transport_volterra_is_the_probe_matrix(self, tmp_path, rng):
+        # the shipped scenarios (delay/step ties on blocked and conservation)
+        # and an 8-vertex, 4-node ladder network
+        systems = [parse_scenario(SCENARIOS / f"{name}.yaml").system
+                   for name in ("loop", "conservation", "two_cycle", "blocked")]
+        systems.append(parse_scenario(ladder_yaml(tmp_path / "ladder.yaml", 8, 4, rng)).system)
+        for sys in systems:
+            handle = TransportHandle(sys)
+            for tau, n_steps in ((0.5, 32), (1.0, 24), (2.0, 48)):
+                F = handle.volterra(tau, n_steps)
+                assert np.array_equal(F, io_matrix(handle, tau, n_steps))
+
+    def test_poslti_radius_is_the_feedthrough_radius_on_every_grid(self):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            n = m = 3
+            A = rng.uniform(0.0, 1.0, (n, n))
+            A -= np.diag(np.diag(A) + A.sum(axis=1) + 1.0)
+            sys = PosLTI(A, rng.uniform(0.0, 1.0, (n, m)), rng.uniform(0.0, 1.0, (m, n)),
+                         rng.uniform(0.0, 1.0, (m, m)))
+            K = 0.3 * rng.uniform(0.0, 1.0, (m, m))
+            exact = dense_spectral_radius(K @ sys.D)
+            for n_steps in (6, 12, 24):
+                rep = feedback_admissibility(PosLTIHandle(sys), K, tau=1.0, n_steps=n_steps)
+                assert rep.radius == exact
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_inverse_sign_matches_dense_inverse(self, signed):
+        sys = make_two_cycle(n_nodes=2, kernel=ScatteringKernel.constant(0.7, 2, 2))
+        handle = TransportHandle(sys)
+        K = np.array([[0.9, 0.2, 0.0, 0.1], [0.3, 0.5, 0.2, 0.0],
+                      [0.0, 0.4, 0.8, 0.3], [0.2, 0.0, 0.1, 0.6]])
+        if signed:
+            K[1, 2] = -0.4
+        tau, n_steps = 3.0, 24
+        rep = feedback_admissibility(handle, K, tau=tau, n_steps=n_steps)
+        KF = (K @ io_matrix(handle, tau, n_steps).reshape(n_steps, 4, -1)).reshape(96, 96)
+        assert np.any(KF < 0.0) == signed
+        inv = np.linalg.inv(np.eye(96) - KF)
+        assert rep.admissible
+        assert rep.inverse_nonneg == bool(np.all(inv >= -1e-10))
+        assert rep.inverse_nonneg != signed
