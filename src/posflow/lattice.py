@@ -101,6 +101,21 @@ class Quadrature:
         return float(np.dot(self.weights, np.asarray(samples, dtype=float)))
 
 
+_GAUSS5 = np.polynomial.legendre.leggauss(5)
+
+
+def gauss_panels(knots, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """5-point Gauss-Legendre panels on [lo, hi] cut at the knots, which are
+    clipped to [lo, hi]: (points, weights), each (panels, 5), with
+    sum(weights * f(points)) exact for f of degree <= 9 on each panel."""
+    cuts = np.sort(np.minimum(np.maximum(np.concatenate(([lo, hi], knots)), lo), hi))
+    keep = cuts[1:] > cuts[:-1]  # drop the empty panels of repeated cuts
+    a, b = cuts[:-1][keep], cuts[1:][keep]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    x, w = _GAUSS5
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+
+
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     """Weights turning samples on the grid x into the integral of their
     piecewise-linear interpolant (exact for piecewise-linear data)."""

@@ -52,7 +52,7 @@ class StepSignal:
     def _piece_index(self, t: np.ndarray, side: str) -> np.ndarray:
         search = "right" if side == "right" else "left"
         idx = np.searchsorted(self.breaks, t, side=search) - 1
-        return np.clip(idx, 0, self.values.shape[0] - 1)
+        return np.minimum(np.maximum(idx, 0), self.values.shape[0] - 1)
 
     def eval(self, t: float, side: str = "right") -> np.ndarray:
         """Value at time t (right-continuous; side='left' gives left limits)."""
@@ -83,9 +83,9 @@ class StepSignal:
         return float(np.dot(dt, per_piece**p) ** (1.0 / p))
 
     def restricted(self, horizon: float) -> "StepSignal":
-        """The same signal truncated to [0, horizon]."""
+        """The same signal truncated to [0, horizon]; refuses to extend it."""
         if horizon > self.horizon + 1e-12:
-            raise ValueError("cannot extend a signal by restriction")
+            raise ValueError(f"input history covers [0, {self.horizon}] but t = {horizon}")
         keep = self.breaks < horizon
         breaks = np.append(self.breaks[keep], horizon)
         return StepSignal(breaks, self.values[: breaks.size - 1])

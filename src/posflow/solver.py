@@ -20,15 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import gauss_panels
 from .signals import StepSignal
-from .transport import StateField, TransportSystem, characteristic_read, flow_trace
+from .transport import (
+    StateField,
+    TransportSystem,
+    characteristic_read,
+    flow_trace,
+    knot_arrivals,
+    read_kinks,
+)
 
 
 class NegativeDataError(ValueError):
     """Negative initial data or input given to a positivity-mode solve."""
-
-
-_GL5 = np.polynomial.legendre.leggauss(5)
 
 
 def _locate(times: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
@@ -141,15 +146,10 @@ def _event_stamps(
     bound interpolation error.  Returns (times, jump_times, closure_complete).
     """
     delays = np.unique(system.delays)
-    seeds = [np.array([0.0, horizon])]
-    for j in range(system.n_edges):
-        knots = np.union1d(x0.xs[j], system.absorption.breaks[j])
-        arrivals = (knots[:, None] / system.vgrid.nodes[None, :]).ravel()
-        seeds.append(arrivals[arrivals <= horizon])
+    arrivals = knot_arrivals(system, x0)
     inner = np.empty(0) if u is None else u.breaks[(u.breaks > 0) & (u.breaks < horizon)]
-    stamps, complete = _delay_closure(
-        np.concatenate(seeds + [inner]), delays, horizon, budget, inclusive=True
-    )
+    seeds = np.concatenate([[0.0, horizon], arrivals[arrivals <= horizon], inner])
+    stamps, complete = _delay_closure(seeds, delays, horizon, budget, inclusive=True)
     stamps = stamps[:budget]  # the seeds alone may exceed the budget
 
     # jumps propagate along characteristics; track them so both one-sided
@@ -198,36 +198,18 @@ class ClosedLoopSolution:
         return StateField.from_function(self.system, ev, n_x)
 
     def edge_mass(self, j: int, t: float) -> float:
-        """int int z_j(t, x, v) dx dv by knot-split Gauss quadrature.
-
-        Panels are split wherever the profile can kink: shifted initial-data
-        knots, absorption breaks, the characteristic boundary l - v t, and
-        the images of the ledger stamps.  Exact for piecewise-linear
-        profiles (q = 0), high-order accurate otherwise.
-        """
+        """int int z_j(t, x, v) dx dv: sum_k w_k sum(wts * eval_edge(pts)) over
+        Gauss panels cut at every point where the read can kink
+        (:func:`read_kinks` with the initial field and the ledger stamps).
+        Exact for piecewise-linear profiles (q = 0), high-order accurate
+        otherwise."""
         sys_ = self.system
         l = float(sys_.graph.lengths[j])
-        gl_x, gl_w = _GL5
         total = 0.0
         for k in range(sys_.n_nodes):
-            v = sys_.vgrid.nodes[k]
-            cuts = [
-                np.array([0.0, l]),
-                sys_.absorption.breaks[j],
-                np.asarray(self.initial.xs[j]) - v * t,
-                l - v * (t - self.ledger.times),
-            ]
-            split = l - v * t
-            if 0.0 < split < l:
-                cuts.append(np.array([split]))
-            knots = np.unique(np.clip(np.concatenate(cuts), 0.0, l))
-            a, b = knots[:-1], knots[1:]
-            keep = b > a
-            a, b = a[keep], b[keep]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            pts = mid[:, None] + half[:, None] * gl_x[None, :]
+            pts, wts = gauss_panels(read_kinks(sys_, j, k, t, self.initial, self.ledger.times), 0.0, l)
             vals = self.eval_edge(j, k, pts.ravel(), t).reshape(pts.shape)
-            total += sys_.vgrid.weights[k] * float(np.sum(half[:, None] * gl_w[None, :] * vals))
+            total += sys_.vgrid.weights[k] * float(np.sum(wts * vals))
         return total
 
     def total_mass(self, t: float) -> float:

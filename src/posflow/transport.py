@@ -423,7 +423,7 @@ def characteristic_read(
     """
     l = system.graph.lengths[j]
     v = system.vgrid.nodes[k]
-    x = np.clip(np.asarray(x, dtype=float), 0.0, l)
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), l)
     s = t - (l - x) / v
     out = np.zeros(np.shape(s))
     if initial is not None:
@@ -433,6 +433,37 @@ def characteristic_read(
         fed = inflow(system.graph.tails[j], k, s)
         out = np.where(s > 0.0, system.growth(j, k, x, l) * system.graph.weights[j] * fed, out)
     return out
+
+
+def read_kinks(
+    system: TransportSystem, j: int, k: int, t: float, initial=None, inflow_breaks=None
+) -> np.ndarray:
+    """The points of edge j where :func:`characteristic_read` at time t can
+    kink: the wavefront l_j - v_k t and the absorption breaks; with
+    ``initial``, the feet breaks - v_k t and the images xs - v_k t of its
+    knots; with ``inflow_breaks`` b, their images l_j - v_k (t - b).
+    Points outside [0, l_j] are left for the caller to clip
+    (:func:`~posflow.lattice.gauss_panels` does)."""
+    l = system.graph.lengths[j]
+    v = system.vgrid.nodes[k]
+    breaks = system.absorption.breaks[j]
+    kinks = [np.array([l - v * t]), breaks]
+    if initial is not None:
+        kinks += [breaks - v * t, initial.xs[j] - v * t]
+    if inflow_breaks is not None:
+        kinks.append(l - v * (t - np.asarray(inflow_breaks)))
+    return np.concatenate(kinks)
+
+
+def knot_arrivals(system: TransportSystem, f: StateField) -> np.ndarray:
+    """The times sigma / v_k at which the knots sigma of f and the absorption
+    breaks of each edge reach the outflow end x = 0, where the zero-inflow
+    outflow traces Gamma T(t) f can kink."""
+    nodes = system.vgrid.nodes
+    return np.concatenate([
+        (np.union1d(f.xs[j], system.absorption.breaks[j])[:, None] / nodes[None, :]).ravel()
+        for j in range(system.n_edges)
+    ])
 
 
 def flow_trace(system: TransportSystem, f: StateField, t) -> np.ndarray:

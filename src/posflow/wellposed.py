@@ -19,18 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poslti
-from .lattice import dense_spectral_radius, spectral_radius  # noqa: F401 (perfbench tracer binds it)
+from .lattice import dense_spectral_radius, gauss_panels
+from .lattice import spectral_radius  # noqa: F401 (perfbench tracer binds it)
 from .signals import StepSignal
 from .transport import (
     BoundaryVector,
     StateField,
     TransportSystem,
+    characteristic_read,
     flow_trace,
     io_map,
+    knot_arrivals,
+    read_kinks,
     transfer_operator,
 )
-
-_GL5 = np.polynomial.legendre.leggauss(5)
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +42,8 @@ _GL5 = np.polynomial.legendre.leggauss(5)
 class TransportHandle:
     """Transport network seen through the abstract system interface."""
 
-    def __init__(self, system: TransportSystem, n_x: int | None = None):
+    def __init__(self, system: TransportSystem):
         self.system = system
-        self.n_x = n_x or system.space_samples
         self.input_shape = (system.n_vertices, system.n_nodes)
         self._uw = np.tile(system.vgrid.weights, system.n_vertices)
 
@@ -50,48 +51,28 @@ class TransportHandle:
         return u.lp_norm(p, unit_weights=self._uw)
 
     def input_map_norm(self, u: StepSignal, tau: float) -> float:
-        """||Phi_tau u|| computed exactly by the characteristic substitution
-        x = l - v (tau - s): the spatial integral becomes a time integral of
-        |u| against the absorption weight, split at the step breakpoints.
-        Every point of Phi_tau u reads a single input value, so the absolute
-        value passes inside and the result is exact for step inputs."""
+        """||Phi_tau u||: sum_k w_k sum(wts * |characteristic_read(..., inflow=u)|)
+        over Gauss panels cut at the kinks of the read (:func:`read_kinks` with
+        the step breakpoints of u).  On each panel the read of a step input is
+        one input value times an exponential in x, which the rule integrates to
+        below 1e-12 relative while the panel's |q| h / v <= 1."""
         sys_ = self.system
-        gl_x, gl_w = _GL5
-        nodes, wv = sys_.vgrid.nodes, sys_.vgrid.weights
         total = 0.0
         for j in range(sys_.n_edges):
             l = float(sys_.graph.lengths[j])
-            w = float(sys_.graph.weights[j])
-            if w == 0.0:
-                continue
-            tail = sys_.graph.tails[j]
-            for k, v in enumerate(nodes):
-                lo = max(0.0, tau - l / v)
-                if tau <= lo:
-                    continue
-                imgs = tau - (l - sys_.absorption.breaks[j]) / v
-                knots = np.unique(np.clip(np.concatenate([u.breaks, imgs, [lo, tau]]), lo, tau))
-                a, b = knots[:-1], knots[1:]
-                keep = b > a
-                a, b = a[keep], b[keep]
-                mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                s = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-                x_of_s = l - v * (tau - s)
-                grow = sys_.growth(j, k, x_of_s, l)
-                vals = np.abs(u.eval_channel(tail, k, np.minimum(s, u.horizon)))
-                panel = (grow * vals).reshape(mid.size, 5) @ gl_w
-                total += wv[k] * w * v * float(np.dot(half, panel))
+            for k in range(sys_.n_nodes):
+                pts, wts = gauss_panels(read_kinks(sys_, j, k, tau, inflow_breaks=u.breaks), 0.0, l)
+                vals = characteristic_read(sys_, j, k, pts, tau, inflow=u.eval_channel)
+                total += sys_.vgrid.weights[k] * float(np.sum(wts * np.abs(vals)))
         return total
 
     def state_norm(self, x: StateField) -> float:
         return x.norm()
 
     def random_positive_state(self, rng: np.random.Generator) -> StateField:
-        values = [
-            rng.uniform(0.0, 1.0, size=(self.system.n_nodes, self.n_x))
-            for _ in range(self.system.n_edges)
-        ]
-        return StateField.from_samples(self.system, values, self.n_x)
+        shape = (self.system.n_nodes, self.system.space_samples)
+        values = [rng.uniform(0.0, 1.0, size=shape) for _ in range(self.system.n_edges)]
+        return StateField.from_samples(self.system, values)
 
     def _flow_trace(self, x: StateField, t) -> np.ndarray:
         """Gamma T(t) x at a time or an array of times (see :func:`flow_trace`)."""
@@ -101,26 +82,16 @@ class TransportHandle:
         return self._flow_trace(x, t)
 
     def observation_lp(self, x: StateField, alpha: float, p: float) -> float:
-        """(int_0^alpha ||Gamma T(t) x||^p dt)^{1/p}, panels split at the
-        knot arrival times sigma / v_k so the integrand is smooth per panel."""
+        """(int_0^alpha ||Gamma T(t) x||^p dt)^{1/p}, Gauss panels cut at the
+        :func:`knot_arrivals` of x so the integrand is smooth per panel."""
         sys_ = self.system
-        cuts = [np.array([0.0, alpha])]
-        for j in range(sys_.n_edges):
-            knots = np.union1d(x.xs[j], sys_.absorption.breaks[j])
-            arr = (knots[:, None] / sys_.vgrid.nodes[None, :]).ravel()
-            cuts.append(arr[(arr > 0) & (arr < alpha)])
-        knots = np.unique(np.concatenate(cuts))
-        gl_x, gl_w = _GL5
-        a, b = knots[:-1], knots[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        ts, wts = gauss_panels(knot_arrivals(sys_, x), 0.0, alpha)
         # blocks of at most 16k times bound the (times, N, K) trace arrays
         norms = np.concatenate([
             (np.abs(self._flow_trace(x, block)) @ sys_.vgrid.weights).sum(axis=1)
-            for block in np.array_split(ts, max(1, ts.size // 8192))
+            for block in np.array_split(ts.ravel(), max(1, ts.size // 8192))
         ])
-        total = float(np.dot(half, (norms**p).reshape(mid.size, 5) @ gl_w))
-        return float(total ** (1.0 / p))
+        return float(np.sum(wts.ravel() * norms**p) ** (1.0 / p))
 
     def transfer_apply(self, mu: float, g: np.ndarray) -> np.ndarray:
         return transfer_operator(self.system, mu).apply(BoundaryVector(g)).values
@@ -185,15 +156,11 @@ class PosLTIHandle:
     def output_norm(self, y: np.ndarray) -> float:
         return float(np.sum(np.abs(y)))
 
-    def observation_lp(self, x: np.ndarray, alpha: float, p: float, panels: int = 64) -> float:
-        gl_x, gl_w = _GL5
-        edges = np.linspace(0.0, alpha, panels + 1)
+    def observation_lp(self, x: np.ndarray, alpha: float, p: float) -> float:
+        ts, wts = gauss_panels(np.linspace(0.0, alpha, 65), 0.0, alpha)
         total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            for xi, wi in zip(gl_x, gl_w):
-                t = mid + half * xi
-                total += half * wi * self.output_norm(self.observe_flow(x, t)) ** p
+        for t, w in zip(ts.ravel(), wts.ravel()):
+            total += w * self.output_norm(self.observe_flow(x, t)) ** p
         return float(total ** (1.0 / p))
 
     def transfer_apply(self, mu: float, g: np.ndarray) -> np.ndarray:
@@ -372,7 +339,8 @@ def control_admissibility(
 
     A lower bound on the true input-map norm; monotone in the probe count
     because the estimate is a running maximum.  Positive step probes suffice
-    for positive systems, which is what the default family supplies.
+    for positive systems, which is what the default family supplies.  Each
+    probe is cut to [0, tau]; one that ends before tau is refused.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -384,7 +352,7 @@ def control_admissibility(
     best = 0.0
     degenerate = True
     for u in probes:
-        u = u.restricted(tau) if u.horizon > tau else u
+        u = u.restricted(tau)
         nu = handle.input_norm(u, p)
         if nu <= 0.0:
             continue

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from posflow import (
+    Absorption,
     CharacteristicGateError,
     ScatteringKernel,
     StateField,
@@ -88,6 +91,21 @@ class TestClosedLoopSolve:
         m0 = sol.total_mass(0.0)
         drift = max(abs(sol.total_mass(t) - m0) for t in (0.5, 1.0, 1.5)) / abs(m0)
         assert drift < 1e-8
+
+    def test_mass_cuts_at_absorption_break_feet(self):
+        # a piecewise absorption table: the read kinks where the foot x + v t
+        # crosses a break, so the mass quadrature must cut at breaks - v t
+        loop = make_loop(n_nodes=1, v_lo=0.5, v_hi=1.5)
+        q = Absorption((np.array([0.0, 0.3, 0.7, 1.0]),), (np.array([[0.0], [-2.0], [0.0]]),))
+        sys = dataclasses.replace(loop, absorption=q)
+        # what {constant: c} parses to: two knots
+        x0 = StateField(sys, [np.array([0.0, 1.0])], [np.full((1, 2), 1.5)])
+        sol = closed_loop_solve(sys, x0, None, 0.5)
+        x = np.linspace(0.0, 1.0, 2_000_001)
+        for t in (0.1, 0.25, 0.45):
+            vals = np.concatenate([sol.eval_edge(0, 0, c, t) for c in np.array_split(x, 8)])
+            trapezoid = (x[1] - x[0]) * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+            assert sol.edge_mass(0, t) == pytest.approx(trapezoid, rel=1e-10)
 
     def test_positive_battery(self, rng):
         for _ in range(4):

@@ -1,9 +1,11 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from posflow import (
+    Absorption,
     PosLTI,
     PosLTIHandle,
     ScatteringKernel,
@@ -16,14 +18,67 @@ from posflow import (
     io_matrix,
     observation_admissibility,
     regularity_probe,
+    step_probes,
     zero_class_scan,
 )
 from posflow.lattice import dense_spectral_radius
 from posflow.scenario import parse_scenario
+from posflow.transport import flow_trace
 
-from conftest import ladder_yaml, make_loop, make_two_cycle
+from conftest import ladder_yaml, make_loop, make_two_cycle, random_network
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+GL5 = np.polynomial.legendre.leggauss(5)
+
+
+def with_piecewise_absorption(rng, system):
+    """The same network with a random table of 1-3 absorption pieces per edge."""
+    breaks, values = [], []
+    for l in system.graph.lengths:
+        pieces = int(rng.integers(1, 4))
+        breaks.append(np.concatenate([[0.0], np.sort(rng.uniform(0.0, l, pieces - 1)), [l]]))
+        values.append(rng.uniform(-1.0, 0.5, (pieces, system.n_nodes)))
+    return dataclasses.replace(system, absorption=Absorption(tuple(breaks), tuple(values)))
+
+
+def input_map_norm_by_substitution(system, u, tau):
+    """Reference ||Phi_tau u||: the substitution x = l - v (tau - s) turns the
+    x-integral into a time integral of |u| times the absorption growth, on
+    Gauss panels cut at the steps of u and the images of the absorption breaks."""
+    gl_x, gl_w = GL5
+    total = 0.0
+    for j in range(system.n_edges):
+        l, w, tail = system.graph.lengths[j], system.graph.weights[j], system.graph.tails[j]
+        for k, v in enumerate(system.vgrid.nodes):
+            lo = max(0.0, tau - l / v)
+            imgs = tau - (l - system.absorption.breaks[j]) / v
+            knots = np.unique(np.clip(np.concatenate([u.breaks, imgs, [lo, tau]]), lo, tau))
+            a, b = knots[:-1], knots[1:]
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            s = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+            grow = system.growth(j, k, l - v * (tau - s), l)
+            vals = np.abs(u.eval_channel(tail, k, np.minimum(s, u.horizon)))
+            panel = (grow * vals).reshape(mid.size, 5) @ gl_w
+            total += system.vgrid.weights[k] * w * v * float(np.dot(half, panel))
+    return total
+
+
+def observation_lp_by_cuts(system, x, alpha, p):
+    """Reference (int_0^alpha ||Gamma T(t) x||^p dt)^{1/p} on Gauss panels cut
+    at the times sigma / v_k the knots sigma of x and the absorption breaks
+    reach x = 0."""
+    cuts = [np.array([0.0, alpha])]
+    for j in range(system.n_edges):
+        knots = np.union1d(x.xs[j], system.absorption.breaks[j])
+        arr = (knots[:, None] / system.vgrid.nodes[None, :]).ravel()
+        cuts.append(arr[(arr > 0) & (arr < alpha)])
+    knots = np.unique(np.concatenate(cuts))
+    gl_x, gl_w = GL5
+    a, b = knots[:-1], knots[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    ts = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    norms = (np.abs(flow_trace(system, x, ts)) @ system.vgrid.weights).sum(axis=1)
+    return float(np.dot(half, (norms**p).reshape(mid.size, 5) @ gl_w)) ** (1.0 / p)
 
 
 @pytest.fixture
@@ -38,6 +93,13 @@ class TestControlAdmissibility:
             rep = control_admissibility(unit_loop_handle, tau, p=1.0, n_probes=8, seed=1)
             assert abs(rep.constant_estimate - 1.0) < 1e-6
             assert not rep.degenerate
+
+    def test_short_probe_refused(self, unit_loop_handle):
+        # a probe on [0, 0.5] has no values on (0.5, 1]; extending it would
+        # count its Lp norm on [0, 0.5] only and read kappa-hat(1) = 2
+        short = StepSignal.constant(np.ones((1, 1)), 0.5)
+        with pytest.raises(ValueError, match="input history covers"):
+            control_admissibility(unit_loop_handle, 1.0, 1.0, probes=[short])
 
     def test_degenerate_probes_flagged(self, unit_loop_handle):
         zero = StepSignal.zero((1, 1), 0.5)
@@ -132,6 +194,31 @@ class TestObservationAdmissibility:
             rep = observation_admissibility(handle, 1.0, 1.0, n_probes=3, seed=12)
             assert not rep.degenerate
             assert 0.0 < rep.constant_estimate < 100.0
+
+
+class TestReferenceIntegrals:
+    """The characteristic-read integrals against the per-integral panel codes
+    they replaced, on networks with piecewise absorption tables."""
+
+    def test_input_map_norm_matches_substitution(self, rng):
+        for _ in range(40):
+            sys = with_piecewise_absorption(rng, random_network(rng, max_nodes=4, space_samples=9))
+            handle = TransportHandle(sys)
+            tau = float(rng.uniform(0.3, 2.5))
+            for signed in (False, True):
+                for u in step_probes(rng, handle.input_shape, tau, 4, signed=signed):
+                    ref = input_map_norm_by_substitution(sys, u, tau)
+                    assert handle.input_map_norm(u, tau) == pytest.approx(ref, rel=1e-13)
+
+    def test_observation_lp_matches_cut_loop(self, rng):
+        for _ in range(16):
+            sys = with_piecewise_absorption(rng, random_network(rng, max_nodes=4, space_samples=9))
+            handle = TransportHandle(sys)
+            x = handle.random_positive_state(rng)
+            alpha = float(rng.uniform(0.3, 3.0))
+            for p in (1.0, 2.0, 3.5):
+                ref = observation_lp_by_cuts(sys, x, alpha, p)
+                assert handle.observation_lp(x, alpha, p) == pytest.approx(ref, rel=1e-13)
 
 
 class TestRegularity:
