@@ -33,13 +33,11 @@ from .poslti import (
     transfer,
 )
 from .scenario import Scenario, ScenarioError, flux_preserving_kernel, parse_scenario
-from .signals import BoundarySignal, StepSignal
+from .signals import StepSignal
 from .solver import ClosedLoopSolution, TraceLedger, closed_loop_solve
 from .transport import (
     Absorption,
-    BoundaryVector,
     CharacteristicGateError,
-    DiscretizedOperator,
     ScatteringKernel,
     StateField,
     TransportSystem,

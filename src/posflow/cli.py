@@ -23,11 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import poslti
+from . import lattice, poslti
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .solver import NegativeDataError, closed_loop_solve
 from .transport import (
-    BoundaryVector,
     StateField,
     dirichlet_apply,
     resolvent_apply,
@@ -153,7 +152,7 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
         mus = _parse_linspace(args.mu_grid)
     else:
         mus = np.linspace(q_sup + 0.5, q_sup + 8.0, 16)
-    radii = [transfer_operator(sys_, float(mu)).spectral_radius() for mu in mus]
+    radii = [lattice.dense_spectral_radius(transfer_operator(sys_, float(mu))) for mu in mus]
     char_ok = any(r < 1.0 for r in radii)
 
     rng = np.random.default_rng(args.seed if args.seed is not None else sc.seed)
@@ -161,7 +160,7 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
         sys_,
         [rng.uniform(0.0, 1.0, (sys_.n_nodes, sys_.space_samples)) for _ in range(sys_.n_edges)],
     )
-    g = BoundaryVector(rng.uniform(0.0, 1.0, (sys_.n_vertices, sys_.n_nodes)))
+    g = rng.uniform(0.0, 1.0, (sys_.n_vertices, sys_.n_nodes))
     mu_pos = q_sup + 2.0
     t_spot = 0.7 * sys_.min_delay
     spots = {
@@ -219,10 +218,10 @@ def cmd_spectrum(sc: Scenario, args) -> tuple[list[dict], dict]:
     rows = [SPECTRUM_HEADER]
     radii = []
     for mu in mus:
-        op = transfer_operator(sc.system, float(mu))
-        r = op.spectral_radius()
+        H = transfer_operator(sc.system, float(mu))
+        r = lattice.dense_spectral_radius(H)
         radii.append(r)
-        rows.append(",".join(_cells([mu, r, np.max(np.abs(op.matrix))])) + "\n")
+        rows.append(",".join(_cells([mu, r, np.max(np.abs(H))])) + "\n")
     (Path(args.out) / "spectrum.csv").write_text("".join(rows))
     metrics = {"mu_grid": [float(m) for m in mus], "radii": [float(r) for r in radii]}
     return [], metrics

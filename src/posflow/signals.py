@@ -1,4 +1,4 @@
-"""Time signals entering and leaving the boundary of a transport network.
+"""Time signals entering the boundary of a transport network.
 
 A :class:`StepSignal` is a right-continuous piecewise-constant function of
 time with values of arbitrary trailing shape; boundary inputs use the shape
@@ -7,8 +7,6 @@ and scenario inputs, and their Lp norms are computed exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,20 +93,3 @@ class StepSignal:
 
     def min_value(self) -> float:
         return float(self.values.min())
-
-
-@dataclass
-class BoundarySignal:
-    """Time samples of a boundary-space element (vertices x velocity nodes)."""
-
-    times: np.ndarray
-    values: np.ndarray  # (T, N, K)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[0] != self.times.size:
-            raise ValueError("one value slice per time stamp required")
-
-    def min_value(self) -> float:
-        return float(self.values.min()) if self.values.size else 0.0

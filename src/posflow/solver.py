@@ -70,25 +70,16 @@ class TraceLedger:
         if np.any(np.diff(self.times) < 0):
             raise ValueError("stamps must be sorted")
 
-    def eval_channel(
-        self,
-        vertex,
-        node,
-        t: np.ndarray,
-        side: str = "right",
-        upto: int | None = None,
-    ) -> np.ndarray:
+    def eval_channel(self, vertex, node, t: np.ndarray, side: str = "right") -> np.ndarray:
         """g_vertex(t, v_node) for times within [0, horizon].
 
         ``vertex``, ``node`` and ``t`` broadcast against each other, so an
-        array of nodes reads node i at time t[i].  ``upto`` restricts the
-        interpolation to the first ``upto`` stamps.
+        array of nodes reads node i at time t[i].
         """
         t = np.asarray(t, dtype=float)
-        times = self.times[: self.times.size if upto is None else upto]
-        idx = _locate(times, t, side)
-        nxt = np.minimum(idx + 1, times.size - 1)
-        t0, t1 = times[idx], times[nxt]
+        idx = _locate(self.times, t, side)
+        nxt = np.minimum(idx + 1, self.times.size - 1)
+        t0, t1 = self.times[idx], self.times[nxt]
         gap = t1 - t0
         safe = np.where(gap > 0, gap, 1.0)
         frac = np.clip(np.where(gap > 0, (t - t0) / safe, 0.0), 0.0, 1.0)
@@ -235,8 +226,6 @@ def closed_loop_solve(
     in one read over all (M, K) pairs; Gamma
     (:meth:`TransportSystem.route`) and the control matrix assemble the new
     vertex inflow slice.  The sweep loops only over stamps.
-    Every delay is at least Delta = min_j l_j / v_max and stamp gaps stay
-    below Delta, so each slice depends only on completed ledger entries.
 
     ``u`` is the control signal (one channel per control column of the
     graph).  In positive mode negative initial data or inputs are rejected;
@@ -280,11 +269,15 @@ def closed_loop_solve(
     G = flow_trace(system, x0, stamp_times)
     ledger = TraceLedger(stamp_times, G, horizon)
 
+    # Every delay is at least Delta = min_j l_j / v_max and stamp gaps are at
+    # most dt_max <= Delta / 2 (Delta / 16 by default), so each read time
+    # t - l_j / v_k lies before the previous stamp: its interpolation segment
+    # holds only completed entries, and the ledger can be read whole.
     for s_idx, (t, side) in enumerate(expanded):
         s_arr = t - system.delays
         served = s_arr > 0.0
         if served.any():
-            vals = ledger.eval_channel(tails, node_idx, s_arr, side=side, upto=s_idx)
+            vals = ledger.eval_channel(tails, node_idx, s_arr, side=side)
             G[s_idx] += system.route(np.where(served, gains * vals, 0.0))
         if u is not None and n_controls:
             G[s_idx] += system.graph.control @ u.eval(t, side=side)

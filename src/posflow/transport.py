@@ -29,7 +29,7 @@ from .lattice import (
     state_norm,
     trapezoid_weights,
 )
-from .signals import BoundarySignal, StepSignal
+from .signals import StepSignal
 
 
 class CharacteristicGateError(RuntimeError):
@@ -196,10 +196,14 @@ class TransportSystem:
         return np.exp((q.primitive(j, k, b) - q.primitive(j, k, a)) / self.vgrid.nodes[k])
 
     @cached_property
+    def edge_primitive(self) -> np.ndarray:
+        """(M, K) full-edge absorption integrals int_0^{l_j} q_j(s, v_k) ds."""
+        return np.stack([c[-1] for c in self.absorption._cums])
+
+    @cached_property
     def edge_growth(self) -> np.ndarray:
         """(M, K) full-edge growth exp(int_0^{l_j} q_j(s, v_k) ds / v_k)."""
-        totals = np.stack([c[-1] for c in self.absorption._cums])
-        return np.exp(totals / self.vgrid.nodes)
+        return np.exp(self.edge_primitive / self.vgrid.nodes)
 
     @cached_property
     def delays(self) -> np.ndarray:
@@ -339,52 +343,6 @@ class StateField:
         return StateField(self.system, self.xs, [c * v for v in self.values])
 
 
-@dataclass
-class BoundaryVector:
-    """Element of the boundary space: one velocity profile per vertex."""
-
-    values: np.ndarray  # (N, K)
-
-    def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-
-    @classmethod
-    def zeros(cls, system: TransportSystem) -> "BoundaryVector":
-        return cls(np.zeros((system.n_vertices, system.n_nodes)))
-
-    @classmethod
-    def constant(cls, system: TransportSystem, c: float) -> "BoundaryVector":
-        return cls(np.full((system.n_vertices, system.n_nodes), float(c)))
-
-    def norm(self, system: TransportSystem) -> float:
-        return float((np.abs(self.values) @ system.vgrid.weights).sum())
-
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-    def is_nonneg(self, tol: float = CONE_TOL) -> bool:
-        return is_nonneg(self.values, tol)
-
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
-
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """Dense matrix acting on flattened boundary vectors (vertex-major)."""
-
-    matrix: np.ndarray
-    n_vertices: int
-    n_nodes: int
-
-    def apply(self, g: BoundaryVector) -> BoundaryVector:
-        out = self.matrix @ g.flat()
-        return BoundaryVector(out.reshape(self.n_vertices, self.n_nodes))
-
-    def spectral_radius(self) -> float:
-        return dense_spectral_radius(self.matrix)
-
-
 # ---------------------------------------------------------------------------
 # closed-form exponential-times-linear segment integrals
 
@@ -431,7 +389,9 @@ def characteristic_read(
         out = np.where(s <= 0.0, system.growth(j, k, x, foot) * initial.eval(j, k, foot), out)
     if inflow is not None:
         fed = inflow(system.graph.tails[j], k, s)
-        out = np.where(s > 0.0, system.growth(j, k, x, l) * system.graph.weights[j] * fed, out)
+        # growth from l_j down to x, with the full-edge primitive from the table
+        grow = np.exp((system.edge_primitive[j, k] - system.absorption.primitive(j, k, x)) / v)
+        out = np.where(s > 0.0, grow * system.graph.weights[j] * fed, out)
     return out
 
 
@@ -543,7 +503,7 @@ def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateF
 
 
 def dirichlet_apply(
-    system: TransportSystem, g: BoundaryVector, mu: float, n_x: int | None = None
+    system: TransportSystem, g: np.ndarray, mu: float, n_x: int | None = None
 ) -> StateField:
     """Dirichlet lift D_mu: the boundary data g spread along characteristics,
 
@@ -551,24 +511,24 @@ def dirichlet_apply(
 
     an exact exponential profile per edge and velocity node.  The lift
     satisfies G(D_mu g) = g under the Kirchhoff weight normalization and is
-    positive for g >= 0 at every real mu.
+    positive for g >= 0 at every real mu.  ``g`` is an (N, K) array.
     """
     nodes = system.vgrid.nodes
     lengths = system.graph.lengths
     tails = system.graph.tails
     w = system.graph.weights
-    gvals = g.values
+    q = system.absorption
 
     def ev(j, x, k):
-        l = lengths[j]
-        decay = np.exp(-mu * (l - x) / nodes[k])
-        return system.growth(j, k, x, l) * decay * w[j] * gvals[tails[j], k]
+        grow = np.exp((system.edge_primitive[j, k] - q.primitive(j, k, x)) / nodes[k])
+        decay = np.exp(-mu * (lengths[j] - x) / nodes[k])
+        return grow * decay * w[j] * g[tails[j], k]
 
     return StateField.from_function(system, ev, n_x)
 
 
-def boundary_traces(system: TransportSystem, f: StateField) -> dict[str, BoundaryVector]:
-    """The two boundary operators of the network.
+def boundary_traces(system: TransportSystem, f: StateField) -> dict[str, np.ndarray]:
+    """The two boundary operators of the network, each an (N, K) array.
 
     G collects the inflow-end traces per vertex, (G f)_i = sum over edges j
     leaving i of f_j(l_j, .); Gamma applies the scattering kernels to the
@@ -579,7 +539,7 @@ def boundary_traces(system: TransportSystem, f: StateField) -> dict[str, Boundar
     for j in range(system.n_edges):
         l = np.array([system.graph.lengths[j]])
         G[system.graph.tails[j]] += [f.eval(j, k, l)[0] for k in range(system.n_nodes)]
-    return {"G": BoundaryVector(G), "Gamma": BoundaryVector(flow_trace(system, f, 0.0))}
+    return {"G": G, "Gamma": flow_trace(system, f, 0.0)}
 
 
 def input_map(
@@ -604,7 +564,7 @@ def input_map(
     return StateField.from_function(system, ev, n_x)
 
 
-def io_map(system: TransportSystem, u: StepSignal, times: np.ndarray) -> BoundarySignal:
+def io_map(system: TransportSystem, u: StepSignal, times: np.ndarray) -> np.ndarray:
     """Input-output map F: scattered, absorption-weighted, delayed boundary
     inputs read at the outflow ends,
 
@@ -612,7 +572,8 @@ def io_map(system: TransportSystem, u: StepSignal, times: np.ndarray) -> Boundar
         J_j[ exp(int_0^{l_j} q_j(s, .)/. ds) * w_j * u_{tail(j)}(t - l_j/.) ](v),
 
     with each velocity node contributing only after its transit time l_j/v'.
-    Output values are exactly zero before min_j l_j / v_max.
+    Returns the (T, N, K) samples at ``times``; they are exactly zero before
+    min_j l_j / v_max.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size and u.horizon < times.max() - 1e-12:
@@ -622,12 +583,14 @@ def io_map(system: TransportSystem, u: StepSignal, times: np.ndarray) -> Boundar
     gains = system.edge_growth * system.graph.weights[:, None]
     # the output is right-continuous: u(0) is read at the arrival time itself
     traces = np.where(s >= 0.0, gains * vals, 0.0)
-    return BoundarySignal(times, system.route(traces))
+    return system.route(traces)
 
 
-def transfer_operator(system: TransportSystem, mu: float) -> DiscretizedOperator:
-    """The boundary transfer operator H(mu) = Gamma D_mu as a dense matrix on
-    flattened boundary vectors.
+def transfer_operator(system: TransportSystem, mu: float) -> np.ndarray:
+    """The boundary transfer operator H(mu) = Gamma D_mu as a dense
+    (N K) x (N K) matrix on flattened boundary data.  The flattening is
+    vertex-major: row i K + k is vertex i, velocity node k, the C-order
+    ``ravel`` of an (N, K) array.
 
     Entry ((i,k), (i',k')): sum over edges j from i' to i of the kernel
     coupling at (k, k') times the full-edge decay
@@ -639,7 +602,7 @@ def transfer_operator(system: TransportSystem, mu: float) -> DiscretizedOperator
     blocks = system.scatter * (decay * g.weights[:, None])[:, None, :]
     H = np.zeros((N, K, N, K))
     np.add.at(H, (g.heads, slice(None), g.tails), blocks)  # parallel edges add in edge order
-    return DiscretizedOperator(H.reshape(N * K, N * K), N, K)
+    return H.reshape(N * K, N * K)
 
 
 def closed_loop_resolvent(system: TransportSystem, f: StateField, mu: float) -> StateField:
@@ -651,14 +614,11 @@ def closed_loop_resolvent(system: TransportSystem, f: StateField, mu: float) -> 
     inversion is refused with the offending radius attached.
     """
     H = transfer_operator(system, mu)
-    radius = H.spectral_radius()
+    radius = dense_spectral_radius(H)
     if radius >= 1.0:
         raise CharacteristicGateError(mu, radius)
     base = resolvent_apply(system, f, mu)
     gamma = boundary_traces(system, base)["Gamma"]
-    rhs = gamma.flat()
-    sol = np.linalg.solve(np.eye(H.matrix.shape[0]) - H.matrix, rhs)
-    lift = dirichlet_apply(
-        system, BoundaryVector(sol.reshape(system.n_vertices, system.n_nodes)), mu
-    )
+    sol = np.linalg.solve(np.eye(H.shape[0]) - H, gamma.ravel())
+    lift = dirichlet_apply(system, sol.reshape(gamma.shape), mu)
     return base + StateField.from_function(system, lift.evaluator, xs=base.xs)

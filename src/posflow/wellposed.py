@@ -23,7 +23,6 @@ from .lattice import dense_spectral_radius, gauss_panels
 from .lattice import spectral_radius  # noqa: F401 (perfbench tracer binds it)
 from .signals import StepSignal
 from .transport import (
-    BoundaryVector,
     StateField,
     TransportSystem,
     characteristic_read,
@@ -94,15 +93,14 @@ class TransportHandle:
         return float(np.sum(wts.ravel() * norms**p) ** (1.0 / p))
 
     def transfer_apply(self, mu: float, g: np.ndarray) -> np.ndarray:
-        return transfer_operator(self.system, mu).apply(BoundaryVector(g)).values
+        return (transfer_operator(self.system, mu) @ np.ravel(g)).reshape(self.input_shape)
 
     def feedthrough_apply(self, g: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(g, dtype=float))
 
     def io_samples(self, u: StepSignal, times: np.ndarray) -> np.ndarray:
         """(F u)(t) on the given times, flattened output slices."""
-        sig = io_map(self.system, u, times)
-        return sig.values.reshape(times.size, -1)
+        return io_map(self.system, u, times).reshape(times.size, -1)
 
     def volterra(self, tau: float, n_steps: int) -> np.ndarray:
         """:func:`io_matrix` in one scatter-add: input piece r at (tail_j, l) reaches (head_j, k)

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from posflow import (
-    BoundaryVector,
     PosLTI,
     PosLTIHandle,
     StepSignal,
@@ -71,7 +70,7 @@ def test_c02_positivity_cone_preservation():
             np.array([0.0, 0.3, 1.0]),
             rng.uniform(0.0, 1.0, (2, sys.n_vertices, sys.n_nodes)),
         )
-        g = BoundaryVector(rng.uniform(0.0, 1.0, (sys.n_vertices, sys.n_nodes)))
+        g = rng.uniform(0.0, 1.0, (sys.n_vertices, sys.n_nodes))
         mu = sys.q_sup + 1.5
         mins = [
             semigroup_apply(sys, f, 0.45).min_value(),
@@ -119,14 +118,14 @@ def test_c04_dirichlet_identities():
     worst_trace = 0.0
     for _ in range(5):
         sys = random_network(rng)
-        g = BoundaryVector(rng.uniform(0.0, 1.0, (sys.n_vertices, sys.n_nodes)))
+        g = rng.uniform(0.0, 1.0, (sys.n_vertices, sys.n_nodes))
         lift = dirichlet_apply(sys, g, sys.q_sup + 1.0)
         back = boundary_traces(sys, lift)["G"]
-        worst_trace = max(worst_trace, float(np.max(np.abs(back.values - g.values))))
+        worst_trace = max(worst_trace, float(np.max(np.abs(back - g))))
     assert worst_trace <= 1e-12
     # interior equation residual below 1e-6 on refined grids
     sys = make_loop(n_nodes=2, v_lo=0.9, v_hi=1.3, q=-0.5)
-    lift = dirichlet_apply(sys, BoundaryVector.constant(sys, 1.0), 1.5)
+    lift = dirichlet_apply(sys, np.ones((sys.n_vertices, sys.n_nodes)), 1.5)
     worst_resid = 0.0
     for n in (2001, 4001):
         for k, v in enumerate(sys.vgrid.nodes):
@@ -148,7 +147,7 @@ def test_c05_delay_structure():
         delta = sys.min_delay
         times = np.linspace(0.0, np.nextafter(delta, 0.0), 17)
         out = io_map(sys, u, times)
-        assert np.all(out.values == 0.0)  # bit-zero before the first transit
+        assert np.all(out == 0.0)  # bit-zero before the first transit
     report("C5 delay-structure", "io map bit-zero on [0, min l/v_max)")
 
 

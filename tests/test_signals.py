@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posflow import BoundarySignal, StepSignal
+from posflow import StepSignal
 from posflow.solver import TraceLedger
 
 
@@ -76,13 +76,3 @@ class TestTraceLedger:
         values = np.arange(4.0).reshape(2, 1, 2)
         led = TraceLedger(times, values, 1.0)
         assert led.eval(0.5).tolist() == [[1.0, 2.0]]
-
-
-class TestBoundarySignal:
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            BoundarySignal(np.array([0.0, 1.0]), np.zeros((3, 1, 1)))
-
-    def test_min_value(self):
-        sig = BoundarySignal(np.array([0.0]), np.array([[[-0.5, 2.0]]]))
-        assert sig.min_value() == -0.5

@@ -221,6 +221,24 @@ class TestEventStamps:
                 truncated += not complete
         assert truncated > 0
 
+    def test_stamp_gaps_below_min_delay(self, rng):
+        # the sweep reads the ledger at t - l_j / v_k, which lies before the
+        # previous stamp only while every stamp gap is below min_delay
+        truncated = 0
+        for _ in range(6):
+            sys = random_network(rng, max_nodes=3)
+            horizon = 2.5 * sys.min_delay
+            breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, horizon, 3)), [horizon]])
+            u = StepSignal(breaks, rng.uniform(0.0, 1.0, (4, 1, sys.n_nodes)))
+            x0 = random_field(rng, sys, n_x=3)
+            for budget in (60_000, 12, 5, 2):
+                for dt_max in (None, 4.0 * sys.min_delay):  # a coarse dt_max is clamped
+                    sol = closed_loop_solve(sys, x0, u, horizon, dt_max=dt_max,
+                                            stamp_budget=budget)
+                    assert np.diff(sol.ledger.times).max() < sys.min_delay
+                    truncated += not sol.events_complete
+        assert truncated > 0
+
     def test_jump_at_horizon_takes_no_budget(self):
         # delays 1.0 and 0.6: the break 0.5 shifts to 1.1 and to the horizon 1.5
         sys = make_two_cycle(n_nodes=1, v_lo=0.5, v_hi=1.5, lengths=(1.0, 0.6))
