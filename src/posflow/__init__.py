@@ -51,6 +51,7 @@ from .transport import (
     resolvent_apply,
     semigroup_apply,
     transfer_operator,
+    transfer_radius,
 )
 from .wellposed import (
     AdmissibilityReport,

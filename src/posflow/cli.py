@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lattice, poslti
+from . import poslti
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .solver import NegativeDataError, closed_loop_solve
 from .transport import (
@@ -32,6 +32,7 @@ from .transport import (
     resolvent_apply,
     semigroup_apply,
     transfer_operator,
+    transfer_radius,
 )
 from .wellposed import (
     TransportHandle,
@@ -152,7 +153,7 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
         mus = _parse_linspace(args.mu_grid)
     else:
         mus = np.linspace(q_sup + 0.5, q_sup + 8.0, 16)
-    radii = [lattice.dense_spectral_radius(transfer_operator(sys_, float(mu))) for mu in mus]
+    radii = [transfer_radius(sys_, float(mu)) for mu in mus]
     char_ok = any(r < 1.0 for r in radii)
 
     rng = np.random.default_rng(args.seed if args.seed is not None else sc.seed)
@@ -184,6 +185,7 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
         "assumptions": report.as_dict(),
         "mu_grid": [float(m) for m in mus],
         "transfer_radii": [float(r) for r in radii],
+        "transfer_rank": sys_.scatter_basis.shape[1],
         "q_sup": float(q_sup),
         "warnings": list(sc.warnings),
     }
@@ -219,11 +221,15 @@ def cmd_spectrum(sc: Scenario, args) -> tuple[list[dict], dict]:
     radii = []
     for mu in mus:
         H = transfer_operator(sc.system, float(mu))
-        r = lattice.dense_spectral_radius(H)
+        r = transfer_radius(sc.system, float(mu))
         radii.append(r)
         rows.append(",".join(_cells([mu, r, np.max(np.abs(H))])) + "\n")
     (Path(args.out) / "spectrum.csv").write_text("".join(rows))
-    metrics = {"mu_grid": [float(m) for m in mus], "radii": [float(r) for r in radii]}
+    metrics = {
+        "mu_grid": [float(m) for m in mus],
+        "radii": [float(r) for r in radii],
+        "transfer_rank": sc.system.scatter_basis.shape[1],
+    }
     return [], metrics
 
 

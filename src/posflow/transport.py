@@ -220,6 +220,18 @@ class TransportSystem:
             return np.broadcast_to(np.eye(K), (M, K, K))
         return np.stack(self.kernel.matrices) * self.vgrid.weights
 
+    @cached_property
+    def scatter_basis(self) -> np.ndarray:
+        """(K, R) orthonormal basis of the column space shared by all
+        scattering tables, the range of the K x (M K) stack of the J_j.
+        R is the numerical rank at numpy's ``matrix_rank`` threshold
+        sigma_max max(shape) eps; a full-rank stack gives exactly np.eye(K).
+        The thin SVD never forms the (M K)^2 right factor."""
+        stack = np.concatenate(self.scatter, axis=1)
+        U, s, _ = np.linalg.svd(stack, full_matrices=False)
+        rank = int(np.count_nonzero(s > s[0] * max(stack.shape) * np.finfo(float).eps))
+        return np.eye(self.n_nodes) if rank == self.n_nodes else U[:, :rank]
+
     def route(self, traces: np.ndarray) -> np.ndarray:
         """Gamma on outflow traces: (..., M, K) edge traces at x = 0 are
         scattered by J_j and added into their head vertices, (..., N, K).
@@ -597,12 +609,34 @@ def transfer_operator(system: TransportSystem, mu: float) -> np.ndarray:
     E_j(mu, k') = exp((int_0^{l_j} q_j - mu l_j)/v_{k'}) times w_j: the block
     of edge j is J_j (:attr:`TransportSystem.scatter`) times E_j w_j per column.
     """
-    N, K, g = system.n_vertices, system.n_nodes, system.graph
+    return _edge_coupling(system, mu)
+
+
+def transfer_radius(system: TransportSystem, mu: float) -> float:
+    """The spectral radius r(H(mu)) of the transfer operator, from an
+    (N R) x (N R) matrix instead of the (N K) x (N K) one.
+
+    Every J_j maps into the span of A = :attr:`TransportSystem.scatter_basis`,
+    so H = (I_N kron A) G, and the nonzero eigenvalues of XY and YX agree:
+    r(H) = r(G (I_N kron A)), the matrix whose edge blocks are
+    A^T J_j E_j(mu) w_j A.  For full-rank kernels A = I and that matrix is H,
+    bit for bit; for R = 0 it is empty and the radius is exactly 0.0.
+    """
+    return dense_spectral_radius(_edge_coupling(system, mu, system.scatter_basis))
+
+
+def _edge_coupling(system: TransportSystem, mu: float, basis=None) -> np.ndarray:
+    """Sum over edges j of the block J_j E_j(mu) w_j at (head_j, tail_j),
+    each block compressed to basis^T (.) basis when a (K, R) basis is given."""
+    N, g = system.n_vertices, system.graph
     decay = system.edge_growth * np.exp(-mu * g.lengths[:, None] / system.vgrid.nodes)
     blocks = system.scatter * (decay * g.weights[:, None])[:, None, :]
-    H = np.zeros((N, K, N, K))
+    if basis is not None:
+        blocks = basis.T @ blocks @ basis
+    R = blocks.shape[-1]
+    H = np.zeros((N, R, N, R))
     np.add.at(H, (g.heads, slice(None), g.tails), blocks)  # parallel edges add in edge order
-    return H.reshape(N * K, N * K)
+    return H.reshape(N * R, N * R)
 
 
 def closed_loop_resolvent(system: TransportSystem, f: StateField, mu: float) -> StateField:
@@ -610,13 +644,14 @@ def closed_loop_resolvent(system: TransportSystem, f: StateField, mu: float) -> 
 
     R(mu, A_coupled) f = (I + D_mu (I - Gamma D_mu)^{-1} Gamma) R(mu, A) f.
 
-    Requires the characteristic gate r(Gamma D_mu) < 1; otherwise the
-    inversion is refused with the offending radius attached.
+    Requires the characteristic gate r(Gamma D_mu) < 1, decided by
+    :func:`transfer_radius`; otherwise the inversion is refused with the
+    offending radius attached.
     """
-    H = transfer_operator(system, mu)
-    radius = dense_spectral_radius(H)
+    radius = transfer_radius(system, mu)
     if radius >= 1.0:
         raise CharacteristicGateError(mu, radius)
+    H = transfer_operator(system, mu)
     base = resolvent_apply(system, f, mu)
     gamma = boundary_traces(system, base)["Gamma"]
     sol = np.linalg.solve(np.eye(H.shape[0]) - H, gamma.ravel())

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +11,11 @@ import yaml
 from posflow.cli import SNAPSHOT_HEADER, SPECTRUM_HEADER, TRACE_HEADER, main
 from posflow.scenario import parse_scenario
 from posflow.solver import closed_loop_solve
-from posflow.lattice import dense_spectral_radius
-from posflow.transport import transfer_operator
+from posflow.transport import transfer_operator, transfer_radius
 from conftest import ladder_yaml
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def run(args):
@@ -61,7 +64,9 @@ def _fmt(x) -> str:
 
 def reference_csvs(scenario: Path, signed: bool = False) -> dict[str, str]:
     """snapshots.csv, traces.csv and spectrum.csv as written by the reference
-    per-row loops: one ``format(float(x), ".17g")`` per cell."""
+    per-row loops: one ``format(float(x), ".17g")`` per cell.  The radius
+    column comes from ``transfer_radius``; its accuracy against the dense
+    eigenvalues is pinned in tests/test_transport.py::TestTransferRadius."""
     sc = parse_scenario(scenario)
     sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon, positive=not signed)
     rows = [SNAPSHOT_HEADER]
@@ -83,7 +88,8 @@ def reference_csvs(scenario: Path, signed: bool = False) -> dict[str, str]:
     q_sup = sc.system.q_sup
     for mu in np.linspace(q_sup + 0.5, q_sup + 8.0, 31):
         H = transfer_operator(sc.system, float(mu))
-        rows.append(f"{_fmt(mu)},{_fmt(dense_spectral_radius(H))},{_fmt(np.max(np.abs(H)))}\n")
+        r = transfer_radius(sc.system, float(mu))
+        rows.append(f"{_fmt(mu)},{_fmt(r)},{_fmt(np.max(np.abs(H)))}\n")
     return {"snapshots.csv": snapshots, "traces.csv": traces, "spectrum.csv": "".join(rows)}
 
 
@@ -287,6 +293,18 @@ class TestOracle:
         run(["oracle", "--scenario", SCENARIOS / "loop.yaml", "--out", a, "--seed", "5"])
         run(["oracle", "--scenario", SCENARIOS / "loop.yaml", "--out", b, "--seed", "5"])
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+def test_module_entry_point(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posflow", "spectrum",
+         "--scenario", str(SCENARIOS / "loop.yaml"), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "spectrum.csv").is_file()
 
 
 def test_unknown_command_rejected():

@@ -14,11 +14,13 @@ from posflow import (
     boundary_traces,
     dirichlet_apply,
     flow_trace,
+    flux_preserving_kernel,
     input_map,
     io_map,
     resolvent_apply,
     semigroup_apply,
     transfer_operator,
+    transfer_radius,
 )
 from posflow.lattice import dense_spectral_radius
 from posflow.scenario import parse_scenario
@@ -483,3 +485,68 @@ class TestTransferOperator:
             via_ops = boundary_traces(sys, dirichlet_apply(sys, g, mu))["Gamma"]
             assert via_ops.shape == g.shape
             assert np.max(np.abs(via_matrix - via_ops)) < 1e-12
+
+
+def with_kernel(system, kernel):
+    return TransportSystem(system.graph, system.vgrid, system.absorption, kernel,
+                           system.space_samples)
+
+
+def ranked_kernels(rng, system):
+    """(kernel, R) pairs on ``system`` whose tables span a known R-dimensional
+    column space."""
+    M, K = system.n_edges, system.n_nodes
+    shared = rng.uniform(0.0, 1.0, (K, 2))  # one column space for every table
+    cols, rows = rng.uniform(0.0, 1.0, (2, M, K))  # rank one, a new column per edge
+    return [
+        (flux_preserving_kernel(system.vgrid, M), 1),
+        (ScatteringKernel.constant(0.6, M, K), 1),
+        (ScatteringKernel(tuple(shared @ rng.uniform(0.0, 1.0, (M, 2, K)))), 2),
+        (ScatteringKernel(tuple(cols[:, :, None] * rows[:, None, :])), min(M, K)),
+        (ScatteringKernel(tuple(rng.uniform(0.0, 1.0, (M, K, K)))), K),
+        (ScatteringKernel.identity(), K),
+        (ScatteringKernel.constant(0.0, M, K), 0),
+    ]
+
+
+class TestTransferRadius:
+    def cases(self, rng):
+        for _ in range(5):
+            base = random_network(rng)
+            for kernel, rank in ranked_kernels(rng, base):
+                sys = with_kernel(base, kernel)
+                yield sys, rank, base.q_sup + np.array([-1.0, 0.3, 2.0])
+
+    def test_matches_dense_eigenvalues(self, rng):
+        for sys, rank, mus in self.cases(rng):
+            for mu in mus:
+                r = transfer_radius(sys, mu)
+                exact = float(np.max(np.abs(np.linalg.eigvals(transfer_operator(sys, mu)))))
+                assert abs(r - exact) <= 1e-12 * exact, (rank, mu)
+                if rank == 0:
+                    assert r == 0.0
+
+    def test_basis_rank_and_orthonormality(self, rng):
+        for sys, rank, _ in self.cases(rng):
+            A = sys.scatter_basis
+            assert A.shape == (sys.n_nodes, rank)
+            np.testing.assert_allclose(A.T @ A, np.eye(rank), rtol=0.0, atol=1e-14)
+            if rank == sys.n_nodes:
+                assert np.array_equal(A, np.eye(rank))
+
+    def test_full_rank_is_bit_identical(self, rng):
+        for sys, rank, mus in self.cases(rng):
+            if rank == sys.n_nodes:
+                for mu in mus:
+                    assert transfer_radius(sys, mu) == dense_spectral_radius(
+                        transfer_operator(sys, mu))
+
+    def test_conservation_closed_form(self):
+        # one loop edge, rank-one flux-preserving kernel, q = 0: the only
+        # nonzero eigenvalue is sum w v^2 e^{-mu l/v} / sum w v^2
+        sys = parse_scenario(SCENARIOS / "conservation.yaml").system
+        v, w, l = sys.vgrid.nodes, sys.vgrid.weights, sys.graph.lengths[0]
+        assert sys.scatter_basis.shape == (3, 1)
+        for mu in np.linspace(0.5, 8.0, 31):
+            exact = np.sum(w * v * v * np.exp(-mu * l / v)) / np.sum(w * v * v)
+            assert abs(transfer_radius(sys, mu) - exact) <= 1e-15 * exact
