@@ -9,7 +9,10 @@ Subcommands front the library modules:
   oracle         finite-dimensional property battery
 
 Every run writes one ``report.json`` with {schema_version, scenario_hash,
-gates, metrics}; the exit status is 0 exactly when no gate failed.  All
+gates, metrics}; the exit status is 0 exactly when no gate failed.  Metrics
+hold report dataclasses and numpy values as they are: one json hook,
+:func:`_jsonable`, decides their JSON form.  Malformed grid options are
+usage errors (exit 2) before the scenario is read.  All
 randomness is seeded from the scenario (or ``--seed``), so identical inputs
 produce byte-identical reports.
 """
@@ -17,7 +20,9 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +32,6 @@ from . import poslti
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .solver import NegativeDataError, closed_loop_solve
 from .transport import (
-    StateField,
     dirichlet_apply,
     resolvent_apply,
     semigroup_apply,
@@ -53,19 +57,39 @@ def _cells(values) -> list[str]:
     return list(map("{:.17g}".format, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _parse_linspace(spec: str) -> np.ndarray:
+def _mu_grid(spec: str) -> np.ndarray:
+    """--mu-grid a:b:n with finite a and b and an integer n >= 1."""
     try:
         a, b, n = spec.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
+        ok = n >= 1 and math.isfinite(a) and math.isfinite(b)
     except ValueError:
-        raise SystemExit(f"bad grid spec {spec!r}, expected a:b:n") from None
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"expected a:b:n with finite a, b and n >= 1, got {spec!r}")
+    return np.linspace(a, b, n)
 
 
-def _parse_taus(spec: str) -> list[float]:
+def _tau_grid(spec: str) -> list[float]:
+    """--tau-grid t1,t2,...: at least one value, each finite and positive."""
     try:
-        return [float(s) for s in spec.split(",") if s]
+        taus = [float(s) for s in spec.split(",") if s]
     except ValueError:
-        raise SystemExit(f"bad tau grid {spec!r}, expected comma-separated numbers") from None
+        taus = []
+    if not taus or not all(0.0 < t < math.inf for t in taus):
+        raise argparse.ArgumentTypeError(f"expected finite positive taus t1,t2,..., got {spec!r}")
+    return taus
+
+
+def _lp_exponent(text: str) -> float:
+    """--p: finite and >= 1."""
+    try:
+        p = float(text)
+    except ValueError:
+        p = math.nan
+    if not 1.0 <= p < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite p >= 1, got {text!r}")
+    return p
 
 
 def _gate(name: str, passed: bool, value=None, threshold=None) -> dict:
@@ -77,9 +101,20 @@ def _gate(name: str, passed: bool, value=None, threshold=None) -> dict:
     return g
 
 
+def _jsonable(obj):
+    """The report.json form of what json cannot encode: a report dataclass as
+    its non-None fields, a numpy array or scalar as ``.tolist()``."""
+    if dataclasses.is_dataclass(obj):
+        fields = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        return {name: value for name, value in fields if value is not None}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} has no report.json form")
+
+
 def _write_report(outdir: Path, payload: dict) -> Path:
     path = outdir / "report.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n")
     return path
 
 
@@ -126,7 +161,7 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
     if masses:
         m0 = masses[0]
         drift = max(abs(m - m0) for m in masses) / max(abs(m0), 1e-30)
-    min_state = min(sol.min_state, float(snapshot_min))
+    min_state = min(sol.min_state, snapshot_min)
     gates = []
     if not args.signed:
         gates.append(_gate("positivity", min_state >= -pos_tol,
@@ -135,9 +170,9 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
         tol = float(sc.tolerances["mass_drift"])
         gates.append(_gate("mass_drift", drift <= tol, value=drift, threshold=tol))
     metrics = {
-        "mass_by_time": [float(m) for m in masses],
-        "mass_drift": float(drift),
-        "min_state": float(min_state),
+        "mass_by_time": masses,
+        "mass_drift": drift,
+        "min_state": min_state,
         "generations": sol.generations,
         "stamps": sol.stamp_count,
         "events_complete": sol.events_complete,
@@ -149,18 +184,12 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
     sys_ = sc.system
     report = sys_.assumptions()
     q_sup = sys_.q_sup
-    if args.mu_grid:
-        mus = _parse_linspace(args.mu_grid)
-    else:
-        mus = np.linspace(q_sup + 0.5, q_sup + 8.0, 16)
+    mus = args.mu_grid if args.mu_grid is not None else np.linspace(q_sup + 0.5, q_sup + 8.0, 16)
     radii = [transfer_radius(sys_, float(mu)) for mu in mus]
     char_ok = any(r < 1.0 for r in radii)
 
     rng = np.random.default_rng(args.seed if args.seed is not None else sc.seed)
-    f = StateField.from_samples(
-        sys_,
-        [rng.uniform(0.0, 1.0, (sys_.n_nodes, sys_.space_samples)) for _ in range(sys_.n_edges)],
-    )
+    f = TransportHandle(sys_).random_positive_state(rng)
     g = rng.uniform(0.0, 1.0, (sys_.n_vertices, sys_.n_nodes))
     mu_pos = q_sup + 2.0
     t_spot = 0.7 * sys_.min_delay
@@ -173,21 +202,20 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
 
     gates = [
         _gate("assumption_a2", report.a2_ok),
-        _gate("assumption_a3", report.a3_ok,
-              value=float(np.max(np.abs(report.a3_residuals)))),
-        _gate("characteristic", char_ok, value=float(min(radii))),
+        _gate("assumption_a3", report.a3_ok, value=np.max(np.abs(report.a3_residuals))),
+        _gate("characteristic", char_ok, value=min(radii)),
     ]
     gates += [
         _gate(f"positivity_{name}", val >= -pos_tol, value=val, threshold=-pos_tol)
         for name, val in spots.items()
     ]
     metrics = {
-        "assumptions": report.as_dict(),
-        "mu_grid": [float(m) for m in mus],
-        "transfer_radii": [float(r) for r in radii],
+        "assumptions": report,
+        "mu_grid": mus,
+        "transfer_radii": radii,
         "transfer_rank": sys_.scatter_basis.shape[1],
-        "q_sup": float(q_sup),
-        "warnings": list(sc.warnings),
+        "q_sup": q_sup,
+        "warnings": sc.warnings,
     }
     return gates, metrics
 
@@ -197,17 +225,15 @@ def cmd_admissibility(sc: Scenario, args) -> tuple[list[dict], dict]:
     seed = args.seed if args.seed is not None else sc.seed
     p = args.p if args.p is not None else float(sc.probes.get("p", 2.0))
     n_probes = int(sc.probes.get("count", 16))
-    taus = _parse_taus(args.tau_grid) if args.tau_grid else [0.4, 0.2, 0.1, 0.05, 0.025]
+    taus = args.tau_grid or [0.4, 0.2, 0.1, 0.05, 0.025]
 
     kappa = control_admissibility(handle, max(taus), p, n_probes=n_probes, seed=seed)
     gamma = observation_admissibility(handle, max(taus), p, n_probes=n_probes, seed=seed)
-    metrics = {
-        "kappa": kappa.as_dict(),
-        "gamma": gamma.as_dict(),
-    }
+    metrics = {"kappa": kappa, "gamma": gamma}
     if p > 1:
-        scan = zero_class_scan(handle, p, sorted(taus, reverse=True), n_probes=n_probes, seed=seed)
-        metrics["zero_class"] = scan.as_dict()
+        metrics["zero_class"] = zero_class_scan(
+            handle, p, sorted(taus, reverse=True), n_probes=n_probes, seed=seed
+        )
     else:
         metrics["zero_class"] = {"skipped": "zero-class scaling is not claimed at p = 1"}
     gates = [_gate("probes_nondegenerate", not (kappa.degenerate or gamma.degenerate))]
@@ -216,7 +242,7 @@ def cmd_admissibility(sc: Scenario, args) -> tuple[list[dict], dict]:
 
 def cmd_spectrum(sc: Scenario, args) -> tuple[list[dict], dict]:
     q_sup = sc.system.q_sup
-    mus = _parse_linspace(args.mu_grid) if args.mu_grid else np.linspace(q_sup + 0.5, q_sup + 8.0, 31)
+    mus = args.mu_grid if args.mu_grid is not None else np.linspace(q_sup + 0.5, q_sup + 8.0, 31)
     rows = [SPECTRUM_HEADER]
     radii = []
     for mu in mus:
@@ -226,8 +252,8 @@ def cmd_spectrum(sc: Scenario, args) -> tuple[list[dict], dict]:
         rows.append(",".join(_cells([mu, r, np.max(np.abs(H))])) + "\n")
     (Path(args.out) / "spectrum.csv").write_text("".join(rows))
     metrics = {
-        "mu_grid": [float(m) for m in mus],
-        "radii": [float(r) for r in radii],
+        "mu_grid": mus,
+        "radii": radii,
         "transfer_rank": sc.system.scatter_basis.shape[1],
     }
     return [], metrics
@@ -360,10 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             p.add_argument("--signed", action="store_true", help="signed data, no positivity gate")
         if name in ("check", "spectrum"):
-            p.add_argument("--mu-grid", default=None, help="mu sweep as a:b:n")
+            p.add_argument("--mu-grid", type=_mu_grid, default=None, help="mu sweep as a:b:n")
         if name == "admissibility":
-            p.add_argument("--tau-grid", default=None, help="comma-separated tau values")
-            p.add_argument("--p", type=float, default=None, help="Lp exponent")
+            p.add_argument("--tau-grid", type=_tau_grid, default=None,
+                           help="comma-separated tau values")
+            p.add_argument("--p", type=_lp_exponent, default=None, help="Lp exponent, >= 1")
     return parser
 
 

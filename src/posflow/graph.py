@@ -133,25 +133,16 @@ class AssumptionReport:
     def all_ok(self) -> bool:
         return self.a2_ok and self.a3_ok
 
-    def as_dict(self) -> dict:
-        return {
-            "a2_ok": self.a2_ok,
-            "a2_failures": list(self.a2_failures),
-            "a3_ok": self.a3_ok,
-            "a3_residuals": [float(r) for r in self.a3_residuals],
-            "column_stochastic": self.column_stochastic,
-            "column_sum_deviation": float(self.column_sum_deviation),
-        }
 
-
-def check_assumptions(graph: MetricGraph, tol: float = 1e-12) -> AssumptionReport:
-    """Check A2/A3 and report per-vertex diagnostics (never raises)."""
+def check_assumptions(graph: MetricGraph) -> AssumptionReport:
+    """Check A2/A3 and report per-vertex diagnostics (never raises).  Weight
+    sums and column sums count as one within 1e-12."""
     mats = build_matrices(graph)
     out_degree = mats.out.sum(axis=1)
     a2_failures = tuple(int(i) for i in np.flatnonzero(out_degree == 0))
     row_sums = mats.weighted_out.sum(axis=1)
     residuals = row_sums - 1.0
-    a3_ok = bool(np.all(np.abs(residuals) <= tol))
+    a3_ok = bool(np.all(np.abs(residuals) <= 1e-12))
     col_sums = mats.adjacency.sum(axis=0)
     deviation = float(np.max(np.abs(col_sums - 1.0))) if col_sums.size else 0.0
     return AssumptionReport(
@@ -159,6 +150,6 @@ def check_assumptions(graph: MetricGraph, tol: float = 1e-12) -> AssumptionRepor
         a2_failures=a2_failures,
         a3_ok=a3_ok,
         a3_residuals=residuals,
-        column_stochastic=a3_ok and deviation <= max(tol, 1e-12),
+        column_stochastic=a3_ok and deviation <= 1e-12,
         column_sum_deviation=deviation,
     )

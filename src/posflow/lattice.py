@@ -56,7 +56,6 @@ class Quadrature:
     weights: np.ndarray
     lo: float
     hi: float
-    rule: str = "midpoint"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -88,14 +87,14 @@ class Quadrature:
             raise ValueError("need at least one node")
         h = (hi - lo) / n
         nodes = lo + h * (np.arange(n) + 0.5)
-        return cls(nodes, np.full(n, h), lo, hi, rule="midpoint")
+        return cls(nodes, np.full(n, h), lo, hi)
 
     @classmethod
     def gauss_legendre(cls, lo: float, hi: float, n: int) -> "Quadrature":
         """Gauss-Legendre rule mapped to [lo, hi]."""
         x, w = np.polynomial.legendre.leggauss(n)
         half = 0.5 * (hi - lo)
-        return cls(lo + half * (x + 1.0), half * w, lo, hi, rule="gauss")
+        return cls(lo + half * (x + 1.0), half * w, lo, hi)
 
     def integrate(self, samples: np.ndarray) -> float:
         return float(np.dot(self.weights, np.asarray(samples, dtype=float)))

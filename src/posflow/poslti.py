@@ -161,21 +161,19 @@ def transfer(sys: PosLTI, mu: float) -> np.ndarray:
     return sys.C @ X + sys.D
 
 
-def positivity_classify(
-    sys: PosLTI, tgrid: np.ndarray, tol: float = 1e-9
-) -> dict[str, bool]:
+def positivity_classify(sys: PosLTI, tgrid: np.ndarray) -> dict[str, bool]:
     """Internal vs external positivity.
 
     internal: A Metzler and B, C, D >= 0 entrywise.
-    external: the impulse response C e^{tA} B stays >= -tol on the grid and
-    D >= 0 (zero-state outputs of positive inputs are positive).
+    external: the impulse response C e^{tA} B stays >= -1e-9 on the grid and
+    D >= -1e-9 (zero-state outputs of positive inputs are positive).
     """
     internal = sys.is_positive_system()
-    external = bool(np.all(sys.D >= -tol))
+    external = bool(np.all(sys.D >= -1e-9))
     if external:
         for t in np.asarray(tgrid, dtype=float):
             impulse = sys.C @ scipy.linalg.expm(t * sys.A) @ sys.B
-            if np.any(impulse < -tol):
+            if np.any(impulse < -1e-9):
                 external = False
                 break
     return {"internal": internal, "external": external}
@@ -186,12 +184,11 @@ class FeedbackResult:
     """Closed loop of (A,B,C,D) under output feedback u = K y + v.
 
     Populated only when r(KD) < 1; otherwise ``admissible`` is False and the
-    offending radii are reported instead of raising.
+    offending radius is reported instead of raising.
     """
 
     admissible: bool
     r_KD: float
-    r_KH: float
     A_K: np.ndarray | None = None
     B_K: np.ndarray | None = None
     C_K: np.ndarray | None = None
@@ -218,16 +215,13 @@ def feedback_compose(sys: PosLTI, K: np.ndarray) -> FeedbackResult:
     if np.any(K < 0):
         raise ValueError("feedback operator must be entrywise nonnegative")
     r_kd = dense_spectral_radius(K @ sys.D)
-    mu0 = sys.spectral_bound() + 1.0
-    r_kh = dense_spectral_radius(K @ transfer(sys, mu0))
     if r_kd >= 1.0:
-        return FeedbackResult(admissible=False, r_KD=r_kd, r_KH=r_kh)
+        return FeedbackResult(admissible=False, r_KD=r_kd)
     inv_KD = np.linalg.inv(np.eye(sys.m) - K @ sys.D)
     inv_DK = np.linalg.inv(np.eye(sys.p) - sys.D @ K)
     return FeedbackResult(
         admissible=True,
         r_KD=r_kd,
-        r_KH=r_kh,
         A_K=sys.A + sys.B @ K @ inv_DK @ sys.C,
         B_K=sys.B @ inv_KD,
         C_K=inv_DK @ sys.C,

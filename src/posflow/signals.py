@@ -88,8 +88,5 @@ class StepSignal:
         breaks = np.append(self.breaks[keep], horizon)
         return StepSignal(breaks, self.values[: breaks.size - 1])
 
-    def scaled(self, c: float) -> "StepSignal":
-        return StepSignal(self.breaks, c * self.values)
-
     def min_value(self) -> float:
         return float(self.values.min())

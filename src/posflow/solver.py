@@ -178,15 +178,16 @@ class ClosedLoopSolution:
             self.system, j, k, x, t, initial=self.initial, inflow=self.ledger.eval_channel
         )
 
-    def snapshot(self, t: float, n_x: int | None = None) -> StateField:
-        """State at time t as a field with an exact evaluator attached."""
+    def snapshot(self, t: float) -> StateField:
+        """State at time t as a field with an exact evaluator attached,
+        sampled on the :meth:`TransportSystem.xgrid` grids."""
         if t < -1e-12 or t > self.horizon + 1e-12:
             raise ValueError(f"time {t} outside the solved horizon [0, {self.horizon}]")
 
         def ev(j, x, k):
             return self.eval_edge(j, k, x, t)
 
-        return StateField.from_function(self.system, ev, n_x)
+        return StateField.from_function(self.system, ev)
 
     def edge_mass(self, j: int, t: float) -> float:
         """int int z_j(t, x, v) dx dv: sum_k w_k sum(wts * eval_edge(pts)) over
@@ -216,7 +217,6 @@ def closed_loop_solve(
     dt_max: float | None = None,
     stamp_budget: int = 60_000,
     positive: bool = True,
-    tol: float = 1e-9,
 ) -> ClosedLoopSolution:
     """Solve the coupled network flow on [0, horizon] by generation recursion.
 
@@ -229,14 +229,15 @@ def closed_loop_solve(
 
     ``u`` is the control signal (one channel per control column of the
     graph).  In positive mode negative initial data or inputs are rejected;
-    set ``positive=False`` to run signed data without cone checks.
+    set ``positive=False`` to run signed data without cone checks.  Values
+    down to -1e-9 count as nonnegative.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if positive:
-        if not x0.is_nonneg(tol):
+        if not x0.is_nonneg(1e-9):
             raise NegativeDataError("positivity mode requires nonnegative initial data")
-        if u is not None and u.min_value() < -tol:
+        if u is not None and u.min_value() < -1e-9:
             raise NegativeDataError("positivity mode requires nonnegative inputs")
     n_controls = system.graph.n_controls
     if u is not None:

@@ -514,16 +514,15 @@ def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateF
     return StateField(system, [x.copy() for x in f.xs], out_values)
 
 
-def dirichlet_apply(
-    system: TransportSystem, g: np.ndarray, mu: float, n_x: int | None = None
-) -> StateField:
+def dirichlet_apply(system: TransportSystem, g: np.ndarray, mu: float) -> StateField:
     """Dirichlet lift D_mu: the boundary data g spread along characteristics,
 
     (D_mu g)_j(x, v) = exp(int_x^{l_j} (q_j(s,v) - mu)/v ds) * w_j * g_{tail(j)}(v),
 
     an exact exponential profile per edge and velocity node.  The lift
     satisfies G(D_mu g) = g under the Kirchhoff weight normalization and is
-    positive for g >= 0 at every real mu.  ``g`` is an (N, K) array.
+    positive for g >= 0 at every real mu.  ``g`` is an (N, K) array; the
+    field samples on the :meth:`TransportSystem.xgrid` grids.
     """
     nodes = system.vgrid.nodes
     lengths = system.graph.lengths
@@ -536,7 +535,7 @@ def dirichlet_apply(
         decay = np.exp(-mu * (lengths[j] - x) / nodes[k])
         return grow * decay * w[j] * g[tails[j], k]
 
-    return StateField.from_function(system, ev, n_x)
+    return StateField.from_function(system, ev)
 
 
 def boundary_traces(system: TransportSystem, f: StateField) -> dict[str, np.ndarray]:
@@ -554,16 +553,15 @@ def boundary_traces(system: TransportSystem, f: StateField) -> dict[str, np.ndar
     return {"G": G, "Gamma": flow_trace(system, f, 0.0)}
 
 
-def input_map(
-    system: TransportSystem, u: StepSignal, t: float, n_x: int | None = None
-) -> StateField:
+def input_map(system: TransportSystem, u: StepSignal, t: float) -> StateField:
     """Input map Phi_t: the state reached from zero by boundary data u.
 
     (Phi_t u)_j(x, v) = exp(int_x^{l_j} q_j(s,v)/v ds)
                         * w_j * u_{tail(j)}((tv - l_j + x)/v)
     where the characteristic entered the edge after time 0, i.e. for
     t > (l_j - x)/v, and exactly 0 otherwise.  ``u`` is a boundary-space
-    history (N channels) defined on [0, t].
+    history (N channels) defined on [0, t].  The field samples on the
+    :meth:`TransportSystem.xgrid` grids.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -573,7 +571,7 @@ def input_map(
     def ev(j, x, k):
         return characteristic_read(system, j, k, x, t, inflow=u.eval_channel)
 
-    return StateField.from_function(system, ev, n_x)
+    return StateField.from_function(system, ev)
 
 
 def io_map(system: TransportSystem, u: StepSignal, times: np.ndarray) -> np.ndarray:

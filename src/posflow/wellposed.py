@@ -3,9 +3,12 @@
 Everything here runs against an abstract system handle exposing the flow,
 the input map, the boundary observation and the input-output map together
 with exact norms.  Two handles are provided: the transport network and the
-finite-dimensional positive LTI oracle, so every estimate can be exercised
-on both an infinite-dimensional discretization and a system where the
-answers are matrix algebra.
+finite-dimensional positive LTI oracle, so the observation, regularity and
+feedback checks can be exercised on both an infinite-dimensional
+discretization and a system where the answers are matrix algebra.  The
+control estimate :func:`control_admissibility` (and with it the zero-class
+scan) needs the input map and its norm, which only the transport handle
+provides; no test or command runs it on the oracle handle.
 
 Estimates are lower bounds obtained by maximizing over probe families
 (positive step inputs with dyadic breakpoints and positive grid bumps, both
@@ -14,7 +17,7 @@ families seeded); they are never certified constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,20 +130,6 @@ class PosLTIHandle:
     def __init__(self, system: poslti.PosLTI):
         self.system = system
         self.input_shape = (system.m,)
-        self._uw = np.ones(system.m)
-
-    def input_norm(self, u: StepSignal, p: float) -> float:
-        return u.lp_norm(p, unit_weights=self._uw)
-
-    def apply_input(self, u: StepSignal, tau: float) -> np.ndarray:
-        u = u.restricted(tau)
-        traj = poslti.simulate_mild(
-            self.system, np.zeros(self.system.n), u.values, u.breaks
-        )
-        return traj[-1]
-
-    def input_map_norm(self, u: StepSignal, tau: float) -> float:
-        return self.state_norm(self.apply_input(u, tau))
 
     def state_norm(self, x: np.ndarray) -> float:
         return float(np.sum(np.abs(x)))
@@ -240,24 +229,6 @@ class AdmissibilityReport:
     probe_count: int
     probe_family: str
     degenerate: bool = False
-    zero_class_fit: ZeroClassFit | None = None
-
-    def as_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "tau_or_alpha": self.tau_or_alpha,
-            "p": self.p,
-            "constant_estimate": self.constant_estimate,
-            "probe_count": self.probe_count,
-            "probe_family": self.probe_family,
-            "degenerate": self.degenerate,
-        }
-        if self.zero_class_fit is not None:
-            d["zero_class_fit"] = {
-                "exponent": self.zero_class_fit.exponent,
-                "r_squared": self.zero_class_fit.r_squared,
-            }
-        return d
 
 
 @dataclass
@@ -268,17 +239,6 @@ class ZeroClassScan:
     taus: np.ndarray
     estimates: np.ndarray
     fit: ZeroClassFit | None
-    reports: list[AdmissibilityReport] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        d = {
-            "p": self.p,
-            "taus": [float(t) for t in self.taus],
-            "estimates": [float(e) for e in self.estimates],
-        }
-        if self.fit is not None:
-            d["fit"] = {"exponent": self.fit.exponent, "r_squared": self.fit.r_squared}
-        return d
 
 
 @dataclass
@@ -290,14 +250,6 @@ class RegularityReport:
     monotone: bool
     max_violation: float
     limit_gap: float
-
-    def as_dict(self) -> dict:
-        return {
-            "mus": [float(m) for m in self.mus],
-            "monotone": self.monotone,
-            "max_violation": float(self.max_violation),
-            "limit_gap": float(self.limit_gap),
-        }
 
 
 @dataclass
@@ -311,13 +263,7 @@ class FeedbackReport:
     n_steps: int
 
     def as_dict(self) -> dict:
-        return {
-            "radius": float(self.radius),
-            "admissible": self.admissible,
-            "inverse_nonneg": self.inverse_nonneg,
-            "tau": self.tau,
-            "n_steps": self.n_steps,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +328,10 @@ def zero_class_scan(
     taus = np.asarray(list(tau_grid), dtype=float)
     if np.any(taus <= 0):
         raise ValueError("tau grid must be positive")
-    reports = [
-        control_admissibility(handle, float(t), p, n_probes=n_probes, seed=seed) for t in taus
-    ]
-    estimates = np.array([r.constant_estimate for r in reports])
+    estimates = np.array([
+        control_admissibility(handle, float(t), p, n_probes=n_probes, seed=seed).constant_estimate
+        for t in taus
+    ])
     fit = None
     if taus.size >= 5 and np.all(estimates > 0):
         logs_t, logs_k = np.log(taus), np.log(estimates)
@@ -395,7 +341,7 @@ def zero_class_scan(
         ss_tot = float(np.sum((logs_k - logs_k.mean()) ** 2))
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
         fit = ZeroClassFit(exponent=float(slope), r_squared=r2)
-    return ZeroClassScan(p=p, taus=taus, estimates=estimates, fit=fit, reports=reports)
+    return ZeroClassScan(p=p, taus=taus, estimates=estimates, fit=fit)
 
 
 def observation_admissibility(
@@ -434,9 +380,9 @@ def observation_admissibility(
     )
 
 
-def regularity_probe(handle, mu_grid, g: np.ndarray, tol: float = 1e-9) -> RegularityReport:
-    """H(mu_k) g along an increasing mu grid: entrywise monotone decrease for
-    positive g, with the limit compared against the feedthrough."""
+def regularity_probe(handle, mu_grid, g: np.ndarray) -> RegularityReport:
+    """H(mu_k) g along an increasing mu grid: entrywise monotone decrease (up
+    to 1e-9) for positive g, with the limit compared against the feedthrough."""
     mus = np.asarray(list(mu_grid), dtype=float)
     if np.any(np.diff(mus) <= 0):
         raise ValueError("mu grid must increase strictly")
@@ -450,7 +396,7 @@ def regularity_probe(handle, mu_grid, g: np.ndarray, tol: float = 1e-9) -> Regul
     return RegularityReport(
         mus=mus,
         outputs=outputs,
-        monotone=violation <= tol,
+        monotone=violation <= 1e-9,
         max_violation=violation,
         limit_gap=gap,
     )
@@ -475,9 +421,7 @@ def io_matrix(handle, tau: float, n_steps: int) -> np.ndarray:
     return F
 
 
-def feedback_admissibility(
-    handle, K, tau: float, n_steps: int = 24, tol: float = 1e-10
-) -> FeedbackReport:
+def feedback_admissibility(handle, K, tau: float, n_steps: int = 24) -> FeedbackReport:
     """Admissibility of the feedback operator K through r(K F) < 1.
 
     K acts on output slices (a (d, d) matrix or a scalar multiple of the
@@ -502,7 +446,7 @@ def feedback_admissibility(
     inverse_nonneg = admissible
     if admissible and np.any(KF < 0.0):
         inv = np.linalg.inv(np.eye(KF.shape[0]) - KF)
-        inverse_nonneg = bool(np.all(inv >= -tol))
+        inverse_nonneg = bool(np.all(inv >= -1e-10))
     return FeedbackReport(
         radius=radius,
         admissible=admissible,

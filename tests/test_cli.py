@@ -192,6 +192,28 @@ class TestOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, flags", [
+        ("check", ["--mu-grid", "1:2"]),
+        ("check", ["--mu-grid", "2:1:0"]),
+        ("check", ["--mu-grid", "nan:2:3"]),
+        ("spectrum", ["--mu-grid", "1:2:0"]),
+        ("spectrum", ["--mu-grid", "1:inf:3"]),
+        ("spectrum", ["--mu-grid", "1:2:2.5"]),
+        ("admissibility", ["--tau-grid", "0.1,x"]),
+        ("admissibility", ["--tau-grid", "0"]),
+        ("admissibility", ["--tau-grid", ","]),
+        ("admissibility", ["--tau-grid", "0.1,inf"]),
+        ("admissibility", ["--p", "0.5"]),
+        ("admissibility", ["--p", "nan"]),
+        ("admissibility", ["--p", "two"]),
+    ])
+    def test_bad_grid_value_is_a_usage_error(self, tmp_path, capsys, cmd, flags):
+        """Rejected by the parser, before the (missing) scenario is read."""
+        with pytest.raises(SystemExit) as exc:
+            run([cmd, "--scenario", tmp_path / "missing.yaml", "--out", tmp_path, *flags])
+        assert exc.value.code == 2
+        assert f"error: argument {flags[0]}: expected" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_loop_passes(self, tmp_path):

@@ -116,3 +116,46 @@ def test_initial_table_broadcasts_over_nodes(tmp_path):
     assert f.values[0].shape[0] == sc.system.n_nodes
     mid = f.eval(0, 1, np.array([0.5]))[0]
     assert mid == 1.0
+
+
+TABLES = """
+name: tables
+graph:
+  vertices: 2
+  edges:
+    - {tail: 1, head: 2, length: 1.0, weight: 1.0}
+    - {tail: 2, head: 1, length: 0.8, weight: 1.0}
+  control_matrix: [[1.0], [0.0]]
+velocity: {v_min: 0.5, v_max: 1.5, nodes: 3, rule: gauss}
+absorption:
+  - {table: {x: [0.0, 0.4, 1.0], values: [0.1, 0.3]}}
+  - {table: {x: [0.0, 0.8], values: [[0.2, 0.0, 0.5]]}}
+kernel:
+  mode: table
+  tables:
+"""
+
+
+def test_table_absorption_table_kernel_and_gauss_rule(tmp_path):
+    """Absorption tables (flat and per node), kernel tables and the Gauss
+    velocity rule, none of which a shipped scenario uses."""
+    rng = np.random.default_rng(3)
+    tables = [rng.uniform(0.0, 0.5, (3, 3)) for _ in range(2)]
+    rows = "".join(f"    - {t.tolist()}\n" for t in tables)
+    sc = parse_scenario(write(tmp_path, TABLES + rows + "horizon: 1.0\n"))
+    system = sc.system
+
+    x, w = np.polynomial.legendre.leggauss(3)
+    np.testing.assert_allclose(system.vgrid.nodes, 1.0 + 0.5 * x, rtol=1e-15)
+    np.testing.assert_allclose(system.vgrid.weights, 0.5 * w, rtol=1e-15)
+
+    q = system.absorption
+    np.testing.assert_array_equal(q.breaks[0], [0.0, 0.4, 1.0])
+    np.testing.assert_array_equal(q.values[0], [[0.1] * 3, [0.3] * 3])
+    np.testing.assert_array_equal(q.breaks[1], [0.0, 0.8])
+    np.testing.assert_array_equal(q.values[1], [[0.2, 0.0, 0.5]])
+
+    np.testing.assert_array_equal(system.scatter, np.stack(tables) * system.vgrid.weights)
+
+    with pytest.raises(ScenarioError, match="one table per edge"):
+        parse_scenario(write(tmp_path, TABLES + rows.split("\n")[0] + "\nhorizon: 1.0\n"))
