@@ -50,6 +50,7 @@ from .transport import (
     io_map,
     resolvent_apply,
     semigroup_apply,
+    transfer_max_entry,
     transfer_operator,
     transfer_radius,
 )

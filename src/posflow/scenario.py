@@ -282,6 +282,9 @@ def parse_scenario(path: str | Path) -> Scenario:
     tolerances.update(raw.get("tolerances", {}) or {})
     probes = {"count": 16, "p": 2.0}
     probes.update(raw.get("probes", {}) or {})
+    p = _as_float(probes["p"], "probes.p")
+    if not 1.0 <= p < np.inf:
+        raise ScenarioError(f"probes.p: expected a finite p >= 1, got {probes['p']!r}")
 
     warnings = []
     report = check_assumptions(graph)

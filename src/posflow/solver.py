@@ -178,34 +178,54 @@ class ClosedLoopSolution:
             self.system, j, k, x, t, initial=self.initial, inflow=self.ledger.eval_channel
         )
 
-    def snapshot(self, t: float) -> StateField:
-        """State at time t as a field with an exact evaluator attached,
-        sampled on the :meth:`TransportSystem.xgrid` grids."""
+    def observe_edge(self, j: int, t: float) -> tuple[np.ndarray, float]:
+        """The state on edge j at time t, read once per velocity node: the
+        (K, n_x) samples on :meth:`TransportSystem.xgrid` and the edge mass
+        int int z_j(t, x, v) dx dv.
+
+        Each node makes one :meth:`eval_edge` call on the x-grid followed by
+        the points of Gauss panels cut wherever the read can kink
+        (:func:`read_kinks` with the initial field and the ledger stamps);
+        the mass is sum_k w_k sum(wts * vals) over those panels.  Exact for
+        piecewise-linear profiles (q = 0), high-order accurate otherwise."""
         if t < -1e-12 or t > self.horizon + 1e-12:
             raise ValueError(f"time {t} outside the solved horizon [0, {self.horizon}]")
+        sys_ = self.system
+        xs = sys_.xgrid(j)
+        samples = np.empty((sys_.n_nodes, xs.size))
+        mass = 0.0
+        for k in range(sys_.n_nodes):
+            kinks = read_kinks(sys_, j, k, t, self.initial, self.ledger.times)
+            pts, wts = gauss_panels(kinks, 0.0, float(sys_.graph.lengths[j]))
+            vals = self.eval_edge(j, k, np.concatenate([xs, pts.ravel()]), t)
+            samples[k] = vals[: xs.size]
+            mass += sys_.vgrid.weights[k] * float(np.sum(wts * vals[xs.size :].reshape(pts.shape)))
+        return samples, mass
+
+    def observe(self, t: float) -> tuple[StateField, float]:
+        """The snapshot field at time t (exact evaluator attached) and the
+        total mass, the edge masses summed in edge order, from one
+        :meth:`observe_edge` read per edge."""
+        edges = [self.observe_edge(j, t) for j in range(self.system.n_edges)]
 
         def ev(j, x, k):
             return self.eval_edge(j, k, x, t)
 
-        return StateField.from_function(self.system, ev)
+        xs = [self.system.xgrid(j) for j in range(self.system.n_edges)]
+        field = StateField(self.system, xs, [samples for samples, _ in edges], evaluator=ev)
+        return field, sum(mass for _, mass in edges)
+
+    def snapshot(self, t: float) -> StateField:
+        """The field of :meth:`observe`."""
+        return self.observe(t)[0]
 
     def edge_mass(self, j: int, t: float) -> float:
-        """int int z_j(t, x, v) dx dv: sum_k w_k sum(wts * eval_edge(pts)) over
-        Gauss panels cut at every point where the read can kink
-        (:func:`read_kinks` with the initial field and the ledger stamps).
-        Exact for piecewise-linear profiles (q = 0), high-order accurate
-        otherwise."""
-        sys_ = self.system
-        l = float(sys_.graph.lengths[j])
-        total = 0.0
-        for k in range(sys_.n_nodes):
-            pts, wts = gauss_panels(read_kinks(sys_, j, k, t, self.initial, self.ledger.times), 0.0, l)
-            vals = self.eval_edge(j, k, pts.ravel(), t).reshape(pts.shape)
-            total += sys_.vgrid.weights[k] * float(np.sum(wts * vals))
-        return total
+        """The mass of :meth:`observe_edge`."""
+        return self.observe_edge(j, t)[1]
 
     def total_mass(self, t: float) -> float:
-        return sum(self.edge_mass(j, t) for j in range(self.system.n_edges))
+        """The mass of :meth:`observe`."""
+        return self.observe(t)[1]
 
 
 def closed_loop_solve(

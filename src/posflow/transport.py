@@ -238,7 +238,7 @@ class TransportSystem:
         Edges entering one vertex accumulate in edge order."""
         scattered = np.einsum("jkl,...jl->...jk", self.scatter, traces)
         out = np.zeros(scattered.shape[:-2] + (self.n_vertices, self.n_nodes))
-        np.add.at(np.moveaxis(out, -2, 0), self.graph.heads, np.moveaxis(scattered, -2, 0))
+        np.add.at(out, (Ellipsis, self.graph.heads, slice(None)), scattered)
         return out
 
     def assumptions(self):
@@ -623,17 +623,35 @@ def transfer_radius(system: TransportSystem, mu: float) -> float:
     return dense_spectral_radius(_edge_coupling(system, mu, system.scatter_basis))
 
 
-def _edge_coupling(system: TransportSystem, mu: float, basis=None) -> np.ndarray:
-    """Sum over edges j of the block J_j E_j(mu) w_j at (head_j, tail_j),
-    each block compressed to basis^T (.) basis when a (K, R) basis is given."""
+def transfer_max_entry(system: TransportSystem, mu: float) -> float:
+    """max |H(mu)|, the largest entry of :func:`transfer_operator` in
+    magnitude, from its nonzero blocks without assembling the dense matrix."""
+    return float(np.max(np.abs(_pair_blocks(system, mu)[1])))
+
+
+def _pair_blocks(system: TransportSystem, mu: float, basis=None) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks J_j E_j(mu) w_j of the edges, each compressed to
+    basis^T (.) basis when a (K, R) basis is given, summed in edge order per
+    distinct (head_j, tail_j) pair: (pair keys head N + tail, (P, R, R))."""
     N, g = system.n_vertices, system.graph
     decay = system.edge_growth * np.exp(-mu * g.lengths[:, None] / system.vgrid.nodes)
     blocks = system.scatter * (decay * g.weights[:, None])[:, None, :]
     if basis is not None:
         blocks = basis.T @ blocks @ basis
-    R = blocks.shape[-1]
+    keys, pair_of_edge = np.unique(g.heads * N + g.tails, return_inverse=True)
+    sums = np.zeros((keys.size,) + blocks.shape[1:])
+    np.add.at(sums, pair_of_edge.ravel(), blocks)  # parallel edges add in edge order
+    return keys, sums
+
+
+def _edge_coupling(system: TransportSystem, mu: float, basis=None) -> np.ndarray:
+    """The matrix with block :func:`_pair_blocks` at (head, tail) of each
+    edge-carrying vertex pair and zeros elsewhere."""
+    N = system.n_vertices
+    keys, sums = _pair_blocks(system, mu, basis)
+    R = sums.shape[-1]
     H = np.zeros((N, R, N, R))
-    np.add.at(H, (g.heads, slice(None), g.tails), blocks)  # parallel edges add in edge order
+    H[keys // N, :, keys % N] = sums
     return H.reshape(N * R, N * R)
 
 

@@ -284,6 +284,18 @@ class TestSpectrum:
         # loop with identity kernel: radius e^{-mu}
         assert all(abs(r - np.exp(-m)) < 1e-12 for m, r in zip(mus, radii))
 
+    def test_negative_mu_grid_start(self, tmp_path):
+        """A grid starting below zero is a value, not an option."""
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        scenario = SCENARIOS / "loop.yaml"
+        assert run(["spectrum", "--scenario", scenario, "--out", spaced, "--mu-grid", "-1:2:3"]) == 0
+        assert run(["spectrum", "--scenario", scenario, "--out", joined, "--mu-grid=-1:2:3"]) == 0
+        metrics = load_report(spaced)["metrics"]
+        assert metrics["mu_grid"] == [-1.0, 0.5, 2.0]
+        assert all(abs(r - np.exp(-m)) < 1e-12 for m, r in zip(metrics["mu_grid"], metrics["radii"]))
+        for name in ("spectrum.csv", "report.json"):
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
 
 class TestLargeBoundarySpace:
     @pytest.mark.parametrize("cycle", [False, True])
@@ -332,6 +344,15 @@ def test_module_entry_point(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         run(["frobnicate", "--scenario", SCENARIOS / "loop.yaml"])
+
+
+def test_bad_probe_exponent_is_a_scenario_error(tmp_path, capsys):
+    doc = (SCENARIOS / "loop.yaml").read_text().replace("p: 2.0}", "p: 0.5}")
+    scenario = tmp_path / "bad_p.yaml"
+    scenario.write_text(doc)
+    assert run(["admissibility", "--scenario", scenario, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.count("\n") == 0 and "probes.p" in err
 
 
 def test_scenario_error_exit_code(tmp_path):

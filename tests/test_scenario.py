@@ -159,3 +159,15 @@ def test_table_absorption_table_kernel_and_gauss_rule(tmp_path):
 
     with pytest.raises(ScenarioError, match="one table per edge"):
         parse_scenario(write(tmp_path, TABLES + rows.split("\n")[0] + "\nhorizon: 1.0\n"))
+
+
+@pytest.mark.parametrize("p", ["0.5", "-2", ".nan", ".inf", "two"])
+def test_probe_exponent_must_be_finite_and_at_least_one(tmp_path, p):
+    text = MINIMAL.format(length=1.0, weight=1.0, v_min=0.5) + f"probes: {{p: {p}}}\n"
+    with pytest.raises(ScenarioError, match=r"probes\.p"):
+        parse_scenario(write(tmp_path, text))
+
+
+def test_probe_exponent_one_parses(tmp_path):
+    text = MINIMAL.format(length=1.0, weight=1.0, v_min=0.5) + "probes: {p: 1}\n"
+    assert parse_scenario(write(tmp_path, text)).probes["p"] == 1

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from posflow import (
     closed_loop_solve,
     resolvent_apply,
 )
-from posflow.scenario import flux_preserving_kernel
+from posflow.lattice import gauss_panels
+from posflow.scenario import flux_preserving_kernel, parse_scenario
 from posflow.solver import _event_stamps
+from posflow.transport import read_kinks
 
 from conftest import make_loop, make_two_cycle, random_field, random_network
 
@@ -183,6 +186,80 @@ class TestClosedLoopSolve:
         # is u + (scattered echo of u) = 1 + 1 (identity kernel, w = 1)
         val = sol.eval_edge(0, 0, np.array([0.5]), 1.75)[0]
         assert abs(val - 2.0) < 1e-12
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def snapshot_ref(sol, t):
+    """The snapshot as its own read: the x-grid samples alone."""
+    return StateField.from_function(sol.system, lambda j, x, k: sol.eval_edge(j, k, x, t))
+
+
+def edge_mass_ref(sol, j, t):
+    """The edge mass as its own read: the Gauss panels alone."""
+    sys_ = sol.system
+    total = 0.0
+    for k in range(sys_.n_nodes):
+        kinks = read_kinks(sys_, j, k, t, sol.initial, sol.ledger.times)
+        pts, wts = gauss_panels(kinks, 0.0, float(sys_.graph.lengths[j]))
+        vals = sol.eval_edge(j, k, pts.ravel(), t).reshape(pts.shape)
+        total += sys_.vgrid.weights[k] * float(np.sum(wts * vals))
+    return total
+
+
+def jumpy_kirchhoff_solution(rng):
+    """A random Kirchhoff network with piecewise absorption (q != 0) driven by
+    a step input, so the ledger holds jump pairs."""
+    base = random_network(rng, q_range=(-0.5, -0.1), space_samples=41)
+    breaks, values = [], []
+    for l in base.graph.lengths:
+        breaks.append(np.array([0.0, rng.uniform(0.2, 0.8) * l, l]))
+        values.append(rng.uniform(-0.6, 0.2, (2, base.n_nodes)))
+    sys = dataclasses.replace(base, absorption=Absorption(tuple(breaks), tuple(values)))
+    u = StepSignal(np.array([0.0, 0.35, 0.8, 1.4]),
+                   rng.uniform(0.0, 1.0, (3, sys.graph.n_controls, sys.n_nodes)))
+    sol = closed_loop_solve(sys, random_field(rng, sys, 9), u, 1.4, stamp_budget=3000)
+    assert np.any(np.diff(sol.ledger.times) == 0.0)
+    return sol, np.array([0.0, 0.35, 0.6, 0.8, 1.1, 1.4])
+
+
+class TestObserve:
+    """One read per (time, edge, node) serves the samples and the mass: it
+    reproduces the two separate reads bit for bit."""
+
+    def assert_matches_separate_reads(self, sol, times):
+        for t in times:
+            fld, mass = sol.observe(float(t))
+            ref = snapshot_ref(sol, float(t))
+            for got, want in zip(fld.values, ref.values):
+                assert np.array_equal(got, want)
+            edge_masses = [edge_mass_ref(sol, j, float(t)) for j in range(sol.system.n_edges)]
+            assert mass == sum(edge_masses)
+            assert sol.total_mass(float(t)) == mass
+            for j, m in enumerate(edge_masses):
+                assert sol.edge_mass(j, float(t)) == m
+            x = np.linspace(0.0, sol.system.graph.lengths[0], 7)
+            assert np.array_equal(fld.eval(0, 0, x), sol.eval_edge(0, 0, x, float(t)))
+
+    @pytest.mark.parametrize("name", ["loop", "conservation", "two_cycle", "blocked"])
+    def test_shipped_scenarios(self, name):
+        sc = parse_scenario(SCENARIOS / f"{name}.yaml")
+        sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon)
+        self.assert_matches_separate_reads(sol, sc.snapshot_times)
+
+    def test_random_kirchhoff_network_with_jump_pairs(self, rng):
+        for _ in range(2):
+            self.assert_matches_separate_reads(*jumpy_kirchhoff_solution(rng))
+
+    def test_rejects_times_outside_the_horizon(self):
+        sys = make_loop()
+        sol = closed_loop_solve(sys, StateField.constant(sys, 1.0), None, 1.0)
+        for t in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="outside the solved horizon"):
+                sol.observe(t)
+            with pytest.raises(ValueError, match="outside the solved horizon"):
+                sol.edge_mass(0, t)
 
 
 def jump_closure_ref(breaks, delays, horizon, budget):

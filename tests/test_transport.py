@@ -19,6 +19,7 @@ from posflow import (
     io_map,
     resolvent_apply,
     semigroup_apply,
+    transfer_max_entry,
     transfer_operator,
     transfer_radius,
 )
@@ -408,6 +409,26 @@ class TestRoute:
                     sys.route(traces), route_ref(sys, traces), rtol=1e-14, atol=0.0
                 )
 
+    def test_adds_parallel_edges_in_edge_order_bit_for_bit(self, rng):
+        k = 4
+        # edges 0, 1, 3 and 4 run 0 -> 1, edge 2 runs 2 -> 1: five edges into
+        # vertex 1, four of them parallel
+        tails, heads = [0, 0, 2, 0, 0, 1], [1, 1, 1, 1, 1, 0]
+        graph = MetricGraph(3, tails, heads, rng.uniform(0.5, 1.5, 6),
+                            [0.25, 0.25, 1.0, 0.25, 0.25, 1.0])
+        vgrid = Quadrature.midpoint(0.5, 1.5, k)
+        kernel = ScatteringKernel(tuple(rng.uniform(0.0, 1.0, (6, k, k))))
+        sys = TransportSystem(graph, vgrid, Absorption.zero(graph.lengths, k), kernel)
+        for shape in ((), (7,)):
+            # magnitudes spread over many decades, so any other summation
+            # order rounds differently
+            traces = rng.uniform(0.0, 1.0, shape + (6, k)) * 10.0 ** rng.integers(-8, 9, (6, 1))
+            scattered = np.einsum("jkl,...jl->...jk", sys.scatter, traces)
+            want = np.zeros(shape + (3, k))
+            for j in range(6):
+                want[..., heads[j], :] += scattered[..., j, :]
+            assert np.array_equal(sys.route(traces), want)
+
     def test_identity_kernel_is_exact(self, rng):
         sys = make_two_cycle()
         assert np.array_equal(sys.scatter, np.broadcast_to(np.eye(3), (2, 3, 3)))
@@ -443,12 +464,14 @@ class TestTransferOperator:
             for sys in (TransportSystem(graph, vgrid, absorption, kernel), random_network(rng)):
                 for mu in rng.uniform(-1.0, 5.0, 5):
                     assert np.array_equal(transfer_operator(sys, mu), transfer_ref(sys, mu))
+                    assert transfer_max_entry(sys, mu) == np.max(np.abs(transfer_ref(sys, mu)))
 
     @pytest.mark.parametrize("name", ["loop", "conservation", "two_cycle", "blocked"])
     def test_matches_edge_loop_on_shipped_scenarios(self, name):
         sys = parse_scenario(SCENARIOS / f"{name}.yaml").system
         for mu in np.linspace(sys.q_sup + 0.5, sys.q_sup + 8.0, 31):
             assert np.array_equal(transfer_operator(sys, mu), transfer_ref(sys, mu))
+            assert transfer_max_entry(sys, mu) == np.max(np.abs(transfer_ref(sys, mu)))
 
     def test_loop_identity_kernel(self):
         sys = make_loop()
