@@ -43,7 +43,7 @@ from .wellposed import (
     TransportHandle,
     control_admissibility,
     observation_admissibility,
-    zero_class_scan,
+    zero_class_fit,
 )
 
 REPORT_SCHEMA = 1
@@ -233,15 +233,18 @@ def cmd_admissibility(sc: Scenario, args) -> tuple[list[dict], dict]:
     seed = args.seed if args.seed is not None else sc.seed
     p = args.p if args.p is not None else float(sc.probes.get("p", 2.0))
     n_probes = int(sc.probes.get("count", 16))
-    taus = args.tau_grid or [0.4, 0.2, 0.1, 0.05, 0.025]
+    taus = sorted(args.tau_grid or [0.4, 0.2, 0.1, 0.05, 0.025], reverse=True)
 
-    kappa = control_admissibility(handle, max(taus), p, n_probes=n_probes, seed=seed)
-    gamma = observation_admissibility(handle, max(taus), p, n_probes=n_probes, seed=seed)
+    # kappa-hat at max(tau) is the first point of the zero-class scan
+    kappas = [
+        control_admissibility(handle, tau, p, n_probes=n_probes, seed=seed)
+        for tau in (taus if p > 1 else taus[:1])
+    ]
+    kappa = kappas[0]
+    gamma = observation_admissibility(handle, taus[0], p, n_probes=n_probes, seed=seed)
     metrics = {"kappa": kappa, "gamma": gamma}
     if p > 1:
-        metrics["zero_class"] = zero_class_scan(
-            handle, p, sorted(taus, reverse=True), n_probes=n_probes, seed=seed
-        )
+        metrics["zero_class"] = zero_class_fit(p, taus, [k.constant_estimate for k in kappas])
     else:
         metrics["zero_class"] = {"skipped": "zero-class scaling is not claimed at p = 1"}
     gates = [_gate("probes_nondegenerate", not (kappa.degenerate or gamma.degenerate))]

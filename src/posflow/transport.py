@@ -32,6 +32,56 @@ from .lattice import (
 from .signals import StepSignal
 
 
+def _pad_rows(rows) -> np.ndarray:
+    """Rows of shape (..., n_j) stacked into one (M, ..., n + 1) array with
+    n = max n_j; each row repeats its last entry past its end."""
+    sizes = np.array([r.shape[-1] for r in rows])
+    cols = np.minimum(np.arange(sizes.max() + 1), sizes[:, None] - 1)
+    return np.moveaxis(np.concatenate(rows, axis=-1)[..., (np.cumsum(sizes) - sizes)[:, None] + cols], -2, 0)
+
+
+def _flat_table(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row interpolation tables xs[j] (n_j,) and ys[j] (K, n_j) padded to
+    one (M, n + 1) grid table and one (M, K, n + 1) value table.  Each grid
+    row continues past its last entry in unit steps and each value row
+    repeats its last column, so every row ends in at least one flat segment
+    and np.interp on a padded row equals np.interp on the row."""
+    xp = _pad_rows(xs)
+    past_end = np.arange(xp.shape[1]) - np.array([x.size for x in xs])[:, None] + 1
+    return xp + np.maximum(past_end, 0), _pad_rows(ys)
+
+
+def _segment(xp: np.ndarray, j, x) -> np.ndarray:
+    """For each x, the i with xp[j, i] <= x < xp[j, i + 1], clipped to
+    [0, B - 2]: np.interp's segment on row j of the (M, B) table xp, whose
+    rows increase from 0.  One searchsorted finds every row's segment at once
+    on the rows laid end to end, row j shifted by j * span with span above
+    every entry.  The shift keeps the order of each row but can round x onto
+    the shifted grid value just above it; stepping back from those keeps
+    the result exact."""
+    M, B = xp.shape
+    span = xp[:, -1].max() + 1.0
+    shifted = (xp + span * np.arange(M)[:, None]).ravel()
+    i = np.clip(np.searchsorted(shifted, x + span * j, side="right") - B * j - 1, 0, B - 2)
+    while np.any(over := (i > 0) & (xp.ravel()[B * j + i] > x)):
+        i = i - over
+    return i
+
+
+def _interp_rows(xp: np.ndarray, fp: np.ndarray, j, k, x) -> np.ndarray:
+    """np.interp(x, xp[j], fp[j, k]) elementwise, for integer arrays j and k
+    broadcasting against x, on tables from :func:`_flat_table`; the same
+    arithmetic as np.interp, so the values agree bit for bit."""
+    M, K, B = fp.shape
+    x = np.maximum(x, xp[j, 0])
+    i = _segment(xp, j, x)
+    # flat indices gather faster than broadcast fancy indexing
+    xs, ys = xp.ravel(), fp.reshape(-1)
+    at, fat = j * B + i, (j * K + k) * B + i
+    x0, y0 = xs[at], ys[fat]
+    return (ys[fat + 1] - y0) / (xs[at + 1] - x0) * (x - x0) + y0
+
+
 class CharacteristicGateError(RuntimeError):
     """Raised when 1 is not in the resolvent set of the boundary-transfer
     operator, i.e. r(Gamma D_mu) >= 1 blocks the closed-loop inversion."""
@@ -72,6 +122,7 @@ class Absorption:
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_cums", tuple(cums))
+        object.__setattr__(self, "_table", _flat_table(breaks, [c.T for c in cums]))
 
     @classmethod
     def constant(cls, rates, lengths, n_nodes: int) -> "Absorption":
@@ -89,11 +140,15 @@ class Absorption:
     def zero(cls, lengths, n_nodes: int) -> "Absorption":
         return cls.constant([0.0] * len(lengths), lengths, n_nodes)
 
-    def primitive(self, j: int, k: int, x: np.ndarray) -> np.ndarray:
-        """int_0^x q_j(s, v_k) ds, piecewise linear in x (flat beyond [0, l])."""
-        return np.interp(x, self.breaks[j], self._cums[j][:, k])
+    def primitive(self, j, k, x: np.ndarray) -> np.ndarray:
+        """int_0^x q_j(s, v_k) ds, piecewise linear in x (flat beyond [0, l]).
+        ``j`` and ``k`` are indices, or integer arrays broadcasting against
+        ``x`` that read every (edge, node) pair at once from the padded tables."""
+        if not isinstance(j, np.ndarray) and not isinstance(k, np.ndarray):
+            return np.interp(x, self.breaks[j], self._cums[j][:, k])
+        return _interp_rows(*self._table, j, k, x)
 
-    @property
+    @cached_property
     def q_sup(self) -> float:
         """sup_j ||q_j||_inf, the upper edge of the positivity regime in mu."""
         return max(float(np.max(np.abs(v))) for v in self.values)
@@ -250,8 +305,9 @@ class StateField:
 
     Samples live on per-edge grids including both endpoints and are read as
     piecewise-linear functions of x.  Operators that have closed forms attach
-    an ``evaluator(j, k, x)`` so that downstream evaluations (compositions,
-    traces, refinements) bypass interpolation entirely.
+    an ``evaluator(j, x, k)`` so that downstream evaluations (compositions,
+    traces, refinements) bypass interpolation entirely.  An evaluator takes
+    integer arrays j and k as well as indices (:meth:`from_function`).
     """
 
     __slots__ = ("system", "xs", "values", "evaluator")
@@ -276,14 +332,19 @@ class StateField:
         cls, system: TransportSystem, fn, n_x: int | None = None, xs=None
     ) -> "StateField":
         """Exact field defined by ``fn(j, x_array, k) -> values``, sampled on
-        the grids ``xs`` (default: uniform grids of ``n_x`` points)."""
+        the grids ``xs`` (default: uniform grids of ``n_x`` points) in one
+        call for every (edge, node) pair: j and k come as integer arrays of
+        shapes (M, 1, 1) and (K, 1) and x as the (M, K, n) block, the form
+        in which the operators read whole fields (:meth:`eval`).  ``fn`` is
+        also the field's evaluator."""
         if xs is None:
-            xs = [system.xgrid(j, n_x) for j in range(system.n_edges)]
-        values = [
-            np.stack([np.asarray(fn(j, xs[j], k), dtype=float) for k in range(system.n_nodes)])
-            for j in range(system.n_edges)
-        ]
-        return cls(system, xs, values, evaluator=fn)
+            xs = np.linspace(0.0, system.graph.lengths, n_x or system.space_samples, axis=1)
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        points = _pad_rows(xs)
+        shape = (system.n_edges, system.n_nodes, points.shape[1])
+        block = fn(np.arange(shape[0])[:, None, None], np.broadcast_to(points[:, None, :], shape),
+                   np.arange(shape[1])[:, None])
+        return cls(system, xs, [b[:, : len(x)] for b, x in zip(block, xs)], evaluator=fn)
 
     @classmethod
     def from_samples(cls, system: TransportSystem, values, n_x: int | None = None) -> "StateField":
@@ -300,13 +361,20 @@ class StateField:
 
     # -- evaluation and reductions -----------------------------------------
 
-    def eval(self, j: int, k: int, x: np.ndarray) -> np.ndarray:
+    def eval(self, j, k, x: np.ndarray) -> np.ndarray:
         """f_j(x, v_k) for x in [0, l_j] (clipped), exact when an evaluator
-        is attached, else piecewise linear in the samples."""
+        is attached, else piecewise linear in the samples.  ``j`` and ``k``
+        are indices, or integer arrays broadcasting against ``x``; the
+        evaluator receives ``x`` broadcast against them."""
         x = np.clip(np.asarray(x, dtype=float), 0.0, self.system.graph.lengths[j])
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(j, x, k), dtype=float)
-        return np.interp(x, self.xs[j], self.values[j][k])
+        pair = not isinstance(j, np.ndarray) and not isinstance(k, np.ndarray)
+        if self.evaluator is None:
+            if pair:
+                return np.interp(x, self.xs[j], self.values[j][k])
+            return _interp_rows(*_flat_table(self.xs, self.values), j, k, x)
+        if not pair:
+            x = np.broadcast_to(x, np.broadcast(j, k, x).shape)
+        return np.asarray(self.evaluator(j, x, k), dtype=float)
 
     def sampled(self) -> "StateField":
         """The same samples with the exact evaluator dropped."""
@@ -389,7 +457,8 @@ def characteristic_read(
     by the absorption growth of the travelled segment, and a missing source
     reads as zero.  This is the only place that decides the wavefront of
     the state (:func:`io_map` samples its output right-continuously).
-    ``x`` and ``t`` broadcast against each other.
+    ``x`` and ``t`` broadcast against each other, and against ``j`` and
+    ``k`` when these are integer arrays that read many pairs at once.
     """
     l = system.graph.lengths[j]
     v = system.vgrid.nodes[k]
@@ -464,7 +533,8 @@ def semigroup_apply(system: TransportSystem, f: StateField, t: float) -> StateFi
     while the characteristic still carries initial data, and 0 once it
     entered at x = l_j (see :func:`characteristic_read`).  The returned field
     keeps the grids of ``f`` and carries an exact evaluator, so composing
-    applications does not re-grid.
+    applications does not re-grid.  The samples of all (edge, node) pairs
+    come from one call of that evaluator (:meth:`StateField.from_function`).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -484,34 +554,51 @@ def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateF
     absorption breakpoints; on each panel the exponent is linear and f is
     taken linear between its panel endpoints, so the panel integral is the
     closed form of e^{linear} * linear.  Exact for sampled (piecewise-linear)
-    fields.  Enforces mu > sup|q| (the positivity regime).
+    fields.  Enforces mu > sup|q| (the positivity regime).  All (edge, node)
+    pairs are one (M, K, G) block over the per-edge union grids, padded to a
+    common length G.
     """
     if mu <= system.q_sup:
         raise ValueError(f"mu must exceed sup|q| = {system.q_sup:.6g}")
     q = system.absorption
-    nodes = system.vgrid.nodes
-    out_values = []
-    for j in range(system.n_edges):
-        grid = np.union1d(f.xs[j], q.breaks[j])
-        rows = np.empty((system.n_nodes, f.xs[j].size))
-        for k in range(system.n_nodes):
-            v = nodes[k]
-            fy = f.eval(j, k, grid)
-            # W(y) = (int_0^y q - mu y)/v, linear on each panel
-            W = (q.primitive(j, k, grid) - mu * grid) / v
-            h = np.diff(grid)
-            beta = np.diff(W) / h
-            c0 = fy[:-1]
-            c1 = (fy[1:] - fy[:-1]) / h
-            panel = _exp_linear_integral(beta, h, c0, c1)
-            # suffix recursion: S_r = int_{y_r}^{l} e^{W(y)-W(y_r)} f dy
-            S = np.zeros(grid.size)
-            decay = np.exp(np.diff(W))
-            for r in range(grid.size - 2, -1, -1):
-                S[r] = panel[r] + decay[r] * S[r + 1]
-            rows[k] = S[np.searchsorted(grid, f.xs[j])] / v
-        out_values.append(rows)
-    return StateField(system, [x.copy() for x in f.xs], out_values)
+    grid, sizes = _union_rows(f.xs, q.breaks)
+    j = np.arange(system.n_edges)[:, None, None]
+    k = np.arange(system.n_nodes)[:, None]
+    v = system.vgrid.nodes[k]
+    y = grid[:, None, :]
+    fy = f.eval(j, k, y)
+    # W(y) = (int_0^y q - mu y)/v, linear on each panel
+    W = (q.primitive(j, k, y) - mu * y) / v
+    h = np.diff(y)
+    beta = np.diff(W) / h
+    c1 = (fy[..., 1:] - fy[..., :-1]) / h
+    # panels past the end of a shorter grid integrate 0 and decay by 1, so
+    # they leave the suffix sums of the grid unchanged
+    inside = np.arange(grid.shape[1] - 1) < sizes[:, None, None] - 1
+    panel = np.where(inside, _exp_linear_integral(beta, h, fy[..., :-1], c1), 0.0)
+    decay = np.where(inside, np.exp(np.diff(W)), 1.0)
+    # suffix recursion over all (edge, node) pairs: S_r = int_{y_r}^{l} e^{W(y)-W(y_r)} f dy
+    S = np.zeros(W.shape)
+    for r in range(grid.shape[1] - 2, -1, -1):
+        S[..., r] = panel[..., r] + decay[..., r] * S[..., r + 1]
+    rows = S[j, k, _segment(grid, j, _pad_rows(f.xs)[:, None, :])] / v
+    return StateField(system, [x.copy() for x in f.xs], [r[:, : x.size] for r, x in zip(rows, f.xs)])
+
+
+def _union_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """np.union1d(xs[j], ys[j]) of every row as one (M, G) table and the row
+    sizes; G exceeds every size, and each row continues past its last entry
+    in unit steps."""
+    # repeated last entries are duplicates, which the union drops
+    both = np.sort(np.concatenate([_pad_rows(xs), _pad_rows(ys)], axis=1), axis=1)
+    fresh = np.ones(both.shape, dtype=bool)
+    fresh[:, 1:] = both[:, 1:] != both[:, :-1]
+    pos = np.cumsum(fresh, axis=1) - 1
+    sizes = pos[:, -1] + 1
+    cols = np.arange(sizes.max() + 1)
+    grid = both[:, -1:] + 1.0 + (cols - sizes[:, None])
+    grid[np.arange(len(xs))[:, None], pos] = both
+    return grid, sizes
 
 
 def dirichlet_apply(system: TransportSystem, g: np.ndarray, mu: float) -> StateField:
@@ -522,7 +609,8 @@ def dirichlet_apply(system: TransportSystem, g: np.ndarray, mu: float) -> StateF
     an exact exponential profile per edge and velocity node.  The lift
     satisfies G(D_mu g) = g under the Kirchhoff weight normalization and is
     positive for g >= 0 at every real mu.  ``g`` is an (N, K) array; the
-    field samples on the :meth:`TransportSystem.xgrid` grids.
+    field samples on the :meth:`TransportSystem.xgrid` grids, all (edge,
+    node) pairs in one call of its evaluator.
     """
     nodes = system.vgrid.nodes
     lengths = system.graph.lengths

@@ -316,22 +316,30 @@ def control_admissibility(
 def zero_class_scan(
     handle, p: float, tau_grid, n_probes: int = 16, seed: int = 0
 ) -> ZeroClassScan:
-    """Fit log kappa-hat(tau) ~ (1/q) log tau + c along a tau grid.
-
-    The conjugate exponent 1/q = 1 - 1/p is the predicted decay rate of the
-    admissibility constant; p = 1 is refused because kappa(tau) need not
-    vanish there.  The fit is only attached when the grid has at least five
-    points.
-    """
+    """kappa-hat(tau) along a tau grid (:func:`control_admissibility`) and
+    their :func:`zero_class_fit`.  p = 1 is refused because kappa(tau) need
+    not vanish there."""
     if p <= 1:
         raise ValueError("zero-class scaling requires p > 1 (no decay is claimed at p = 1)")
     taus = np.asarray(list(tau_grid), dtype=float)
     if np.any(taus <= 0):
         raise ValueError("tau grid must be positive")
-    estimates = np.array([
+    estimates = [
         control_admissibility(handle, float(t), p, n_probes=n_probes, seed=seed).constant_estimate
         for t in taus
-    ])
+    ]
+    return zero_class_fit(p, taus, estimates)
+
+
+def zero_class_fit(p: float, taus, estimates) -> ZeroClassScan:
+    """Fit log kappa-hat(tau) ~ (1/q) log tau + c to estimates along a tau grid.
+
+    The conjugate exponent 1/q = 1 - 1/p is the predicted decay rate of the
+    admissibility constant.  The fit is only attached when the grid has at
+    least five points.
+    """
+    taus = np.asarray(taus, dtype=float)
+    estimates = np.asarray(estimates, dtype=float)
     fit = None
     if taus.size >= 5 and np.all(estimates > 0):
         logs_t, logs_k = np.log(taus), np.log(estimates)

@@ -266,6 +266,27 @@ class TestAdmissibility:
         report = load_report(out)
         assert "skipped" in report["metrics"]["zero_class"]
 
+    @pytest.mark.parametrize("p", ["1.0", "2.0"])
+    def test_kappa_at_max_tau_is_the_first_scan_point(self, tmp_path, monkeypatch, p):
+        """One input-map norm per probe and tau: kappa-hat at max(tau) is
+        not computed a second time for the zero-class scan."""
+        from posflow.wellposed import TransportHandle
+
+        calls = []
+        norm = TransportHandle.input_map_norm
+        monkeypatch.setattr(TransportHandle, "input_map_norm",
+                            lambda self, u, tau: calls.append(tau) or norm(self, u, tau))
+        out = tmp_path / "out"
+        code = run(["admissibility", "--scenario", SCENARIOS / "loop.yaml", "--out", out,
+                    "--p", p, "--tau-grid", "0.1,0.4,0.2"])
+        assert code == 0
+        metrics = load_report(out)["metrics"]
+        taus = [0.4] if p == "1.0" else [0.4, 0.2, 0.1]
+        assert calls == [tau for tau in taus for _ in range(12)]  # loop.yaml has 12 probes
+        if p == "2.0":
+            assert metrics["zero_class"]["taus"] == taus
+            assert metrics["zero_class"]["estimates"][0] == metrics["kappa"]["constant_estimate"]
+
 
 class TestSpectrum:
     def test_sweep_csv(self, tmp_path):

@@ -1,0 +1,218 @@
+"""The positivity operators T(t), D_mu and R(mu) compute all (edge, node)
+sample rows in one block; the per-pair loops they replaced are kept here as
+oracles and compared on random Kirchhoff networks."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from posflow import (
+    Absorption,
+    MetricGraph,
+    Quadrature,
+    ScatteringKernel,
+    StateField,
+    TransportSystem,
+    dirichlet_apply,
+    resolvent_apply,
+    semigroup_apply,
+)
+from posflow.transport import _exp_linear_integral
+
+
+# ---------------------------------------------------------------------------
+# per-pair oracles: one np.interp per (edge, node) pair
+
+
+def primitive_ref(system, j, k, x):
+    b = system.absorption.breaks[j]
+    cum = np.concatenate([[0.0], np.cumsum(system.absorption.values[j][:, k] * np.diff(b))])
+    return np.interp(x, b, cum)
+
+
+def semigroup_ref(system, f, t):
+    values = []
+    for j, l in enumerate(system.graph.lengths):
+        rows = []
+        for k, v in enumerate(system.vgrid.nodes):
+            x = np.minimum(np.maximum(f.xs[j], 0.0), l)
+            s = t - (l - x) / v
+            foot = np.minimum(x + v * t, l)
+            grow = np.exp((primitive_ref(system, j, k, foot) - primitive_ref(system, j, k, x)) / v)
+            rows.append(np.where(s <= 0.0, grow * f.eval(j, k, foot), 0.0))
+        values.append(np.stack(rows))
+    return values
+
+
+def resolvent_ref(system, f, mu):
+    values = []
+    for j in range(system.n_edges):
+        grid = np.union1d(f.xs[j], system.absorption.breaks[j])
+        rows = np.empty((system.n_nodes, f.xs[j].size))
+        for k, v in enumerate(system.vgrid.nodes):
+            fy = f.eval(j, k, grid)
+            W = (primitive_ref(system, j, k, grid) - mu * grid) / v
+            h = np.diff(grid)
+            panel = _exp_linear_integral(np.diff(W) / h, h, fy[:-1], (fy[1:] - fy[:-1]) / h)
+            decay = np.exp(np.diff(W))
+            S = np.zeros(grid.size)
+            for r in range(grid.size - 2, -1, -1):
+                S[r] = panel[r] + decay[r] * S[r + 1]
+            rows[k] = S[np.searchsorted(grid, f.xs[j])] / v
+        values.append(rows)
+    return values
+
+
+def dirichlet_ref(system, g, mu):
+    g_ = system.graph
+    values = []
+    for j, l in enumerate(g_.lengths):
+        x = system.xgrid(j)
+        rows = []
+        for k, v in enumerate(system.vgrid.nodes):
+            edge = primitive_ref(system, j, k, l)
+            grow = np.exp((edge - primitive_ref(system, j, k, x)) / v)
+            decay = np.exp(-mu * (l - x) / v)
+            rows.append(grow * decay * g_.weights[j] * g[g_.tails[j], k])
+        values.append(np.stack(rows))
+    return values
+
+
+# ---------------------------------------------------------------------------
+# random networks
+
+
+def kirchhoff_network(rng, n, m, n_nodes, pieces, space_samples):
+    """n vertices with at least one out-edge each, m edges, normalized
+    weights; ``pieces`` > 0 gives each edge 1..pieces absorption pieces
+    with rates in [-0.8, 0.5], ``pieces`` = 0 one constant rate per edge."""
+    tails = np.concatenate([np.arange(n), rng.integers(0, n, m - n)])
+    heads = rng.integers(0, n, m)
+    lengths = rng.uniform(0.5, 1.5, m)
+    weights = np.zeros(m)
+    for v in range(n):
+        out = np.flatnonzero(tails == v)
+        raw = rng.uniform(0.2, 1.0, out.size)
+        weights[out] = raw / raw.sum()
+    vgrid = Quadrature.midpoint(0.5, 1.5, n_nodes)
+    if pieces:
+        breaks, values = [], []
+        for l in lengths:
+            p = int(rng.integers(1, pieces + 1))
+            breaks.append(np.concatenate([[0.0], np.sort(rng.uniform(0.0, l, p - 1)), [l]]))
+            values.append(rng.uniform(-0.8, 0.5, (p, n_nodes)))
+        absorption = Absorption(tuple(breaks), tuple(values))
+    else:
+        absorption = Absorption.constant(list(rng.uniform(-0.8, 0.5, m)), lengths, n_nodes)
+    graph = MetricGraph(n, tails, heads, lengths, weights, np.ones((n, 1)))
+    return TransportSystem(graph, vgrid, absorption, ScatteringKernel.identity(), space_samples)
+
+
+def ragged_field(rng, system):
+    """Samples on per-edge grids of 2..40 random points, both ends included."""
+    xs = [
+        np.concatenate([[0.0], np.sort(rng.uniform(0.0, l, int(rng.integers(0, 39)))), [l]])
+        for l in system.graph.lengths
+    ]
+    return StateField(system, xs, [rng.uniform(0.0, 1.0, (system.n_nodes, x.size)) for x in xs])
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, n + 4))
+    uniform = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    system = kirchhoff_network(
+        rng, n, m, draw(st.integers(1, 4)), 0 if uniform else 3, draw(st.integers(2, 24))
+    )
+    f = (
+        StateField.from_samples(system, [rng.uniform(0.0, 1.0, (system.n_nodes, system.space_samples))
+                                         for _ in range(m)])
+        if uniform else ragged_field(rng, system)
+    )
+    g = rng.uniform(0.0, 1.0, (n, system.n_nodes))
+    t, s = draw(st.floats(0.0, 3.5)), draw(st.floats(0.0, 1.5))
+    mu = system.q_sup + draw(st.floats(0.05, 4.0))
+    return uniform, system, f, g, t, s, mu
+
+
+def assert_rows(got, ref, exact):
+    assert len(got.values) == len(ref)
+    for a, b in zip(got.values, ref):
+        if exact:
+            np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_blocks_match_per_pair_loops(case):
+    """Bit for bit on constant absorption with uniform grids; to 1e-13
+    relative on piecewise tables with ragged, nonuniform grids.  The
+    evaluator fields T(s)f and D_mu g are read through their evaluators one
+    pair at a time by the oracles and as whole blocks by the operators."""
+    exact, system, f, g, t, s, mu = case
+    Tf = semigroup_apply(system, f, s)
+    Dg = dirichlet_apply(system, g, mu)
+    assert_rows(Tf, semigroup_ref(system, f, s), exact)
+    assert_rows(Dg, dirichlet_ref(system, g, mu), exact)
+    for field in (f, Tf, Dg):
+        assert_rows(semigroup_apply(system, field, t), semigroup_ref(system, field, t), exact)
+        assert_rows(resolvent_apply(system, field, mu), resolvent_ref(system, field, mu), exact)
+
+
+def test_evaluator_is_the_block_kernel_on_one_pair(rng):
+    """Reading T(t)f or D_mu g through its evaluator at one (edge, node)
+    pair gives that pair's block row, bit for bit."""
+    system = kirchhoff_network(rng, 3, 7, 3, 3, 21)
+    f = ragged_field(rng, system)
+    fields = [semigroup_apply(system, f, 0.4),
+              dirichlet_apply(system, rng.uniform(0.0, 1.0, (3, 3)), 1.7)]
+    for field in fields:
+        for j in range(system.n_edges):
+            for k in range(system.n_nodes):
+                np.testing.assert_array_equal(field.eval(j, k, field.xs[j]), field.values[j][k])
+
+
+# ---------------------------------------------------------------------------
+# call counts
+
+
+def ladder(n_vertices, rng):
+    """Two out-edges per vertex, two absorption pieces per edge, K = 4."""
+    system = kirchhoff_network(rng, n_vertices, 2 * n_vertices, 4, 2, 17)
+    return system, ragged_field(rng, system)
+
+
+@pytest.mark.parametrize("apply", ["semigroup", "resolvent", "dirichlet"])
+def test_reads_per_operator_do_not_grow_with_edges(monkeypatch, rng, apply):
+    """The operators read the absorption primitive and the input field once
+    per block, not once per (edge, node) pair: the count on 64 edges equals
+    the count on 8."""
+    calls = {"primitive": 0, "eval": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Absorption, "primitive", counted("primitive", Absorption.primitive))
+    monkeypatch.setattr(StateField, "eval", counted("eval", StateField.eval))
+    ops = {
+        "semigroup": lambda s, f: semigroup_apply(s, semigroup_apply(s, f, 0.2), 0.3),
+        "resolvent": lambda s, f: resolvent_apply(s, f, s.q_sup + 1.0),
+        "dirichlet": lambda s, f: dirichlet_apply(s, np.ones((s.n_vertices, 4)), 1.0),
+    }
+    counts = []
+    for n_vertices in (4, 32):
+        system, f = ladder(n_vertices, rng)
+        calls.update(primitive=0, eval=0)
+        ops[apply](system, f)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert sum(counts[0].values()) < 8 * 4  # fewer than one read per pair
