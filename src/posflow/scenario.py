@@ -20,7 +20,7 @@ import yaml
 
 from .graph import MetricGraph, check_assumptions
 from .lattice import Quadrature
-from .signals import StepSignal
+from .signals import StepSignal, piece_index
 from .transport import Absorption, ScatteringKernel, StateField, TransportSystem
 
 SCHEMA_VERSION = 1
@@ -232,8 +232,7 @@ def _build_inputs(section, system: TransportSystem, horizon: float) -> StepSigna
         breaks = np.append(breaks, span)
     values = np.zeros((breaks.size - 1, n_controls, system.n_nodes))
     for c, (times, vals) in enumerate(channel_tables):
-        idx = np.clip(np.searchsorted(times, breaks[:-1], side="right") - 1, 0, vals.shape[0] - 1)
-        values[:, c, :] = vals[idx]
+        values[:, c, :] = vals[piece_index(times, breaks[:-1], "right", vals.shape[0] - 1)]
     return StepSignal(breaks, values)
 
 

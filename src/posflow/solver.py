@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import gauss_panels
-from .signals import StepSignal
+from .signals import StepSignal, piece_index
 from .transport import (
     StateField,
     TransportSystem,
@@ -36,48 +36,30 @@ class NegativeDataError(ValueError):
     """Negative initial data or input given to a positivity-mode solve."""
 
 
-def _locate(times: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
-    """Index of the stamp anchoring the interpolation segment for each t.
-
-    Stamps may contain duplicated times (jump pairs: left value first, then
-    the right value).  side='right' anchors at the last stamp <= t, so exact
-    hits on a jump read the right limit; side='left' anchors exact hits at
-    the first stamp == t, reading the left limit.
-    """
-    if side == "left":
-        idx = np.searchsorted(times, t, side="left")
-        hit = (idx < times.size) & (times[np.minimum(idx, times.size - 1)] == t)
-        idx = np.where(hit, idx, idx - 1)
-    else:
-        idx = np.searchsorted(times, t, side="right") - 1
-    return np.clip(idx, 0, times.size - 1)
-
-
 class TraceLedger:
     """Time-stamped vertex inflow data g(t) with linear interpolation.
 
     Stamps are sorted and may contain duplicated times representing jump
     pairs; evaluation is right-continuous, ``side='left'`` reads left limits
-    at exact stamp hits.
+    at exact stamp hits (:func:`~posflow.signals.piece_index`).
     """
 
-    def __init__(self, times: np.ndarray, values: np.ndarray, horizon: float):
+    def __init__(self, times: np.ndarray, values: np.ndarray):
         self.times = np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.horizon = float(horizon)
         if self.values.shape[0] != self.times.size:
             raise ValueError("one value slice per stamp required")
         if np.any(np.diff(self.times) < 0):
             raise ValueError("stamps must be sorted")
 
     def eval_channel(self, vertex, node, t: np.ndarray, side: str = "right") -> np.ndarray:
-        """g_vertex(t, v_node) for times within [0, horizon].
+        """g_vertex(t, v_node) for times within the stamps.
 
         ``vertex``, ``node`` and ``t`` broadcast against each other, so an
         array of nodes reads node i at time t[i].
         """
         t = np.asarray(t, dtype=float)
-        idx = _locate(self.times, t, side)
+        idx = piece_index(self.times, t, side, self.times.size - 1)
         nxt = np.minimum(idx + 1, self.times.size - 1)
         t0, t1 = self.times[idx], self.times[nxt]
         gap = t1 - t0
@@ -164,7 +146,6 @@ class ClosedLoopSolution:
 
     system: TransportSystem
     initial: StateField
-    control: StepSignal | None
     ledger: TraceLedger
     horizon: float
     generations: int
@@ -282,13 +263,12 @@ def closed_loop_solve(
 
     tails = system.graph.tails[:, None]
     node_idx = np.arange(system.n_nodes)
-    gains = system.edge_growth * system.graph.weights[:, None]
 
     stamp_times = np.array([t for t, _ in expanded])
     # traces of characteristics that still carry initial data; the sweep adds
     # the ledger-fed rest, the complement t - l_j / v_k > 0
     G = flow_trace(system, x0, stamp_times)
-    ledger = TraceLedger(stamp_times, G, horizon)
+    ledger = TraceLedger(stamp_times, G)
 
     # Every delay is at least Delta = min_j l_j / v_max and stamp gaps are at
     # most dt_max <= Delta / 2 (Delta / 16 by default), so each read time
@@ -299,7 +279,7 @@ def closed_loop_solve(
         served = s_arr > 0.0
         if served.any():
             vals = ledger.eval_channel(tails, node_idx, s_arr, side=side)
-            G[s_idx] += system.route(np.where(served, gains * vals, 0.0))
+            G[s_idx] += system.route(np.where(served, system.edge_gain * vals, 0.0))
         if u is not None and n_controls:
             G[s_idx] += system.graph.control @ u.eval(t, side=side)
 
@@ -307,7 +287,6 @@ def closed_loop_solve(
     return ClosedLoopSolution(
         system=system,
         initial=x0,
-        control=u,
         ledger=ledger,
         horizon=horizon,
         generations=generations,

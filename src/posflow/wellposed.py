@@ -24,7 +24,7 @@ import numpy as np
 from . import poslti
 from .lattice import dense_spectral_radius, gauss_panels
 from .lattice import spectral_radius  # noqa: F401 (perfbench tracer binds it)
-from .signals import StepSignal
+from .signals import StepSignal, piece_index
 from .transport import (
     StateField,
     TransportSystem,
@@ -113,8 +113,8 @@ class TransportHandle:
         N, K = self.input_shape
         s = (h * np.arange(n_steps))[:, None, None] - sys_.delays
         i, j, l = np.nonzero(s >= 0.0)
-        r = np.searchsorted(h * np.arange(n_steps + 1), s[i, j, l], side="right") - 1
-        gain = sys_.scatter[j, :, l] * (sys_.edge_growth * g.weights[:, None])[j, l][:, None]
+        r = piece_index(h * np.arange(n_steps + 1), s[i, j, l], "right", n_steps - 1)
+        gain = sys_.scatter[j, :, l] * sys_.edge_gain[j, l][:, None]
         F = np.zeros((n_steps, N, K, n_steps, N, K))
         np.add.at(F, (i, g.heads[j], slice(None), r, g.tails[j], l), gain)
         return F.reshape(n_steps * N * K, -1)
@@ -161,8 +161,7 @@ class PosLTIHandle:
 
     def io_samples(self, u: StepSignal, times: np.ndarray) -> np.ndarray:
         grid = np.union1d(u.breaks, times)
-        idx = np.clip(np.searchsorted(u.breaks, grid[:-1], side="right") - 1, 0, u.values.shape[0] - 1)
-        vals = u.values[idx]
+        vals = u.values[piece_index(u.breaks, grid[:-1], "right", u.values.shape[0] - 1)]
         y = poslti.io_response(self.system, np.zeros(self.system.n), vals, grid)
         pick = np.searchsorted(grid, times)
         return y[pick].reshape(times.size, -1)
@@ -293,23 +292,10 @@ def control_admissibility(
     if probes is None:
         rng = np.random.default_rng(seed)
         probes = step_probes(rng, handle.input_shape, tau, n_probes, signed=signed)
-    best = 0.0
-    degenerate = True
-    for u in probes:
-        u = u.restricted(tau)
-        nu = handle.input_norm(u, p)
-        if nu <= 0.0:
-            continue
-        degenerate = False
-        best = max(best, handle.input_map_norm(u, tau) / nu)
-    return AdmissibilityReport(
-        kind="control",
-        tau_or_alpha=tau,
-        p=p,
-        constant_estimate=best,
-        probe_count=len(probes),
-        probe_family="signed-steps" if signed else "positive-steps+bumps",
-        degenerate=degenerate,
+    return _probe_maximum(
+        "control", tau, p, "signed-steps" if signed else "positive-steps+bumps", probes,
+        lambda u: u.restricted(tau), lambda u: handle.input_norm(u, p),
+        lambda u: handle.input_map_norm(u, tau),
     )
 
 
@@ -369,23 +355,26 @@ def observation_admissibility(
     if states is None:
         rng = np.random.default_rng(seed)
         states = [handle.random_positive_state(rng) for _ in range(n_probes)]
-    best = 0.0
-    degenerate = True
-    for x in states:
-        nx = handle.state_norm(x)
+    return _probe_maximum(
+        "observation", alpha, p, "positive-states", states,
+        lambda x: x, handle.state_norm, lambda x: handle.observation_lp(x, alpha, p),
+    )
+
+
+def _probe_maximum(kind, size, p, family, probes, prepare, norm, image_norm) -> AdmissibilityReport:
+    """The running maximum of image_norm(x) / norm(x) over the prepared
+    probes x = prepare(probe), in order, each norm taken before its image
+    norm; a probe of norm <= 0 is skipped, and the report is degenerate when
+    every probe was."""
+    best, degenerate = 0.0, True
+    for x in map(prepare, probes):
+        nx = norm(x)
         if nx <= 0.0:
             continue
         degenerate = False
-        best = max(best, handle.observation_lp(x, alpha, p) / nx)
-    return AdmissibilityReport(
-        kind="observation",
-        tau_or_alpha=alpha,
-        p=p,
-        constant_estimate=best,
-        probe_count=len(states),
-        probe_family="positive-states",
-        degenerate=degenerate,
-    )
+        best = max(best, image_norm(x) / nx)
+    return AdmissibilityReport(kind=kind, tau_or_alpha=size, p=p, constant_estimate=best,
+                               probe_count=len(probes), probe_family=family, degenerate=degenerate)
 
 
 def regularity_probe(handle, mu_grid, g: np.ndarray) -> RegularityReport:
