@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import dense_spectral_radius
 
@@ -85,13 +84,23 @@ class PosLTI:
         return float(np.max(np.linalg.eigvals(self.A).real))
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """e^M by scipy's scaling-and-squaring Pade.  scipy.linalg is imported
+    here, at the first exponential, not with the module: it takes longer to
+    import than the rest of posflow, and only the finite-dimensional oracle
+    needs it."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(M)
+
+
 def expm_apply(A: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
-    """e^{tA} x via scaling-and-squaring (scipy's Pade implementation)."""
+    """e^{tA} x via scaling-and-squaring (see ``_expm``)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     x = np.asarray(x, dtype=float)
-    return scipy.linalg.expm(t * A) @ x
+    return _expm(t * A) @ x
 
 
 def _step_matrices(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +111,7 @@ def _step_matrices(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, 
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = A
     aug[:n, n:] = B
-    phi = scipy.linalg.expm(h * aug)
+    phi = _expm(h * aug)
     return phi[:n, :n], phi[:n, n:]
 
 
@@ -172,7 +181,7 @@ def positivity_classify(sys: PosLTI, tgrid: np.ndarray) -> dict[str, bool]:
     external = bool(np.all(sys.D >= -1e-9))
     if external:
         for t in np.asarray(tgrid, dtype=float):
-            impulse = sys.C @ scipy.linalg.expm(t * sys.A) @ sys.B
+            impulse = sys.C @ _expm(t * sys.A) @ sys.B
             if np.any(impulse < -1e-9):
                 external = False
                 break

@@ -64,7 +64,8 @@ class TraceLedger:
         t0, t1 = self.times[idx], self.times[nxt]
         gap = t1 - t0
         safe = np.where(gap > 0, gap, 1.0)
-        frac = np.clip(np.where(gap > 0, (t - t0) / safe, 0.0), 0.0, 1.0)
+        # np.clip costs about twice as much on small arrays (see piece_index)
+        frac = np.minimum(np.maximum(np.where(gap > 0, (t - t0) / safe, 0.0), 0.0), 1.0)
         return (1.0 - frac) * self.values[idx, vertex, node] + frac * self.values[nxt, vertex, node]
 
     def eval(self, t: float, side: str = "right") -> np.ndarray:

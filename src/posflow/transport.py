@@ -62,7 +62,8 @@ def _segment(xp: np.ndarray, j, x) -> np.ndarray:
     M, B = xp.shape
     span = xp[:, -1].max() + 1.0
     shifted = (xp + span * np.arange(M)[:, None]).ravel()
-    i = np.clip(np.searchsorted(shifted, x + span * j, side="right") - B * j - 1, 0, B - 2)
+    i = np.searchsorted(shifted, x + span * j, side="right") - B * j - 1
+    i = np.minimum(np.maximum(i, 0), B - 2)
     while np.any(over := (i > 0) & (xp.ravel()[B * j + i] > x)):
         i = i - over
     return i

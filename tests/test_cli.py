@@ -362,6 +362,32 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "out" / "spectrum.csv").is_file()
 
 
+COLD_IMPORT_PROBE = """
+import sys
+import posflow, posflow.cli
+loaded = ["scipy.linalg" in sys.modules]
+for command in ("simulate", "check", "spectrum", "admissibility"):
+    assert posflow.cli.main([command, "--scenario", sys.argv[1], "--out", sys.argv[2] + "/" + command]) == 0
+loaded.append("scipy.linalg" in sys.modules)
+assert posflow.cli.main(["oracle", "--scenario", sys.argv[1], "--out", sys.argv[2] + "/oracle"]) == 0
+loaded.append("scipy.linalg" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_linalg_loads_at_the_first_exponential(tmp_path):
+    # A fresh process: only the oracle takes a matrix exponential, so only it
+    # may pay for importing scipy.linalg.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT_PROBE, str(SCENARIOS / "loop.yaml"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         run(["frobnicate", "--scenario", SCENARIOS / "loop.yaml"])
