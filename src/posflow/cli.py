@@ -93,6 +93,13 @@ def _lp_exponent(text: str) -> float:
     return p
 
 
+def _seed(text: str) -> int:
+    """--seed: a nonnegative integer, in decimal digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _gate(name: str, passed: bool, value=None, threshold=None) -> dict:
     g = {"name": name, "passed": bool(passed)}
     if value is not None:
@@ -164,7 +171,7 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
         for t_cell, block in zip(_cells(led.times), led.values):
             fh.write(stamp_rows.replace("\0", t_cell) % tuple(block.ravel().tolist()))
 
-    pos_tol = float(sc.tolerances["positivity"])
+    pos_tol = sc.tolerances["positivity"]
     drift = 0.0
     if masses:
         m0 = masses[0]
@@ -175,7 +182,7 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
         gates.append(_gate("positivity", min_state >= -pos_tol,
                            value=min_state, threshold=-pos_tol))
     if sc.expect_mass_conservation:
-        tol = float(sc.tolerances["mass_drift"])
+        tol = sc.tolerances["mass_drift"]
         gates.append(_gate("mass_drift", drift <= tol, value=drift, threshold=tol))
     metrics = {
         "mass_by_time": masses,
@@ -190,13 +197,13 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
 
 def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
     sys_ = sc.system
-    report = sys_.assumptions()
+    report = sc.assumptions
     q_sup = sys_.q_sup
     mus = args.mu_grid if args.mu_grid is not None else np.linspace(q_sup + 0.5, q_sup + 8.0, 16)
     radii = [transfer_radius(sys_, float(mu)) for mu in mus]
     char_ok = any(r < 1.0 for r in radii)
 
-    rng = np.random.default_rng(args.seed if args.seed is not None else sc.seed)
+    rng = np.random.default_rng(sc.seed)
     f = TransportHandle(sys_).random_positive_state(rng)
     g = rng.uniform(0.0, 1.0, (sys_.n_vertices, sys_.n_nodes))
     mu_pos = q_sup + 2.0
@@ -206,7 +213,7 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
         "dirichlet": dirichlet_apply(sys_, g, mu_pos).min_value(),
         "resolvent": resolvent_apply(sys_, f, mu_pos).min_value(),
     }
-    pos_tol = float(sc.tolerances["positivity"])
+    pos_tol = sc.tolerances["positivity"]
 
     gates = [
         _gate("assumption_a2", report.a2_ok),
@@ -230,18 +237,17 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
 
 def cmd_admissibility(sc: Scenario, args) -> tuple[list[dict], dict]:
     handle = TransportHandle(sc.system)
-    seed = args.seed if args.seed is not None else sc.seed
-    p = args.p if args.p is not None else float(sc.probes.get("p", 2.0))
-    n_probes = int(sc.probes.get("count", 16))
+    p = args.p if args.p is not None else sc.probes["p"]
+    n_probes = sc.probes["count"]
     taus = sorted(args.tau_grid or [0.4, 0.2, 0.1, 0.05, 0.025], reverse=True)
 
     # kappa-hat at max(tau) is the first point of the zero-class scan
     kappas = [
-        control_admissibility(handle, tau, p, n_probes=n_probes, seed=seed)
+        control_admissibility(handle, tau, p, n_probes=n_probes, seed=sc.seed)
         for tau in (taus if p > 1 else taus[:1])
     ]
     kappa = kappas[0]
-    gamma = observation_admissibility(handle, taus[0], p, n_probes=n_probes, seed=seed)
+    gamma = observation_admissibility(handle, taus[0], p, n_probes=n_probes, seed=sc.seed)
     metrics = {"kappa": kappa, "gamma": gamma}
     if p > 1:
         metrics["zero_class"] = zero_class_fit(p, taus, [k.constant_estimate for k in kappas])
@@ -283,9 +289,8 @@ def _random_positive_system(rng: np.random.Generator) -> poslti.PosLTI:
 
 
 def cmd_oracle(sc: Scenario, args) -> tuple[list[dict], dict]:
-    seed = args.seed if args.seed is not None else sc.seed
-    rng = np.random.default_rng(seed)
-    count = int(sc.probes.get("count", 16))
+    rng = np.random.default_rng(sc.seed)
+    count = sc.probes["count"]
     tgrid = np.linspace(0.0, 5.0, 26)
 
     max_state_err = 0.0
@@ -361,6 +366,8 @@ COMMANDS = {
 
 
 def run_command(command: str, sc: Scenario, args) -> int:
+    if args.seed is not None:
+        sc = dataclasses.replace(sc, seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     gates, metrics = COMMANDS[command](sc, args)
@@ -369,7 +376,7 @@ def run_command(command: str, sc: Scenario, args) -> int:
         "command": command,
         "scenario": sc.name,
         "scenario_hash": sc.source_hash,
-        "seed": args.seed if args.seed is not None else sc.seed,
+        "seed": sc.seed,
         "gates": gates,
         "metrics": metrics,
     }
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument("--out", default="posflow-out", help="artifact directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
         if name == "simulate":
             p.add_argument("--signed", action="store_true", help="signed data, no positivity gate")
         if name in ("check", "spectrum"):

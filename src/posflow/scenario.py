@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .graph import MetricGraph, check_assumptions
+from .graph import AssumptionReport, MetricGraph, check_assumptions
 from .lattice import Quadrature
 from .signals import StepSignal, piece_index
 from .transport import Absorption, ScatteringKernel, StateField, TransportSystem
@@ -43,6 +43,24 @@ def _as_float(value, ctx: str) -> float:
         raise ScenarioError(f"{ctx}: expected a number, got {value!r}") from None
 
 
+def _as_int(value, ctx: str) -> int:
+    """An integer, or a float with an integral value; strings, booleans and
+    fractional values are refused."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ScenarioError(f"{ctx}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _settings(raw: dict, key: str, defaults: dict) -> dict:
+    """The keys of ``defaults`` read from the mapping ``raw[key]``, with the
+    default value where it has none."""
+    given = raw.get(key) or {}
+    if not isinstance(given, dict):
+        raise ScenarioError(f"{key}: expected a mapping, got {given!r}")
+    return {name: given.get(name, value) for name, value in defaults.items()}
+
+
 @dataclass
 class Scenario:
     """Parsed scenario: the built system plus run data and provenance."""
@@ -58,19 +76,20 @@ class Scenario:
     expect_mass_conservation: bool
     name: str
     source_hash: str
+    assumptions: AssumptionReport
     warnings: list[str] = field(default_factory=list)
 
 
 def _build_graph(section: dict) -> MetricGraph:
-    n = int(_require(section, "vertices", "graph"))
+    n = _as_int(_require(section, "vertices", "graph"), "graph.vertices")
     edges = _require(section, "edges", "graph")
     if not isinstance(edges, list) or not edges:
         raise ScenarioError("graph.edges: need a nonempty list")
     tails, heads, lengths, weights = [], [], [], []
     for idx, e in enumerate(edges):
         ctx = f"graph.edges[{idx}]"
-        tail = int(_require(e, "tail", ctx))
-        head = int(_require(e, "head", ctx))
+        tail = _as_int(_require(e, "tail", ctx), ctx + ".tail")
+        head = _as_int(_require(e, "head", ctx), ctx + ".head")
         length = _as_float(_require(e, "length", ctx), ctx + ".length")
         if length <= 0:
             raise ScenarioError(f"{ctx}: edge length must be positive, got {length}")
@@ -91,7 +110,7 @@ def _build_graph(section: dict) -> MetricGraph:
 def _build_vgrid(section: dict) -> Quadrature:
     v_min = _as_float(_require(section, "v_min", "velocity"), "velocity.v_min")
     v_max = _as_float(_require(section, "v_max", "velocity"), "velocity.v_max")
-    nodes = int(section.get("nodes", 4))
+    nodes = _as_int(section.get("nodes", 4), "velocity.nodes")
     rule = section.get("rule", "midpoint")
     if v_min <= 0:
         raise ScenarioError(f"velocity.v_min must be positive, got {v_min}")
@@ -99,10 +118,13 @@ def _build_vgrid(section: dict) -> Quadrature:
         raise ScenarioError("velocity.v_max must be >= v_min")
     if v_max == v_min:
         raise ScenarioError("velocity interval must have positive length (use a window around the target speed)")
-    if rule == "midpoint":
-        return Quadrature.midpoint(v_min, v_max, nodes)
-    if rule == "gauss":
-        return Quadrature.gauss_legendre(v_min, v_max, nodes)
+    try:
+        if rule == "midpoint":
+            return Quadrature.midpoint(v_min, v_max, nodes)
+        if rule == "gauss":
+            return Quadrature.gauss_legendre(v_min, v_max, nodes)
+    except ValueError as exc:
+        raise ScenarioError(f"velocity: {exc}") from exc
     raise ScenarioError(f"velocity.rule must be 'midpoint' or 'gauss', got {rule!r}")
 
 
@@ -262,7 +284,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     vgrid = _build_vgrid(_require(raw, "velocity", "scenario"))
     absorption = _build_absorption(raw.get("absorption"), graph, vgrid.n)
     kernel = _build_kernel(raw.get("kernel"), graph, vgrid)
-    space_samples = int(raw.get("space_samples", 129))
+    space_samples = _as_int(raw.get("space_samples", 129), "space_samples")
     try:
         system = TransportSystem(graph, vgrid, absorption, kernel, space_samples)
     except ValueError as exc:
@@ -277,13 +299,18 @@ def parse_scenario(path: str | Path) -> Scenario:
     if np.any(snapshots < 0) or np.any(snapshots > horizon + 1e-12):
         raise ScenarioError("snapshot times must lie in [0, horizon]")
 
-    tolerances = {"positivity": 1e-9, "mass_drift": 1e-8}
-    tolerances.update(raw.get("tolerances", {}) or {})
-    probes = {"count": 16, "p": 2.0}
-    probes.update(raw.get("probes", {}) or {})
-    p = _as_float(probes["p"], "probes.p")
-    if not 1.0 <= p < np.inf:
-        raise ScenarioError(f"probes.p: expected a finite p >= 1, got {probes['p']!r}")
+    given = _settings(raw, "tolerances", {"positivity": 1e-9, "mass_drift": 1e-8})
+    tolerances = {key: _as_float(value, f"tolerances.{key}") for key, value in given.items()}
+    given = _settings(raw, "probes", {"count": 16, "p": 2.0})
+    probes = {"count": _as_int(given["count"], "probes.count"),
+              "p": _as_float(given["p"], "probes.p")}
+    if probes["count"] < 1:
+        raise ScenarioError(f"probes.count: expected at least one probe, got {given['count']!r}")
+    if not 1.0 <= probes["p"] < np.inf:
+        raise ScenarioError(f"probes.p: expected a finite p >= 1, got {given['p']!r}")
+    seed = _as_int(raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise ScenarioError(f"seed: expected a nonnegative integer, got {seed}")
 
     warnings = []
     report = check_assumptions(graph)
@@ -303,11 +330,12 @@ def parse_scenario(path: str | Path) -> Scenario:
         control=control,
         horizon=horizon,
         snapshot_times=snapshots,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         tolerances=tolerances,
         probes=probes,
         expect_mass_conservation=bool(raw.get("expect_mass_conservation", False)),
         name=str(raw.get("name", path.stem)),
         source_hash=hashlib.sha256(text).hexdigest(),
+        assumptions=report,
         warnings=warnings,
     )

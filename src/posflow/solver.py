@@ -129,10 +129,7 @@ def _event_stamps(
     # jumps propagate along characteristics; track them so both one-sided
     # limits get their own ledger entry
     jumps, _ = _delay_closure(inner, delays, horizon, budget, inclusive=False)
-    stamps = np.union1d(stamps, jumps)
-
-    if horizon > 0:
-        stamps = np.union1d(stamps, np.arange(0.0, horizon, dt_max))
+    stamps = np.union1d(stamps, np.concatenate([jumps, np.arange(0.0, horizon, dt_max)]))
     return stamps, jumps, complete
 
 
@@ -254,18 +251,22 @@ def closed_loop_solve(
     dt_max = min(dt_max, 0.5 * delta)
 
     times, jumps, complete = _event_stamps(system, x0, u, horizon, dt_max, stamp_budget)
-    jump_set = set(jumps.tolist())
-    # duplicate jump stamps: left-limit entry first, then the right value
-    expanded: list[tuple[float, str]] = []
-    for t in times.tolist():
-        if t in jump_set and t > 0.0:
-            expanded.append((t, "left"))
-        expanded.append((t, "right"))
+    # each jump time > 0 is stamped twice, the left limit first; the other
+    # stamp times are distinct, so a left entry equals the stamp after it
+    twice = np.isin(times, jumps) & (times > 0.0)
+    stamp_times = np.repeat(times, 1 + twice)
+    left = np.append(stamp_times[:-1] == stamp_times[1:], False)
+    # the control inflow B u(t) of every stamp, read on the stamp's side
+    pushed = None
+    if u is not None and n_controls:
+        last = u.values.shape[0] - 1
+        right = piece_index(u.breaks, stamp_times, "right", last)
+        pieces = np.where(left, piece_index(u.breaks, stamp_times, "left", last), right)
+        pushed = system.graph.control @ u.values[pieces]
 
     tails = system.graph.tails[:, None]
     node_idx = np.arange(system.n_nodes)
 
-    stamp_times = np.array([t for t, _ in expanded])
     # traces of characteristics that still carry initial data; the sweep adds
     # the ledger-fed rest, the complement t - l_j / v_k > 0
     G = flow_trace(system, x0, stamp_times)
@@ -275,14 +276,15 @@ def closed_loop_solve(
     # most dt_max <= Delta / 2 (Delta / 16 by default), so each read time
     # t - l_j / v_k lies before the previous stamp: its interpolation segment
     # holds only completed entries, and the ledger can be read whole.
-    for s_idx, (t, side) in enumerate(expanded):
+    for s_idx, (t, is_left) in enumerate(zip(stamp_times.tolist(), left.tolist())):
         s_arr = t - system.delays
         served = s_arr > 0.0
         if served.any():
+            side = "left" if is_left else "right"
             vals = ledger.eval_channel(tails, node_idx, s_arr, side=side)
             G[s_idx] += system.route(np.where(served, system.edge_gain * vals, 0.0))
-        if u is not None and n_controls:
-            G[s_idx] += system.graph.control @ u.eval(t, side=side)
+        if pushed is not None:
+            G[s_idx] += pushed[s_idx]
 
     generations = int(np.ceil(horizon / delta)) if horizon > 0 else 0
     return ClosedLoopSolution(
@@ -291,7 +293,7 @@ def closed_loop_solve(
         ledger=ledger,
         horizon=horizon,
         generations=generations,
-        stamp_count=len(expanded),
+        stamp_count=stamp_times.size,
         events_complete=complete,
         min_state=min(x0.min_value(), ledger.min_value()),
     )

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import MetricGraph, check_assumptions
+from .graph import MetricGraph
 from .lattice import (
     CONE_TOL,
     Quadrature,
@@ -248,12 +248,6 @@ class TransportSystem:
     def xgrid(self, j: int, n: int | None = None) -> np.ndarray:
         return np.linspace(0.0, float(self.graph.lengths[j]), n or self.space_samples)
 
-    def growth(self, j: int, k: int, a, b) -> np.ndarray:
-        """Absorption growth exp(int_a^b q_j(s, v_k) ds / v_k) of the
-        characteristic segment from x = b down to x = a."""
-        q = self.absorption
-        return np.exp((q.primitive(j, k, b) - q.primitive(j, k, a)) / self.vgrid.nodes[k])
-
     @cached_property
     def edge_primitive(self) -> np.ndarray:
         """(M, K) full-edge absorption integrals int_0^{l_j} q_j(s, v_k) ds,
@@ -306,9 +300,6 @@ class TransportSystem:
         out = np.zeros(scattered.shape[:-2] + (self.n_vertices, self.n_nodes))
         np.add.at(out, (Ellipsis, self.graph.heads, slice(None)), scattered)
         return out
-
-    def assumptions(self):
-        return check_assumptions(self.graph)
 
 
 class StateField:
@@ -377,7 +368,7 @@ class StateField:
         is attached, else piecewise linear in the samples.  ``j`` and ``k``
         are indices, or integer arrays broadcasting against ``x``; the
         evaluator receives ``x`` broadcast against them."""
-        x = np.clip(np.asarray(x, dtype=float), 0.0, self.system.graph.lengths[j])
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), self.system.graph.lengths[j])
         pair = not isinstance(j, np.ndarray) and not isinstance(k, np.ndarray)
         if self.evaluator is None:
             if pair:
@@ -477,14 +468,16 @@ def characteristic_read(
     v = system.vgrid.nodes[k]
     x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), l)
     s = t - (l - x) / v
+    at_x = system.absorption.primitive(j, k, x)  # P_j(x), for the growth of either branch
     out = np.zeros(np.shape(s))
     if initial is not None:
         foot = np.minimum(x + v * t, l)
-        out = np.where(s <= 0.0, system.growth(j, k, x, foot) * initial.eval(j, k, foot), out)
+        grow = np.exp((system.absorption.primitive(j, k, foot) - at_x) / v)
+        out = np.where(s <= 0.0, grow * initial.eval(j, k, foot), out)
     if inflow is not None:
         fed = inflow(system.graph.tails[j], k, s)
         # growth from l_j down to x, with the full-edge primitive from the table
-        grow = np.exp((system.edge_primitive[j, k] - system.absorption.primitive(j, k, x)) / v)
+        grow = np.exp((system.edge_primitive[j, k] - at_x) / v)
         out = np.where(s > 0.0, grow * system.graph.weights[j] * fed, out)
     return out
 

@@ -206,6 +206,8 @@ class TestOptions:
         ("admissibility", ["--p", "0.5"]),
         ("admissibility", ["--p", "nan"]),
         ("admissibility", ["--p", "two"]),
+        ("oracle", ["--seed", "-1"]),
+        ("check", ["--seed", "abc"]),
     ])
     def test_bad_grid_value_is_a_usage_error(self, tmp_path, capsys, cmd, flags):
         """Rejected by the parser, before the (missing) scenario is read."""
@@ -406,3 +408,34 @@ def test_scenario_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("graph: {vertices: 1, edges: []}\nvelocity: {v_min: 1, v_max: 2}\n")
     assert run(["check", "--scenario", bad, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("field, bad, where", [
+    ("seed: 12345", "seed: abc", "seed"),
+    ("seed: 12345", "seed: -1", "seed"),
+    ("seed: 12345", "seed: true", "seed"),
+    ("probes: {count: 12", "probes: {count: abc", "probes.count"),
+    ("probes: {count: 12", "probes: {count: 0", "probes.count"),
+    ("probes: {count: 12", "probes: {count: 2.5", "probes.count"),
+    ("probes: {count: 12, p: 2.0}", "probes: [12]", "probes"),
+    ("space_samples: 101", "space_samples: abc", "space_samples"),
+    ("space_samples: 101", "space_samples: 100.5", "space_samples"),
+    ("nodes: 1,", "nodes: abc,", "velocity.nodes"),
+    ("nodes: 1,", "nodes: 0,", "velocity"),
+    ("nodes: 1, rule: midpoint", "nodes: 0, rule: gauss", "velocity"),
+    ("vertices: 1", "vertices: one", "graph.vertices"),
+    ("{tail: 1,", "{tail: '1',", "graph.edges[0].tail"),
+    ("head: 1,", "head: 1.5,", "graph.edges[0].head"),
+    ("positivity: 1.0e-9", "positivity: abc", "tolerances.positivity"),
+    ("mass_drift: 1.0e-8", "mass_drift: abc", "tolerances.mass_drift"),
+])
+def test_malformed_numeric_field_is_a_scenario_error(tmp_path, capsys, field, bad, where):
+    """Exit 2 with one stderr line naming the field, not a traceback with the
+    failed-gate status 1."""
+    doc = (SCENARIOS / "loop.yaml").read_text()
+    assert doc.count(field) == 1
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(doc.replace(field, bad))
+    assert run(["admissibility", "--scenario", scenario, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {where}: ") and err.count("\n") == 1

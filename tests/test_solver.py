@@ -3,10 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from posflow import (
     Absorption,
     CharacteristicGateError,
+    MetricGraph,
+    Quadrature,
     ScatteringKernel,
     StateField,
     StepSignal,
@@ -16,8 +20,8 @@ from posflow import (
 )
 from posflow.lattice import gauss_panels
 from posflow.scenario import flux_preserving_kernel, parse_scenario
-from posflow.solver import _event_stamps
-from posflow.transport import read_kinks
+from posflow.solver import TraceLedger, _event_stamps
+from posflow.transport import TransportSystem, flow_trace, read_kinks
 
 from conftest import make_loop, make_two_cycle, random_field, random_network
 
@@ -367,3 +371,105 @@ class TestClosedLoopResolvent:
         numeric = laplace_of_solution(sol, mu, T, panels=1600)
         exact = closed_loop_resolvent(sys, x0.resampled(sys.space_samples), mu)
         assert (numeric - exact).norm() <= 1e-4 * exact.norm()
+
+
+# ---------------------------------------------------------------------------
+# the sweep against its loop over (time, side) stamps
+
+
+def sweep_ref(system, x0, u, horizon, dt_max, budget):
+    """The ledger of the forward sweep, stamped from a list of (time, side)
+    tuples with each jump time > 0 doubled (left limit first), and the
+    control read at each stamp by ``StepSignal.eval`` on the stamp's side."""
+    times, jumps, _ = _event_stamps(system, x0, u, horizon, dt_max, budget)
+    jump_set = set(jumps.tolist())
+    expanded = []
+    for t in times.tolist():
+        if t in jump_set and t > 0.0:
+            expanded.append((t, "left"))
+        expanded.append((t, "right"))
+    stamp_times = np.array([t for t, _ in expanded])
+    G = flow_trace(system, x0, stamp_times)
+    ledger = TraceLedger(stamp_times, G)
+    tails = system.graph.tails[:, None]
+    node_idx = np.arange(system.n_nodes)
+    for s_idx, (t, side) in enumerate(expanded):
+        s_arr = t - system.delays
+        served = s_arr > 0.0
+        if served.any():
+            vals = ledger.eval_channel(tails, node_idx, s_arr, side=side)
+            G[s_idx] += system.route(np.where(served, system.edge_gain * vals, 0.0))
+        if u is not None and system.graph.n_controls:
+            G[s_idx] += system.graph.control @ u.eval(t, side=side)
+    return stamp_times, G
+
+
+@st.composite
+def sweep_cases(draw):
+    """A Kirchhoff network with 1-3 control channels and piecewise
+    absorption, driven by a step input with breaks inside the horizon (so
+    the ledger holds jump pairs); positive or signed data."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, n + 3))
+    n_nodes = draw(st.integers(1, 3))
+    channels = draw(st.integers(1, n))  # a graph has at most n channels
+    positive = draw(st.booleans())
+    tails = np.concatenate([np.arange(n), rng.integers(0, n, m - n)])
+    weights = np.zeros(m)
+    for v in range(n):
+        out = np.flatnonzero(tails == v)
+        raw = rng.uniform(0.2, 1.0, out.size)
+        weights[out] = raw / raw.sum()
+    lengths = rng.uniform(0.5, 1.5, m)
+    graph = MetricGraph(n, tails, rng.integers(0, n, m), lengths, weights,
+                        rng.uniform(0.0, 1.0, (n, channels)))
+    vgrid = Quadrature.midpoint(0.5, 1.5, n_nodes)
+    breaks = [np.array([0.0, rng.uniform(0.2, 0.8) * l, l]) for l in lengths]
+    absorption = Absorption(tuple(breaks), tuple(rng.uniform(-0.6, 0.2, (m, 2, n_nodes))))
+    kernel = ScatteringKernel.constant(0.8 * rng.uniform(0.3, 1.0), m, n_nodes)
+    system = TransportSystem(graph, vgrid, absorption, kernel, 9)
+
+    lo = 0.0 if positive else -1.0
+    x0 = StateField.from_samples(system, list(rng.uniform(lo, 1.0, (m, n_nodes, 9))))
+    horizon = system.min_delay * draw(st.floats(1.0, 3.0))
+    inner = np.sort(rng.uniform(0.05, 0.95, draw(st.integers(1, 3)))) * horizon
+    u_breaks = np.concatenate([[0.0], inner, [horizon]])
+    u = StepSignal(u_breaks, rng.uniform(lo, 1.0, (u_breaks.size - 1, channels, n_nodes)))
+    dt_max = system.min_delay * draw(st.floats(1 / 16, 1 / 2))
+    return system, x0, u, horizon, dt_max, positive
+
+
+class TestSweepLayout:
+    """The sweep reads stamp sides and the control inflow from arrays laid
+    out once; it reproduces the per-stamp loop bit for bit."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_cases())
+    def test_matches_per_stamp_loop(self, case):
+        system, x0, u, horizon, dt_max, positive = case
+        sol = closed_loop_solve(system, x0, u, horizon, dt_max=dt_max, stamp_budget=400,
+                                positive=positive)
+        times, values = sweep_ref(system, x0, u, horizon, dt_max, 400)
+        assert np.any(np.diff(times) == 0.0)  # jump pairs are present
+        assert np.array_equal(sol.ledger.times, times)
+        assert np.array_equal(sol.ledger.values, values)
+        assert sol.stamp_count == times.size
+
+    def test_call_counts(self, monkeypatch):
+        def refused(self, *args, **kwargs):
+            raise AssertionError("the sweep reads the control from its table")
+
+        monkeypatch.setattr(StepSignal, "eval", refused)
+        sol, _ = jumpy_kirchhoff_solution(np.random.default_rng(7))
+
+        calls = []
+        primitive = Absorption.primitive
+
+        def counted(self, *args):
+            calls.append(args)
+            return primitive(self, *args)
+
+        monkeypatch.setattr(Absorption, "primitive", counted)
+        sol.eval_edge(0, 0, np.linspace(0.0, sol.system.graph.lengths[0], 5), 0.9)
+        assert len(calls) == 2  # P_j at x and at the foot

@@ -359,7 +359,8 @@ def io_map_per_node(system, u, times):
         trace = np.zeros((times.size, system.n_nodes))
         for k, v in enumerate(system.vgrid.nodes):
             arrived = times >= l / v
-            gain = system.growth(j, k, 0.0, l) * system.graph.weights[j]
+            prim = system.absorption.primitive
+            gain = np.exp((prim(j, k, l) - prim(j, k, 0.0)) / v) * system.graph.weights[j]
             vals = u.eval_channel(system.graph.tails[j], k, times[arrived] - l / v)
             trace[arrived, k] = gain * vals
         out[:, system.graph.heads[j], :] += scatter_ref(system, j, trace)

@@ -56,7 +56,8 @@ def input_map_norm_by_substitution(system, u, tau):
             a, b = knots[:-1], knots[1:]
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             s = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-            grow = system.growth(j, k, l - v * (tau - s), l)
+            prim = system.absorption.primitive
+            grow = np.exp((prim(j, k, l) - prim(j, k, l - v * (tau - s))) / v)
             vals = np.abs(u.eval_channel(tail, k, np.minimum(s, u.horizon)))
             panel = (grow * vals).reshape(mid.size, 5) @ gl_w
             total += system.vgrid.weights[k] * w * v * float(np.dot(half, panel))
