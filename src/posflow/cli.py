@@ -189,6 +189,7 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
         "mass_drift": drift,
         "min_state": min_state,
         "generations": sol.generations,
+        "sweep_windows": sol.sweep_windows,
         "stamps": sol.stamp_count,
         "events_complete": sol.events_complete,
     }

@@ -103,16 +103,21 @@ class Quadrature:
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 
 
-def gauss_panels(knots, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """5-point Gauss-Legendre panels on [lo, hi] cut at the knots, which are
-    clipped to [lo, hi]: (points, weights), each (panels, 5), with
-    sum(weights * f(points)) exact for f of degree <= 9 on each panel."""
-    cuts = np.sort(np.minimum(np.maximum(np.concatenate(([lo, hi], knots)), lo), hi))
-    keep = cuts[1:] > cuts[:-1]  # drop the empty panels of repeated cuts
-    a, b = cuts[:-1][keep], cuts[1:][keep]
+def gauss_rule(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """5-point Gauss-Legendre panels [a, b] for arrays of panel ends:
+    (points, weights), each a.shape + (5,), with sum(weights * f(points))
+    exact for f of degree <= 9 on each panel.  An empty panel has weight 0."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x, w = _GAUSS5
-    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+    return mid[..., None] + half[..., None] * x, half[..., None] * w
+
+
+def gauss_panels(knots, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gauss_rule` on [lo, hi] cut at the knots, which are clipped to
+    [lo, hi]: (points, weights), each (panels, 5)."""
+    cuts = np.sort(np.minimum(np.maximum(np.concatenate(([lo, hi], knots)), lo), hi))
+    keep = cuts[1:] > cuts[:-1]  # drop the empty panels of repeated cuts
+    return gauss_rule(cuts[:-1][keep], cuts[1:][keep])
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:

@@ -6,30 +6,43 @@ boundary-to-boundary path takes at least Delta = min_j l_j / v_max, the
 vertex inflow data g(t) on [0, Delta) is determined by the initial state
 alone, on [Delta, 2*Delta) by the already known part of g, and so on: the
 implicit condition resolves in ceil(horizon / Delta) substitution
-generations.  The solver performs the equivalent single forward sweep over a
-time-stamp set containing the characteristic arrival events (so the ledger
-is exact whenever the data is piecewise linear and the event closure fits
-the budget) plus a uniform ceiling that bounds interpolation error otherwise.
-Each stamp costs one ledger read over all (edge, velocity node) pairs and
-one application of Gamma (:meth:`TransportSystem.route`).
+generations.  The solver stamps g on a time set containing the
+characteristic arrival events (so the ledger is exact whenever the data is
+piecewise linear and the event closure fits the budget) plus a uniform
+ceiling that bounds interpolation error otherwise, and fixes it one window
+of stamps at a time: a window holds every stamp whose reads lie at or
+before the last fixed stamp, and costs one ledger read over (stamps, edges,
+velocity nodes) and one application of Gamma (:meth:`TransportSystem.route`).
+
+A solution is observed by one block read of the field per snapshot time and
+the mass from closed-form prefix integrals of the ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .lattice import gauss_panels
+from .lattice import gauss_rule
 from .signals import StepSignal, piece_index
 from .transport import (
     StateField,
     TransportSystem,
+    _pad_rows,
+    _phi12,
     characteristic_read,
     flow_trace,
     knot_arrivals,
-    read_kinks,
 )
+
+# the rows of a sweep window or of a prefix-table chunk are capped so that
+# each (rows, M, K) or (rows, U, K) temporary stays near this size
+_BLOCK_BYTES = 1 << 20
+# a decaying prefix-table column spans at most this many e-folds per chunk,
+# so its rebased entries stay far from under- and overflow
+_REBASE = 512.0
 
 
 class NegativeDataError(ValueError):
@@ -133,6 +146,74 @@ def _event_stamps(
     return stamps, jumps, complete
 
 
+def _segment_weights(q, h, factor) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (w0, w1) with int_0^h e^{q (h - r)} g(r) dr = w0 g(0) + w1 g(h)
+    for g linear on [0, h], both times ``factor``: with phi1, phi2 of z = q h
+    (:func:`~posflow.transport._phi12`), w0 = h phi2 and w1 = h (phi1 - phi2)."""
+    phi1, phi2 = _phi12(q * h)
+    scale = h * factor
+    return scale * phi2, scale * (phi1 - phi2)
+
+
+class _LedgerIntegrals:
+    """Prefix integrals F_u(tau) = int_0^tau e^{-q_u r} g_{vertex_u}(r) dr of
+    ledger channels, one table u per (vertex, rate row q_u) pair, with (K,)
+    rates and channels per table.  The ledger is linear between stamps, so
+    every segment integral is closed form (:func:`_segment_weights`).
+
+    The tables are built in chunks of stamps, each (rows, U, K) temporary
+    near :data:`_BLOCK_BYTES`.  A column with q < 0 is rebased to the end
+    time of its chunk: it stores e^{q base} F, whose weights e^{q (base - r)}
+    are <= 1, and a chunk spans at most :data:`_REBASE` / max|q| in time.
+    A column with q = 0 stores F itself.  So no entry overflows while the
+    ledger is finite, and F(b) - F(a) cancels no more than the ledger's own
+    history does.  With q > 0 the history would outweigh a late window by
+    about e^{q a}: :meth:`ClosedLoopSolution._fed_mass` reads growing rates
+    from the time-reversed ledger instead, where they decay.
+    """
+
+    def __init__(self, ledger: TraceLedger, vertices: np.ndarray, rates: np.ndarray):
+        times, G = ledger.times, ledger.values
+        S, (U, K) = times.size, rates.shape
+        self.ledger, self.vertices, self.rates = ledger, vertices, rates
+        self.table = np.zeros((S, U, K))
+        self.base = np.full(S, times[-1])  # the chunk end of each stamp's segment
+        rows = max(1, _BLOCK_BYTES // (8 * U * K))
+        span = _REBASE / max(-rates.min(initial=0.0), 1e-300)
+        # the weights depend on a column only through its rate
+        q, of_rate = np.unique(rates, return_inverse=True)
+        of_rate = of_rate.reshape(rates.shape)
+        carry, carried = np.zeros((U, K)), np.zeros((U, K))
+        c0 = 0
+        while c0 < S - 1:
+            reach = int(np.searchsorted(times, times[c0] + span, side="right")) - 1
+            c1 = max(c0 + 1, min(c0 + rows, S - 1, reach))
+            rebase = np.where(q < 0.0, times[c1], 0.0)
+            ends = times[c0 + 1 : c1 + 1, None]
+            w0, w1 = _segment_weights(q, np.diff(times[c0 : c1 + 1])[:, None],
+                                      np.exp(q * (rebase - ends)))
+            g = G[c0 : c1 + 1, vertices]
+            seg = w0[:, of_rate] * g[:-1] + w1[:, of_rate] * g[1:]
+            self.table[c0] = np.exp(rates * (rebase[of_rate] - carried)) * carry
+            self.table[c0 + 1 : c1 + 1] = self.table[c0] + np.cumsum(seg, axis=0)
+            self.base[c0:c1] = times[c1]
+            carry, carried = self.table[c1].copy(), rebase[of_rate]
+            c0 = c1
+
+    def scaled(self, u: np.ndarray, tau: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """e^c F_u(tau) for tables u (P,) at times tau (P, K) within the
+        stamps: the entry of the stamp before tau plus the partial segment up
+        to tau, times e^c with c and the rebase summed before one exp, so
+        neither factor overflows alone."""
+        times, k = self.ledger.times, np.arange(self.rates.shape[1])
+        a = np.minimum(piece_index(times, tau, "right", times.size - 1), max(times.size - 2, 0))
+        vertex, q = self.vertices[u][:, None], self.rates[u]
+        base = np.where(q < 0.0, self.base[a], 0.0)
+        w0, w1 = _segment_weights(q, tau - times[a], np.exp(q * (base - tau)))
+        part = w0 * self.ledger.values[a, vertex, k] + w1 * self.ledger.eval_channel(vertex, k, tau)
+        return np.exp(c - q * base) * (self.table[a, u[:, None], k] + part)
+
+
 @dataclass
 class ClosedLoopSolution:
     """Exact mild solution of the coupled network flow.
@@ -147,64 +228,161 @@ class ClosedLoopSolution:
     ledger: TraceLedger
     horizon: float
     generations: int
+    sweep_windows: int
     stamp_count: int
     events_complete: bool
     min_state: float
 
-    def eval_edge(self, j: int, k: int, x: np.ndarray, t: float) -> np.ndarray:
-        """z_j(t, x, v_k) along the characteristic through (x, t)."""
+    def eval_edge(self, j, k, x: np.ndarray, t: float) -> np.ndarray:
+        """z_j(t, x, v_k) along the characteristic through (x, t); ``j`` and
+        ``k`` are indices or integer arrays broadcasting against ``x``."""
         return characteristic_read(
             self.system, j, k, x, t, initial=self.initial, inflow=self.ledger.eval_channel
         )
 
-    def observe_edge(self, j: int, t: float) -> tuple[np.ndarray, float]:
-        """The state on edge j at time t, read once per velocity node: the
-        (K, n_x) samples on :meth:`TransportSystem.xgrid` and the edge mass
-        int int z_j(t, x, v) dx dv.
+    @cached_property
+    def _initial_kinks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (M, Q) c and d with the kinks of the initial-fed read at time
+        t and node k at c - d v_k t: the absorption breaks, the feet of the
+        breaks and the feet of the initial knots."""
+        breaks, xs = self.system.absorption.breaks, self.initial.xs
+        rows = [np.concatenate([b, b, x]) for b, x in zip(breaks, xs)]
+        shifts = [np.repeat([0.0, 1.0], [b.size, b.size + x.size]) for b, x in zip(breaks, xs)]
+        return _pad_rows(rows), _pad_rows(shifts)
 
-        Each node makes one :meth:`eval_edge` call on the x-grid followed by
-        the points of Gauss panels cut wherever the read can kink
-        (:func:`read_kinks` with the initial field and the ledger stamps);
-        the mass is sum_k w_k sum(wts * vals) over those panels.  Exact for
-        piecewise-linear profiles (q = 0), high-order accurate otherwise."""
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, ...]:
+        """The absorption pieces [b_i, b_{i+1}] of all edges, flattened: edge,
+        b_i, b_{i+1}, rates q_i (P, K), the constant C_i of the growth
+        exponent (P_j(l_j) - P_j(x))/v_k = C_i + q_i (t - s) at entry time s,
+        each piece's table index, and the prefix tables
+        (:class:`_LedgerIntegrals`), one per distinct (tail vertex, rate row):
+        of the ledger for q <= 0, and of the time-reversed ledger when some
+        rate grows."""
+        sys_ = self.system
+        q = sys_.absorption
+        edge = np.repeat(np.arange(sys_.n_edges), [v.shape[0] for v in q.values])
+        lo = np.concatenate([b[:-1] for b in q.breaks])
+        hi = np.concatenate([b[1:] for b in q.breaks])
+        rates = np.concatenate(q.values)
+        at_lo = q.primitive(edge[:, None], np.arange(sys_.n_nodes), lo[:, None])
+        room = (sys_.graph.lengths[edge] - lo)[:, None]
+        const = (sys_.edge_primitive[edge] - at_lo - rates * room) / sys_.vgrid.nodes
+        tails = sys_.graph.tails[edge]
+        _, first, table = np.unique(np.column_stack([tails, rates]), axis=0,
+                                    return_index=True, return_inverse=True)
+        vertices, rows = tails[first], rates[first]
+        grow = rows > 0.0
+        tables = [_LedgerIntegrals(self.ledger, vertices, np.where(grow, 0.0, rows))]
+        if grow.any():
+            # in reversed time t' = T - t a growing rate q decays as -q
+            end = self.ledger.times[-1]
+            flipped = TraceLedger(end - self.ledger.times[::-1], self.ledger.values[::-1])
+            tables.append(_LedgerIntegrals(flipped, vertices, np.where(grow, -rows, 0.0)))
+        return edge, lo, hi, rates, const, table.ravel(), tables
+
+    def _fed_mass(self, t: float) -> np.ndarray:
+        """(M, K) mass of the ledger-fed part of each edge and node at time t,
+
+            w_j v_k sum_i int e^{C_i + q_i (t - s)} g_{tail_j}(s, v_k) ds
+
+        over the entry times s in [t - (l_j - b_i)/v_k, t - (l_j - b_{i+1})/v_k]
+        clipped to [0, t], from the prefix tables: a difference of forward
+        prefixes, or for a growing rate (q_i > 0) of time-reversed ones."""
+        sys_ = self.system
+        edge, lo, hi, rates, const, table, tables = self._pieces
+        v = sys_.vgrid.nodes
+        room = sys_.graph.lengths[edge][:, None]
+        hi_s, lo_s = (np.maximum(t - (room - b[:, None]) / v, 0.0) for b in (hi, lo))
+        grow = rates > 0.0
+        c = np.where(grow, 0.0, const + rates * t)
+        part = tables[0].scaled(table, hi_s, c) - tables[0].scaled(table, lo_s, c)
+        if len(tables) > 1:
+            end = self.ledger.times[-1]
+            c = np.where(grow, const + rates * (t - end), 0.0)
+            back = tables[1].scaled(table, end - lo_s, c) - tables[1].scaled(table, end - hi_s, c)
+            part = np.where(grow, back, part)
+        fed = np.zeros((sys_.n_edges, sys_.n_nodes))
+        np.add.at(fed, edge, part)
+        return fed * sys_.graph.weights[:, None] * v
+
+    def _read(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The (M, K, n_x) samples on the x-grids and the (M,) edge masses
+        int int z_j(t, x, v) dx dv at time t.
+
+        One :meth:`eval_edge` call reads a single (M, K, n_x + P) block: the
+        x-grids, then the points of Gauss panels on the initial-fed part
+        [0, max(l_j - v_k t, 0)], cut at its kinks and padded with empty
+        panels.  The ledger-fed rest of the mass is :meth:`_fed_mass`.
+        Exact for piecewise-linear profiles (q = 0), high-order accurate on
+        the initial-fed part otherwise."""
         if t < -1e-12 or t > self.horizon + 1e-12:
             raise ValueError(f"time {t} outside the solved horizon [0, {self.horizon}]")
         sys_ = self.system
-        xs = sys_.xgrid(j)
-        samples = np.empty((sys_.n_nodes, xs.size))
-        mass = 0.0
-        for k in range(sys_.n_nodes):
-            kinks = read_kinks(sys_, j, k, t, self.initial, self.ledger.times)
-            pts, wts = gauss_panels(kinks, 0.0, float(sys_.graph.lengths[j]))
-            vals = self.eval_edge(j, k, np.concatenate([xs, pts.ravel()]), t)
-            samples[k] = vals[: xs.size]
-            mass += sys_.vgrid.weights[k] * float(np.sum(wts * vals[xs.size :].reshape(pts.shape)))
-        return samples, mass
+        M, K = sys_.n_edges, sys_.n_nodes
+        grid = np.stack([sys_.xgrid(j) for j in range(M)])
+        end = np.maximum(sys_.graph.lengths[:, None] - sys_.vgrid.nodes * t, 0.0)[..., None]
+        fixed, shift = self._initial_kinks
+        kinks = fixed[:, None, :] - shift[:, None, :] * (sys_.vgrid.nodes * t)[:, None]
+        cuts = np.sort(np.minimum(np.maximum(kinks, 0.0), end), axis=-1)
+        cuts = np.concatenate([np.zeros_like(end), cuts, end], axis=-1)
+        pts, wts = gauss_rule(cuts[..., :-1], cuts[..., 1:])
+        n_x = grid.shape[1]
+        block = np.concatenate(
+            [np.broadcast_to(grid[:, None, :], (M, K, n_x)), pts.reshape(M, K, -1)], axis=-1
+        )
+        vals = self.eval_edge(np.arange(M)[:, None, None], np.arange(K)[:, None], block, t)
+        initial_fed = np.sum(wts.reshape(M, K, -1) * vals[..., n_x:], axis=-1)
+        return vals[..., :n_x].copy(), (initial_fed + self._fed_mass(t)) @ sys_.vgrid.weights
 
     def observe(self, t: float) -> tuple[StateField, float]:
         """The snapshot field at time t (exact evaluator attached) and the
-        total mass, the edge masses summed in edge order, from one
-        :meth:`observe_edge` read per edge."""
-        edges = [self.observe_edge(j, t) for j in range(self.system.n_edges)]
+        total mass, the edge masses summed in edge order, from one block
+        read (:meth:`_read`)."""
+        samples, masses = self._read(t)
 
         def ev(j, x, k):
             return self.eval_edge(j, k, x, t)
 
         xs = [self.system.xgrid(j) for j in range(self.system.n_edges)]
-        field = StateField(self.system, xs, [samples for samples, _ in edges], evaluator=ev)
-        return field, sum(mass for _, mass in edges)
+        return StateField(self.system, xs, list(samples), evaluator=ev), sum(masses.tolist())
 
     def snapshot(self, t: float) -> StateField:
         """The field of :meth:`observe`."""
         return self.observe(t)[0]
 
     def edge_mass(self, j: int, t: float) -> float:
-        """The mass of :meth:`observe_edge`."""
-        return self.observe_edge(j, t)[1]
+        """The mass of edge j at time t (:meth:`_read`)."""
+        return float(self._read(t)[1][j])
 
     def total_mass(self, t: float) -> float:
         """The mass of :meth:`observe`."""
         return self.observe(t)[1]
+
+
+def _sweep_window(
+    system: TransportSystem,
+    ledger: TraceLedger,
+    times: np.ndarray,
+    left: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Add the routed ledger reads of the stamps ``times`` (W,) to ``out``
+    (W, N, K): one read over (W, M, K) on the right side, a second one for
+    the left copies of jump pairs, one :meth:`TransportSystem.route`.  A
+    stamp with no read after time 0 gets nothing added, not even the +0.0
+    that would turn a -0.0 entry into +0.0."""
+    s = times[:, None, None] - system.delays
+    served = s > 0.0
+    reads = served.any(axis=(1, 2))
+    if not reads.any():
+        return
+    tails, nodes = system.graph.tails[:, None], np.arange(system.n_nodes)
+    vals = ledger.eval_channel(tails, nodes, s)
+    if left.any():
+        vals[left] = ledger.eval_channel(tails, nodes, s[left], side="left")
+    routed = system.route(np.where(served, system.edge_gain * vals, 0.0))
+    out[reads] += routed[reads]
 
 
 def closed_loop_solve(
@@ -221,10 +399,11 @@ def closed_loop_solve(
 
     At each stamp t the outflow trace of edge j at velocity node k is read
     from the initial data while t - l_j / v_k <= 0 (for all stamps at once,
-    by :func:`flow_trace`) and from the ledger at t - l_j / v_k afterwards,
-    in one read over all (M, K) pairs; Gamma
-    (:meth:`TransportSystem.route`) and the control matrix assemble the new
-    vertex inflow slice.  The sweep loops only over stamps.
+    by :func:`flow_trace`) and from the ledger at t - l_j / v_k afterwards;
+    Gamma (:meth:`TransportSystem.route`) and the control matrix assemble
+    the vertex inflow slice.  The sweep loops over windows of stamps
+    (:func:`_sweep_window`), each read in one pass; ``sweep_windows`` counts
+    them.
 
     ``u`` is the control signal (one channel per control column of the
     graph).  In positive mode negative initial data or inputs are rejected;
@@ -264,27 +443,28 @@ def closed_loop_solve(
         pieces = np.where(left, piece_index(u.breaks, stamp_times, "left", last), right)
         pushed = system.graph.control @ u.values[pieces]
 
-    tails = system.graph.tails[:, None]
-    node_idx = np.arange(system.n_nodes)
-
     # traces of characteristics that still carry initial data; the sweep adds
     # the ledger-fed rest, the complement t - l_j / v_k > 0
     G = flow_trace(system, x0, stamp_times)
     ledger = TraceLedger(stamp_times, G)
 
-    # Every delay is at least Delta = min_j l_j / v_max and stamp gaps are at
-    # most dt_max <= Delta / 2 (Delta / 16 by default), so each read time
-    # t - l_j / v_k lies before the previous stamp: its interpolation segment
-    # holds only completed entries, and the ledger can be read whole.
-    for s_idx, (t, is_left) in enumerate(zip(stamp_times.tolist(), left.tolist())):
-        s_arr = t - system.delays
-        served = s_arr > 0.0
-        if served.any():
-            side = "left" if is_left else "right"
-            vals = ledger.eval_channel(tails, node_idx, s_arr, side=side)
-            G[s_idx] += system.route(np.where(served, system.edge_gain * vals, 0.0))
+    # Once the stamps before index a are final, every stamp t with
+    # t - Delta <= T = stamp_times[a - 1], rounded as the read rounds it,
+    # reads the ledger only at s = t - l_j / v_k <= T: on completed segments,
+    # or exactly at T, where the still open entry after T gets weight 0.
+    # Those stamps form one window, swept in one read over (W, M, K); stamp
+    # gaps stay below Delta, so every window holds at least one stamp.
+    latest = stamp_times - delta
+    rows = max(1, _BLOCK_BYTES // (8 * system.delays.size))
+    windows = a = 0
+    while a < stamp_times.size:
+        b = int(np.searchsorted(latest, stamp_times[a - 1] if a else 0.0, side="right"))
+        b = min(b, a + rows)
+        b += bool(left[b - 1])  # a capped window keeps both stamps of a jump pair
+        _sweep_window(system, ledger, stamp_times[a:b], left[a:b], G[a:b])
         if pushed is not None:
-            G[s_idx] += pushed[s_idx]
+            G[a:b] += pushed[a:b]
+        windows, a = windows + 1, b
 
     generations = int(np.ceil(horizon / delta)) if horizon > 0 else 0
     return ClosedLoopSolution(
@@ -293,6 +473,7 @@ def closed_loop_solve(
         ledger=ledger,
         horizon=horizon,
         generations=generations,
+        sweep_windows=windows,
         stamp_count=stamp_times.size,
         events_complete=complete,
         min_state=min(x0.min_value(), ledger.min_value()),

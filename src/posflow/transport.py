@@ -15,6 +15,7 @@ so compositions such as T(t)T(s)f incur no re-gridding error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,7 +73,10 @@ def _segment(xp: np.ndarray, j, x) -> np.ndarray:
 def _interp_rows(xp: np.ndarray, fp: np.ndarray, j, k, x) -> np.ndarray:
     """np.interp(x, xp[j], fp[j, k]) elementwise, for integer arrays j and k
     broadcasting against x, on tables from :func:`_flat_table`; the same
-    arithmetic as np.interp, so the values agree bit for bit."""
+    arithmetic as np.interp, so the values agree bit for bit up to the last
+    knot of each row.  Like np.interp it returns the sample itself at a
+    knot, which keeps a -0.0 sample (past the last knot a -0.0 reads +0.0;
+    every caller clamps x to [0, l_j] first)."""
     M, K, B = fp.shape
     x = np.maximum(x, xp[j, 0])
     i = _segment(xp, j, x)
@@ -80,7 +84,7 @@ def _interp_rows(xp: np.ndarray, fp: np.ndarray, j, k, x) -> np.ndarray:
     xs, ys = xp.ravel(), fp.reshape(-1)
     at, fat = j * B + i, (j * K + k) * B + i
     x0, y0 = xs[at], ys[fat]
-    return (ys[fat + 1] - y0) / (xs[at + 1] - x0) * (x - x0) + y0
+    return np.where(x == x0, y0, (ys[fat + 1] - y0) / (xs[at + 1] - x0) * (x - x0) + y0)
 
 
 class CharacteristicGateError(RuntimeError):
@@ -431,17 +435,28 @@ class StateField:
 # closed-form exponential-times-linear segment integrals
 
 
+# Taylor coefficients to z^10 of phi1(z) = (e^z - 1)/z = sum z^n/(n+1)! and
+# phi2(z) = (e^z (z - 1) + 1)/z^2 = sum z^n (n+1)/(n+2)!, highest power first
+_PHI1_SERIES = [1.0 / math.factorial(n + 1) for n in range(10, -1, -1)]
+_PHI2_SERIES = [(n + 1) / math.factorial(n + 2) for n in range(10, -1, -1)]
+
+
+def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi1(z) and phi2(z) to a few ulps: the series below |z| = 0.1, where
+    the closed forms lose digits to cancellation, and expm1-based closed
+    forms above it (phi2 = (expm1(z) (z - 1) + z)/z^2 cancels at most a
+    factor 2/|z| <= 20)."""
+    small = np.abs(z) < 0.1
+    zs, big = np.where(small, z, 0.0), np.where(small, 1.0, z)
+    em1 = np.expm1(big)
+    phi1 = np.where(small, np.polyval(_PHI1_SERIES, zs), em1 / big)
+    phi2 = np.where(small, np.polyval(_PHI2_SERIES, zs), (em1 * (big - 1.0) + big) / (big * big))
+    return phi1, phi2
+
+
 def _exp_linear_integral(beta: np.ndarray, h: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     """int_0^h e^{beta s} (c0 + c1 s) ds, stable as beta -> 0."""
-    z = beta * h
-    small = np.abs(z) < 1e-6
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi1 = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z) / np.where(small, 1.0, z))
-        phi2 = np.where(
-            small,
-            0.5 + z / 3.0 + z * z / 8.0,
-            (np.exp(z) * (z - 1.0) + 1.0) / np.where(small, 1.0, z * z),
-        )
+    phi1, phi2 = _phi12(beta * h)
     return h * c0 * phi1 + h * h * c1 * phi2
 
 
@@ -482,24 +497,16 @@ def characteristic_read(
     return out
 
 
-def read_kinks(
-    system: TransportSystem, j: int, k: int, t: float, initial=None, inflow_breaks=None
-) -> np.ndarray:
-    """The points of edge j where :func:`characteristic_read` at time t can
-    kink: the wavefront l_j - v_k t and the absorption breaks; with
-    ``initial``, the feet breaks - v_k t and the images xs - v_k t of its
-    knots; with ``inflow_breaks`` b, their images l_j - v_k (t - b).
-    Points outside [0, l_j] are left for the caller to clip
+def read_kinks(system: TransportSystem, j: int, k: int, t: float, inflow_breaks) -> np.ndarray:
+    """The points of edge j where the inflow-fed :func:`characteristic_read`
+    at time t can kink: the wavefront l_j - v_k t, the absorption breaks and
+    the images l_j - v_k (t - b) of the inflow breaks b.  Points outside
+    [0, l_j] are left for the caller to clip
     (:func:`~posflow.lattice.gauss_panels` does)."""
     l = system.graph.lengths[j]
     v = system.vgrid.nodes[k]
-    breaks = system.absorption.breaks[j]
-    kinks = [np.array([l - v * t]), breaks]
-    if initial is not None:
-        kinks += [breaks - v * t, initial.xs[j] - v * t]
-    if inflow_breaks is not None:
-        kinks.append(l - v * (t - np.asarray(inflow_breaks)))
-    return np.concatenate(kinks)
+    images = l - v * (t - np.asarray(inflow_breaks))
+    return np.concatenate([[l - v * t], system.absorption.breaks[j], images])
 
 
 def knot_arrivals(system: TransportSystem, f: StateField) -> np.ndarray:

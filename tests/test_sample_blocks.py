@@ -1,6 +1,8 @@
 """The positivity operators T(t), D_mu and R(mu) compute all (edge, node)
 sample rows in one block; the per-pair loops they replaced are kept here as
-oracles and compared on random Kirchhoff networks."""
+oracles and compared on random Kirchhoff networks.  The block kernels they
+share, row interpolation and the exponential-times-linear segment integral,
+are checked against np.interp and exact series."""
 
 import numpy as np
 import pytest
@@ -18,7 +20,10 @@ from posflow import (
     resolvent_apply,
     semigroup_apply,
 )
-from posflow.transport import _exp_linear_integral
+from fractions import Fraction
+from math import factorial
+
+from posflow.transport import _exp_linear_integral, _flat_table, _interp_rows, _phi12
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +221,62 @@ def test_reads_per_operator_do_not_grow_with_edges(monkeypatch, rng, apply):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert sum(counts[0].values()) < 8 * 4  # fewer than one read per pair
+
+
+# ---------------------------------------------------------------------------
+# the shared kernels
+
+
+@st.composite
+def interp_cases(draw):
+    """Ragged per-row grids on [0, 2] with signed samples, some of them -0.0,
+    and query points that hit every knot plus random points in [-0.5, 2]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M, K = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    xs, ys = [], []
+    for _ in range(M):
+        n = int(rng.integers(2, 9))
+        xs.append(np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, n - 2)), [2.0]]))
+        y = rng.uniform(-1.0, 1.0, (K, n))
+        y[rng.uniform(size=y.shape) < 0.3] = -0.0
+        y.flat[rng.integers(y.size)] = -0.0
+        ys.append(y)
+    width = max(x.size for x in xs)
+    hits = np.stack([np.resize(x, width) for x in xs])
+    x = np.concatenate([hits, rng.uniform(-0.5, 2.0, (M, 9))], axis=1)
+    return xs, ys, x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(interp_cases())
+def test_interp_rows_is_np_interp_bit_for_bit(case):
+    """Every row and node agrees with np.interp to the bit, the sign of a
+    -0.0 sample read at its own knot included."""
+    xs, ys, x = case
+    got = _interp_rows(*_flat_table(xs, ys), np.arange(len(xs))[:, None, None],
+                       np.arange(ys[0].shape[0])[:, None], x[:, None, :])
+    for j, (xp, fp) in enumerate(zip(xs, ys)):
+        for k, row in enumerate(fp):
+            want = np.interp(x[j], xp, row)
+            assert np.array_equal(got[j, k], want)
+            assert np.array_equal(np.signbit(got[j, k]), np.signbit(want))
+
+
+def phi_series(z: float, terms: int = 90) -> tuple[float, float]:
+    """phi1(z) = sum z^n/(n+1)! and phi2(z) = sum z^n (n+1)/(n+2)!, summed in
+    exact rational arithmetic (|z| <= 10 needs far fewer terms)."""
+    z = Fraction(z)
+    p1 = sum(z**n / factorial(n + 1) for n in range(terms))
+    p2 = sum(z**n * (n + 1) / factorial(n + 2) for n in range(terms))
+    return float(p1), float(p2)
+
+
+def test_phi_functions_match_exact_series():
+    """Both sides of the series switch at |z| = 0.1 and far past it, for
+    either sign of z, to 1e-14 relative."""
+    mags = np.concatenate([np.logspace(-9.0, 1.0, 41), [0.0999999, 0.1, 0.1000001]])
+    z = np.concatenate([-mags, [0.0], mags])
+    phi1, phi2 = _phi12(z)
+    want = np.array([phi_series(float(v)) for v in z])
+    np.testing.assert_allclose(phi1, want[:, 0], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(phi2, want[:, 1], rtol=1e-14, atol=0.0)

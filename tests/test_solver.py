@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +18,11 @@ from posflow import (
     closed_loop_resolvent,
     closed_loop_solve,
     resolvent_apply,
+    solver,
 )
 from posflow.lattice import gauss_panels
 from posflow.scenario import flux_preserving_kernel, parse_scenario
-from posflow.solver import TraceLedger, _event_stamps
+from posflow.solver import ClosedLoopSolution, TraceLedger, _event_stamps
 from posflow.transport import TransportSystem, flow_trace, read_kinks
 
 from conftest import make_loop, make_two_cycle, random_field, random_network
@@ -200,13 +202,23 @@ def snapshot_ref(sol, t):
     return StateField.from_function(sol.system, lambda j, x, k: sol.eval_edge(j, k, x, t))
 
 
-def edge_mass_ref(sol, j, t):
-    """The edge mass as its own read: the Gauss panels alone."""
+def edge_mass_ref(sol, j, t, refine=1):
+    """The edge mass as its own read: Gauss panels cut wherever the read can
+    kink, at the images of all ledger stamps among them, each panel split
+    into ``refine`` equal parts."""
     sys_ = sol.system
+    l = float(sys_.graph.lengths[j])
     total = 0.0
     for k in range(sys_.n_nodes):
-        kinks = read_kinks(sys_, j, k, t, sol.initial, sol.ledger.times)
-        pts, wts = gauss_panels(kinks, 0.0, float(sys_.graph.lengths[j]))
+        # the ledger-fed read kinks at the stamp images, the initial-fed one
+        # at the feet of the absorption breaks and of the initial knots
+        knots = np.concatenate([sys_.absorption.breaks[j], sol.initial.xs[j]])
+        feet = knots - sys_.vgrid.nodes[k] * t
+        kinks = np.concatenate([read_kinks(sys_, j, k, t, sol.ledger.times), feet])
+        cuts = np.unique(np.clip(np.concatenate([[0.0, l], kinks]), 0.0, l))
+        steps = np.arange(refine)[:, None] / refine
+        fine = (cuts[:-1] + steps * np.diff(cuts)).ravel()
+        pts, wts = gauss_panels(fine, 0.0, l)
         vals = sol.eval_edge(j, k, pts.ravel(), t).reshape(pts.shape)
         total += sys_.vgrid.weights[k] * float(np.sum(wts * vals))
     return total
@@ -228,21 +240,61 @@ def jumpy_kirchhoff_solution(rng):
     return sol, np.array([0.0, 0.35, 0.6, 0.8, 1.1, 1.4])
 
 
-class TestObserve:
-    """One read per (time, edge, node) serves the samples and the mass: it
-    reproduces the two separate reads bit for bit."""
+@st.composite
+def sweep_cases(draw, positive=None):
+    """A Kirchhoff network with 1-3 control channels and piecewise
+    absorption, driven by a step input with breaks inside the horizon (so
+    the ledger holds jump pairs); positive or signed data, or the one
+    ``positive`` asks for."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, n + 3))
+    n_nodes = draw(st.integers(1, 3))
+    channels = draw(st.integers(1, n))  # a graph has at most n channels
+    positive = draw(st.booleans()) if positive is None else positive
+    tails = np.concatenate([np.arange(n), rng.integers(0, n, m - n)])
+    weights = np.zeros(m)
+    for v in range(n):
+        out = np.flatnonzero(tails == v)
+        raw = rng.uniform(0.2, 1.0, out.size)
+        weights[out] = raw / raw.sum()
+    lengths = rng.uniform(0.5, 1.5, m)
+    graph = MetricGraph(n, tails, rng.integers(0, n, m), lengths, weights,
+                        rng.uniform(0.0, 1.0, (n, channels)))
+    vgrid = Quadrature.midpoint(0.5, 1.5, n_nodes)
+    breaks = [np.array([0.0, rng.uniform(0.2, 0.8) * l, l]) for l in lengths]
+    absorption = Absorption(tuple(breaks), tuple(rng.uniform(-0.6, 0.2, (m, 2, n_nodes))))
+    kernel = ScatteringKernel.constant(0.8 * rng.uniform(0.3, 1.0), m, n_nodes)
+    system = TransportSystem(graph, vgrid, absorption, kernel, 9)
 
-    def assert_matches_separate_reads(self, sol, times):
+    lo = 0.0 if positive else -1.0
+    x0 = StateField.from_samples(system, list(rng.uniform(lo, 1.0, (m, n_nodes, 9))))
+    horizon = system.min_delay * draw(st.floats(1.0, 3.0))
+    inner = np.sort(rng.uniform(0.05, 0.95, draw(st.integers(1, 3)))) * horizon
+    u_breaks = np.concatenate([[0.0], inner, [horizon]])
+    u = StepSignal(u_breaks, rng.uniform(lo, 1.0, (u_breaks.size - 1, channels, n_nodes)))
+    dt_max = system.min_delay * draw(st.floats(1 / 16, 1 / 2))
+    return system, x0, u, horizon, dt_max, positive
+
+
+class TestObserve:
+    """One block read per snapshot time serves the samples, bit for bit as
+    the x-grid read alone, and the initial-fed part of the mass; the
+    ledger-fed part comes from closed-form prefix integrals of the ledger,
+    within 1e-12 of Gauss panels cut at every ledger stamp image."""
+
+    def assert_matches_separate_reads(self, sol, times, refine=1):
         for t in times:
             fld, mass = sol.observe(float(t))
             ref = snapshot_ref(sol, float(t))
             for got, want in zip(fld.values, ref.values):
                 assert np.array_equal(got, want)
-            edge_masses = [edge_mass_ref(sol, j, float(t)) for j in range(sol.system.n_edges)]
-            assert mass == sum(edge_masses)
+            edges = range(sol.system.n_edges)
+            edge_masses = [edge_mass_ref(sol, j, float(t), refine) for j in edges]
+            assert mass == pytest.approx(sum(edge_masses), rel=1e-12, abs=0.0)
             assert sol.total_mass(float(t)) == mass
             for j, m in enumerate(edge_masses):
-                assert sol.edge_mass(j, float(t)) == m
+                assert sol.edge_mass(j, float(t)) == pytest.approx(m, rel=1e-12, abs=0.0)
             x = np.linspace(0.0, sol.system.graph.lengths[0], 7)
             assert np.array_equal(fld.eval(0, 0, x), sol.eval_edge(0, 0, x, float(t)))
 
@@ -255,6 +307,46 @@ class TestObserve:
     def test_random_kirchhoff_network_with_jump_pairs(self, rng):
         for _ in range(2):
             self.assert_matches_separate_reads(*jumpy_kirchhoff_solution(rng))
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_cases(positive=True))
+    def test_mass_matches_refined_panels(self, case):
+        """Random Kirchhoff networks with piecewise absorption and jump
+        pairs, against Gauss panels refined 8 times, at the input breaks,
+        at stamp-free times and at the ends."""
+        system, x0, u, horizon, dt_max, _ = case
+        sol = closed_loop_solve(system, x0, u, horizon, dt_max=dt_max, stamp_budget=400)
+        times = np.concatenate([u.breaks, [0.37 * horizon, 0.81 * horizon]])
+        self.assert_matches_separate_reads(sol, times, refine=8)
+
+    @pytest.mark.parametrize("q, horizon", [(-400.0, 2.0), (10.0, 6.0)])
+    def test_strong_absorption_and_growth(self, q, horizon):
+        """q = -400: e^{|q| t} overflows past t = 1.78.  q = +10: a prefix
+        from t = 0 weighs the first transit e^{60} above the last.  The mass
+        stays finite and matches the refined panels either way."""
+        loop = make_loop(n_nodes=2, v_lo=0.5, v_hi=1.5, control=np.ones((1, 1)),
+                         kernel=ScatteringKernel.constant(1e-6, 1, 2))
+        sys_ = dataclasses.replace(loop, absorption=Absorption.constant(q, [1.0], 2))
+        u = StepSignal(np.array([0.0, 0.7, horizon]), np.array([[[1.0, 2.0]], [[0.5, 3.0]]]))
+        sol = closed_loop_solve(sys_, StateField.constant(sys_, 1.0), u, horizon)
+        times = np.linspace(0.0, horizon, 7)
+        self.assert_matches_separate_reads(sol, times, refine=8)
+        assert all(np.isfinite(sol.total_mass(t)) for t in times)
+
+    def test_one_eval_edge_call_per_snapshot(self, monkeypatch):
+        sc = parse_scenario(SCENARIOS / "two_cycle.yaml")
+        sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon)
+        calls = []
+        eval_edge = ClosedLoopSolution.eval_edge
+
+        def counted(self, *args):
+            calls.append(args)
+            return eval_edge(self, *args)
+
+        monkeypatch.setattr(ClosedLoopSolution, "eval_edge", counted)
+        for t in sc.snapshot_times:
+            sol.observe(float(t))
+        assert len(calls) == len(sc.snapshot_times)
 
     def test_rejects_times_outside_the_horizon(self):
         sys = make_loop()
@@ -404,42 +496,6 @@ def sweep_ref(system, x0, u, horizon, dt_max, budget):
     return stamp_times, G
 
 
-@st.composite
-def sweep_cases(draw):
-    """A Kirchhoff network with 1-3 control channels and piecewise
-    absorption, driven by a step input with breaks inside the horizon (so
-    the ledger holds jump pairs); positive or signed data."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(n, n + 3))
-    n_nodes = draw(st.integers(1, 3))
-    channels = draw(st.integers(1, n))  # a graph has at most n channels
-    positive = draw(st.booleans())
-    tails = np.concatenate([np.arange(n), rng.integers(0, n, m - n)])
-    weights = np.zeros(m)
-    for v in range(n):
-        out = np.flatnonzero(tails == v)
-        raw = rng.uniform(0.2, 1.0, out.size)
-        weights[out] = raw / raw.sum()
-    lengths = rng.uniform(0.5, 1.5, m)
-    graph = MetricGraph(n, tails, rng.integers(0, n, m), lengths, weights,
-                        rng.uniform(0.0, 1.0, (n, channels)))
-    vgrid = Quadrature.midpoint(0.5, 1.5, n_nodes)
-    breaks = [np.array([0.0, rng.uniform(0.2, 0.8) * l, l]) for l in lengths]
-    absorption = Absorption(tuple(breaks), tuple(rng.uniform(-0.6, 0.2, (m, 2, n_nodes))))
-    kernel = ScatteringKernel.constant(0.8 * rng.uniform(0.3, 1.0), m, n_nodes)
-    system = TransportSystem(graph, vgrid, absorption, kernel, 9)
-
-    lo = 0.0 if positive else -1.0
-    x0 = StateField.from_samples(system, list(rng.uniform(lo, 1.0, (m, n_nodes, 9))))
-    horizon = system.min_delay * draw(st.floats(1.0, 3.0))
-    inner = np.sort(rng.uniform(0.05, 0.95, draw(st.integers(1, 3)))) * horizon
-    u_breaks = np.concatenate([[0.0], inner, [horizon]])
-    u = StepSignal(u_breaks, rng.uniform(lo, 1.0, (u_breaks.size - 1, channels, n_nodes)))
-    dt_max = system.min_delay * draw(st.floats(1 / 16, 1 / 2))
-    return system, x0, u, horizon, dt_max, positive
-
-
 class TestSweepLayout:
     """The sweep reads stamp sides and the control inflow from arrays laid
     out once; it reproduces the per-stamp loop bit for bit."""
@@ -455,6 +511,54 @@ class TestSweepLayout:
         assert np.array_equal(sol.ledger.times, times)
         assert np.array_equal(sol.ledger.values, values)
         assert sol.stamp_count == times.size
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_cases(), st.sampled_from([1, 3]))
+    def test_capped_windows_match_per_stamp_loop(self, case, rows):
+        """Windows capped at one or three stamps, plus the right copy of a
+        jump pair whose left copy ends the cap."""
+        system, x0, u, horizon, dt_max, positive = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_BLOCK_BYTES", 8 * system.delays.size * rows)
+            sol = closed_loop_solve(system, x0, u, horizon, dt_max=dt_max, stamp_budget=400,
+                                    positive=positive)
+        times, values = sweep_ref(system, x0, u, horizon, dt_max, 400)
+        assert np.array_equal(sol.ledger.values, values)
+        assert sol.sweep_windows >= times.size / (rows + 1)
+
+    def test_window_end_uses_the_reads_rounding(self, tmp_path):
+        """The benchmark's seed-0 admissibility network has stamps at
+        T = 0.875 + 1 ulp and t = 1.3125 + 1 ulp with Delta = 0.4375 + 1 ulp:
+        t <= fl(T + Delta), yet the read fl(t - Delta) lands one ulp past T.
+        A window that ends at T must leave t out."""
+        edges = [(1, 2, 0.5833333333333334), (1, 3, 0.75), (2, 3, 1.4166666666666665),
+                 (2, 2, 1.0833333333333335), (3, 1, 0.9166666666666667), (3, 3, 1.25)]
+        doc = {
+            "schema_version": 1,
+            "graph": {"vertices": 3, "control_matrix": [[1.0], [0.0], [0.0]],
+                      "edges": [{"tail": a, "head": b, "length": l, "weight": 0.5}
+                                for a, b, l in edges]},
+            "velocity": {"v_min": 0.5, "v_max": 1.5, "nodes": 3, "rule": "midpoint"},
+            "absorption": {"constant": 0.0},
+            "kernel": {"mode": "flux_preserving"},
+            "initial_state": {"constant": 1.0},
+            "inputs": [{"steps": {"times": [0.0], "values": [1.0]}}],
+            "horizon": 2.0,
+            "space_samples": 33,
+        }
+        path = tmp_path / "adm.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        sc = parse_scenario(path)
+        delta = sc.system.min_delay
+        dt_max = min(delta / 16.0, sc.horizon / 512.0)
+        sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon, dt_max=dt_max)
+        T, t = np.nextafter(0.875, 1.0), np.nextafter(1.3125, 2.0)
+        assert delta == np.nextafter(0.4375, 1.0)
+        assert T in sol.ledger.times and t in sol.ledger.times
+        assert t <= T + delta and t - delta > T
+        times, values = sweep_ref(sc.system, sc.initial, sc.control, sc.horizon, dt_max, 60_000)
+        assert np.array_equal(sol.ledger.times, times)
+        assert np.array_equal(sol.ledger.values, values)
 
     def test_call_counts(self, monkeypatch):
         def refused(self, *args, **kwargs):
