@@ -112,12 +112,22 @@ def gauss_rule(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mid[..., None] + half[..., None] * x, half[..., None] * w
 
 
-def gauss_panels(knots, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gauss_rule` on [lo, hi] cut at the knots, which are clipped to
-    [lo, hi]: (points, weights), each (panels, 5)."""
-    cuts = np.sort(np.minimum(np.maximum(np.concatenate(([lo, hi], knots)), lo), hi))
-    keep = cuts[1:] > cuts[:-1]  # drop the empty panels of repeated cuts
-    return gauss_rule(cuts[:-1][keep], cuts[1:][keep])
+def gauss_block(kinks: np.ndarray, end) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gauss_rule` on [0, end] cut at the kinks clipped to it, per row
+    of a (..., Q) block: (points, weights), each (..., Q + 1, 5).  ``end``
+    broadcasts against the rows; repeated cuts give empty panels of weight 0."""
+    end = np.broadcast_to(np.asarray(end, dtype=float)[..., None], kinks.shape[:-1] + (1,))
+    cuts = np.sort(np.minimum(np.maximum(kinks, 0.0), end), axis=-1)
+    cuts = np.concatenate([np.zeros_like(end), cuts, end], axis=-1)
+    return gauss_rule(cuts[..., :-1], cuts[..., 1:])
+
+
+def gauss_panels(knots, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gauss_block` on one row [0, hi] without its panels of weight 0:
+    (points, weights), each (panels, 5).  Cuts 1 ulp apart keep their panel."""
+    pts, wts = gauss_block(np.asarray(knots, dtype=float), hi)
+    keep = wts[:, 0] > 0.0
+    return pts.compress(keep, axis=0), wts.compress(keep, axis=0)
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:

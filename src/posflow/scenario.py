@@ -43,6 +43,18 @@ def _as_float(value, ctx: str) -> float:
         raise ScenarioError(f"{ctx}: expected a number, got {value!r}") from None
 
 
+def _as_array(value, ctx: str) -> np.ndarray:
+    """A float array; non-numbers, nulls (which numpy reads as NaN) and
+    ragged lists are refused."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or np.isnan(array).any():
+        raise ScenarioError(f"{ctx}: expected an array of numbers, got {value!r}")
+    return array
+
+
 def _as_int(value, ctx: str) -> int:
     """An integer, or a float with an integral value; strings, booleans and
     fractional values are refused."""
@@ -100,7 +112,7 @@ def _build_graph(section: dict) -> MetricGraph:
         lengths.append(length)
         weights.append(_as_float(e.get("weight", 1.0), ctx + ".weight"))
     control = section.get("control_matrix")
-    control = None if control is None else np.asarray(control, dtype=float)
+    control = None if control is None else _as_array(control, "graph.control_matrix")
     try:
         return MetricGraph(n, tails, heads, lengths, weights, control)
     except ValueError as exc:
@@ -142,12 +154,12 @@ def _build_absorption(section, graph: MetricGraph, n_nodes: int) -> Absorption:
         if "constant" in entry:
             breaks.append(np.array([0.0, l]))
             values.append(
-                np.broadcast_to(np.asarray(entry["constant"], dtype=float), (1, n_nodes)).copy()
+                np.broadcast_to(_as_array(entry["constant"], ctx + ".constant"), (1, n_nodes)).copy()
             )
         elif "table" in entry:
             tbl = entry["table"]
-            xs = np.asarray(_require(tbl, "x", ctx), dtype=float)
-            vals = np.asarray(_require(tbl, "values", ctx), dtype=float)
+            xs = _as_array(_require(tbl, "x", ctx), ctx + ".table.x")
+            vals = _as_array(_require(tbl, "values", ctx), ctx + ".table.values")
             if vals.ndim == 1:
                 vals = np.repeat(vals[:, None], n_nodes, axis=1)
             breaks.append(xs)
@@ -183,8 +195,9 @@ def _build_kernel(section, graph: MetricGraph, vgrid: Quadrature) -> ScatteringK
         tables = _require(section, "tables", "kernel")
         if len(tables) != graph.n_edges:
             raise ScenarioError("kernel.tables: need one table per edge")
+        tables = tuple(_as_array(t, f"kernel.tables[{j}]") for j, t in enumerate(tables))
         try:
-            return ScatteringKernel(tuple(np.asarray(t, dtype=float) for t in tables))
+            return ScatteringKernel(tables)
         except ValueError as exc:
             raise ScenarioError(f"kernel: {exc}") from exc
     raise ScenarioError(f"kernel.mode must be identity|constant|flux_preserving|table, got {mode!r}")
@@ -207,8 +220,8 @@ def _build_initial(section, system: TransportSystem) -> StateField:
             tables.append((xs, np.full((system.n_nodes, 2), c)))
         elif "table" in entry:
             tbl = entry["table"]
-            xs = np.asarray(_require(tbl, "x", ctx), dtype=float)
-            vals = np.asarray(_require(tbl, "values", ctx), dtype=float)
+            xs = _as_array(_require(tbl, "x", ctx), ctx + ".table.x")
+            vals = _as_array(_require(tbl, "values", ctx), ctx + ".table.values")
             if vals.ndim == 1:
                 vals = np.repeat(vals[None, :], system.n_nodes, axis=0)
             if vals.shape != (system.n_nodes, xs.size):
@@ -238,8 +251,8 @@ def _build_inputs(section, system: TransportSystem, horizon: float) -> StepSigna
     for c, entry in enumerate(section):
         ctx = f"inputs[{c}]"
         steps = _require(entry, "steps", ctx)
-        times = np.asarray(_require(steps, "times", ctx), dtype=float)
-        vals = np.asarray(_require(steps, "values", ctx), dtype=float)
+        times = _as_array(_require(steps, "times", ctx), ctx + ".steps.times")
+        vals = _as_array(_require(steps, "values", ctx), ctx + ".steps.values")
         if times.ndim != 1 or times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ScenarioError(f"{ctx}: step times must increase strictly from 0")
         if vals.ndim == 1:
@@ -295,7 +308,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("horizon must be nonnegative")
     initial = _build_initial(raw.get("initial_state"), system)
     control = _build_inputs(raw.get("inputs"), system, horizon)
-    snapshots = np.asarray(raw.get("snapshots", [0.0, horizon]), dtype=float)
+    snapshots = _as_array(raw.get("snapshots", [0.0, horizon]), "snapshots")
     if np.any(snapshots < 0) or np.any(snapshots > horizon + 1e-12):
         raise ScenarioError("snapshot times must lie in [0, horizon]")
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import gauss_rule
+from .lattice import gauss_block
 from .signals import StepSignal, piece_index
 from .transport import (
     StateField,
@@ -321,12 +321,10 @@ class ClosedLoopSolution:
         sys_ = self.system
         M, K = sys_.n_edges, sys_.n_nodes
         grid = np.stack([sys_.xgrid(j) for j in range(M)])
-        end = np.maximum(sys_.graph.lengths[:, None] - sys_.vgrid.nodes * t, 0.0)[..., None]
+        end = np.maximum(sys_.graph.lengths[:, None] - sys_.vgrid.nodes * t, 0.0)
         fixed, shift = self._initial_kinks
         kinks = fixed[:, None, :] - shift[:, None, :] * (sys_.vgrid.nodes * t)[:, None]
-        cuts = np.sort(np.minimum(np.maximum(kinks, 0.0), end), axis=-1)
-        cuts = np.concatenate([np.zeros_like(end), cuts, end], axis=-1)
-        pts, wts = gauss_rule(cuts[..., :-1], cuts[..., 1:])
+        pts, wts = gauss_block(kinks, end)
         n_x = grid.shape[1]
         block = np.concatenate(
             [np.broadcast_to(grid[:, None, :], (M, K, n_x)), pts.reshape(M, K, -1)], axis=-1

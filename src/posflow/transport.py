@@ -71,12 +71,16 @@ def _segment(xp: np.ndarray, j, x) -> np.ndarray:
 
 
 def _interp_rows(xp: np.ndarray, fp: np.ndarray, j, k, x) -> np.ndarray:
-    """np.interp(x, xp[j], fp[j, k]) elementwise, for integer arrays j and k
-    broadcasting against x, on tables from :func:`_flat_table`; the same
-    arithmetic as np.interp, so the values agree bit for bit up to the last
-    knot of each row.  Like np.interp it returns the sample itself at a
-    knot, which keeps a -0.0 sample (past the last knot a -0.0 reads +0.0;
-    every caller clamps x to [0, l_j] first)."""
+    """np.interp(x, xp[j], fp[j, k]) elementwise, for indices j and k or
+    integer arrays broadcasting against x, on tables from :func:`_flat_table`;
+    the same arithmetic as np.interp, so the values agree bit for bit up to
+    the last knot of each row.  Like np.interp it returns the sample itself
+    at a knot, which keeps a -0.0 sample (past the last knot a -0.0 reads
+    +0.0; every caller clamps x to [0, l_j] first)."""
+    if not isinstance(j, np.ndarray) and not isinstance(k, np.ndarray):
+        # one pair: np.interp on the padded row takes 1.5-7.7 us, the block
+        # path 41-75 us (2-vCPU Xeon, 1-1,300 points); flow_trace reads pairs
+        return np.interp(x, xp[j], fp[j, k])
     M, K, B = fp.shape
     x = np.maximum(x, xp[j, 0])
     i = _segment(xp, j, x)
@@ -148,13 +152,7 @@ class Absorption:
         """int_0^x q_j(s, v_k) ds, piecewise linear in x (flat beyond [0, l]).
         ``j`` and ``k`` are indices, or integer arrays broadcasting against
         ``x`` that read every (edge, node) pair at once from the padded tables."""
-        xp, fp = self._table
-        if not isinstance(j, np.ndarray) and not isinstance(k, np.ndarray):
-            # one pair: np.interp takes 1.5-7.7 us per call and _interp_rows
-            # 41-75 us (2-vCPU Xeon, 1-1,300 points); a simulate pass makes
-            # about 2,400 such reads
-            return np.interp(x, xp[j], fp[j, k])
-        return _interp_rows(xp, fp, j, k, x)
+        return _interp_rows(*self._table, j, k, x)
 
     @cached_property
     def q_sup(self) -> float:
@@ -310,13 +308,13 @@ class StateField:
     """Per-edge samples of f_j(x, v_k), optionally with an exact evaluator.
 
     Samples live on per-edge grids including both endpoints and are read as
-    piecewise-linear functions of x.  Operators that have closed forms attach
-    an ``evaluator(j, x, k)`` so that downstream evaluations (compositions,
-    traces, refinements) bypass interpolation entirely.  An evaluator takes
-    integer arrays j and k as well as indices (:meth:`from_function`).
+    piecewise-linear functions of x, from one table padded at construction.
+    Operators that have closed forms attach an ``evaluator(j, x, k)`` so that
+    downstream evaluations (compositions, traces, refinements) bypass
+    interpolation entirely; it takes integer arrays j and k as well as indices.
     """
 
-    __slots__ = ("system", "xs", "values", "evaluator")
+    __slots__ = ("system", "xs", "values", "evaluator", "_table")
 
     def __init__(self, system: TransportSystem, xs, values, evaluator=None):
         self.system = system
@@ -330,6 +328,7 @@ class StateField:
             if v.shape != (system.n_nodes, x.size):
                 raise ValueError(f"samples of edge {j} must be (nodes, len(grid))")
         self.evaluator = evaluator
+        self._table = _flat_table(self.xs, self.values) if evaluator is None else None
 
     # -- constructors ------------------------------------------------------
 
@@ -373,14 +372,9 @@ class StateField:
         are indices, or integer arrays broadcasting against ``x``; the
         evaluator receives ``x`` broadcast against them."""
         x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), self.system.graph.lengths[j])
-        pair = not isinstance(j, np.ndarray) and not isinstance(k, np.ndarray)
         if self.evaluator is None:
-            if pair:
-                # np.interp is 1.5-7.7 us per pair, _interp_rows 41-75 us
-                # (see Absorption.primitive)
-                return np.interp(x, self.xs[j], self.values[j][k])
-            return _interp_rows(*_flat_table(self.xs, self.values), j, k, x)
-        if not pair:
+            return _interp_rows(*self._table, j, k, x)
+        if isinstance(j, np.ndarray) or isinstance(k, np.ndarray):
             x = np.broadcast_to(x, np.broadcast(j, k, x).shape)
         return np.asarray(self.evaluator(j, x, k), dtype=float)
 
@@ -497,27 +491,24 @@ def characteristic_read(
     return out
 
 
-def read_kinks(system: TransportSystem, j: int, k: int, t: float, inflow_breaks) -> np.ndarray:
-    """The points of edge j where the inflow-fed :func:`characteristic_read`
-    at time t can kink: the wavefront l_j - v_k t, the absorption breaks and
-    the images l_j - v_k (t - b) of the inflow breaks b.  Points outside
-    [0, l_j] are left for the caller to clip
-    (:func:`~posflow.lattice.gauss_panels` does)."""
-    l = system.graph.lengths[j]
-    v = system.vgrid.nodes[k]
-    images = l - v * (t - np.asarray(inflow_breaks))
-    return np.concatenate([[l - v * t], system.absorption.breaks[j], images])
+def read_kinks(system: TransportSystem, t: float, inflow_breaks) -> np.ndarray:
+    """The (M, K, Q) block of points of each edge j and node k where the
+    inflow-fed :func:`characteristic_read` at time t can kink: the wavefront
+    l_j - v_k t, the absorption breaks (each edge's last break repeated to
+    the longest row) and the images l_j - v_k (t - b) of the inflow breaks
+    b.  Points outside [0, l_j] are left for the caller to clip
+    (:func:`~posflow.lattice.gauss_block` does)."""
+    l, v = system.graph.lengths[:, None, None], system.vgrid.nodes[:, None]
+    breaks = np.repeat(_pad_rows(system.absorption.breaks)[:, None, :], system.n_nodes, axis=1)
+    return np.concatenate([l - v * t, breaks, l - v * (t - np.asarray(inflow_breaks, dtype=float))], axis=-1)
 
 
 def knot_arrivals(system: TransportSystem, f: StateField) -> np.ndarray:
     """The times sigma / v_k at which the knots sigma of f and the absorption
     breaks of each edge reach the outflow end x = 0, where the zero-inflow
-    outflow traces Gamma T(t) f can kink."""
-    nodes = system.vgrid.nodes
-    return np.concatenate([
-        (np.union1d(f.xs[j], system.absorption.breaks[j])[:, None] / nodes[None, :]).ravel()
-        for j in range(system.n_edges)
-    ])
+    outflow traces Gamma T(t) f can kink, edge by edge, knot by knot."""
+    grid, sizes = _union_rows(f.xs, system.absorption.breaks)
+    return (grid[np.arange(grid.shape[1]) < sizes[:, None]][:, None] / system.vgrid.nodes).ravel()
 
 
 def flow_trace(system: TransportSystem, f: StateField, t) -> np.ndarray:
@@ -529,6 +520,7 @@ def flow_trace(system: TransportSystem, f: StateField, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     traces = np.empty(t.shape + (system.n_edges, system.n_nodes))
+    # one pair per read: a (T, M, K) block read is 2-3x slower here
     for j in range(system.n_edges):
         for k in range(system.n_nodes):
             traces[..., j, k] = characteristic_read(system, j, k, 0.0, t, initial=f)

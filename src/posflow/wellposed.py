@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import poslti
-from .lattice import dense_spectral_radius, gauss_panels
+from .lattice import dense_spectral_radius, gauss_block, gauss_panels
 from .lattice import spectral_radius  # noqa: F401 (perfbench tracer binds it)
 from .signals import StepSignal, piece_index
 from .transport import (
@@ -55,18 +55,17 @@ class TransportHandle:
     def input_map_norm(self, u: StepSignal, tau: float) -> float:
         """||Phi_tau u||: sum_k w_k sum(wts * |characteristic_read(..., inflow=u)|)
         over Gauss panels cut at the kinks of the read (:func:`read_kinks` with
-        the step breakpoints of u).  On each panel the read of a step input is
-        one input value times an exponential in x, which the rule integrates to
-        below 1e-12 relative while the panel's |q| h / v <= 1."""
+        the step breakpoints of u), one read of all (edge, node) pairs
+        (:func:`gauss_block`), the pair sums added in (edge, node) order.  On
+        each panel the read of a step input is one input value times an
+        exponential in x, which the rule integrates to below 1e-12 relative
+        while the panel's |q| h / v <= 1."""
         sys_ = self.system
-        total = 0.0
-        for j in range(sys_.n_edges):
-            l = float(sys_.graph.lengths[j])
-            for k in range(sys_.n_nodes):
-                pts, wts = gauss_panels(read_kinks(sys_, j, k, tau, inflow_breaks=u.breaks), 0.0, l)
-                vals = characteristic_read(sys_, j, k, pts, tau, inflow=u.eval_channel)
-                total += sys_.vgrid.weights[k] * float(np.sum(wts * np.abs(vals)))
-        return total
+        pts, wts = gauss_block(read_kinks(sys_, tau, u.breaks), sys_.graph.lengths[:, None])
+        j, k = np.arange(sys_.n_edges)[:, None, None, None], np.arange(sys_.n_nodes)[:, None, None]
+        vals = characteristic_read(sys_, j, k, pts, tau, inflow=u.eval_channel)
+        pairs = np.sum(wts * np.abs(vals), axis=(-2, -1)) * sys_.vgrid.weights
+        return sum(pairs.ravel().tolist(), 0.0)
 
     def state_norm(self, x: StateField) -> float:
         return x.norm()
@@ -87,7 +86,7 @@ class TransportHandle:
         """(int_0^alpha ||Gamma T(t) x||^p dt)^{1/p}, Gauss panels cut at the
         :func:`knot_arrivals` of x so the integrand is smooth per panel."""
         sys_ = self.system
-        ts, wts = gauss_panels(knot_arrivals(sys_, x), 0.0, alpha)
+        ts, wts = gauss_panels(knot_arrivals(sys_, x), alpha)
         # blocks of at most 16k times bound the (times, N, K) trace arrays
         norms = np.concatenate([
             (np.abs(self._flow_trace(x, block)) @ sys_.vgrid.weights).sum(axis=1)
@@ -144,7 +143,7 @@ class PosLTIHandle:
         return float(np.sum(np.abs(y)))
 
     def observation_lp(self, x: np.ndarray, alpha: float, p: float) -> float:
-        ts, wts = gauss_panels(np.linspace(0.0, alpha, 65), 0.0, alpha)
+        ts, wts = gauss_panels(np.linspace(0.0, alpha, 65), alpha)
         total = 0.0
         for t, w in zip(ts.ravel(), wts.ravel()):
             total += w * self.output_norm(self.observe_flow(x, t)) ** p

@@ -428,6 +428,22 @@ def test_scenario_error_exit_code(tmp_path):
     ("head: 1,", "head: 1.5,", "graph.edges[0].head"),
     ("positivity: 1.0e-9", "positivity: abc", "tolerances.positivity"),
     ("mass_drift: 1.0e-8", "mass_drift: abc", "tolerances.mass_drift"),
+    ("snapshots: [0.0, 1.0, 2.0, 3.0]", "snapshots: [0.0, x]", "snapshots"),
+    ("snapshots: [0.0, 1.0, 2.0, 3.0]", "snapshots: [[0.0], [1.0, 2.0]]", "snapshots"),
+    ("- {constant: 1.0}", "- {table: {x: [0.0, 1.0], values: [1.0, a]}}",
+     "initial_state[0].table.values"),
+    ("- {constant: 1.0}", "- {table: {x: [0.0, b], values: [1.0, 1.0]}}", "initial_state[0].table.x"),
+    ("absorption:\n  - {constant: 0.0}", "absorption: {constant: abc}", "absorption[0].constant"),
+    ("absorption:\n  - {constant: 0.0}", "absorption: {table: {x: [0.0, 1.0], values: [c]}}",
+     "absorption[0].table.values"),
+    ("control_matrix: [[1.0]]", "control_matrix: [[x], [0.0]]", "graph.control_matrix"),
+    ("control_matrix: [[1.0]]", "control_matrix: [[1.0], [0.0, 1.0]]", "graph.control_matrix"),
+    ("kernel: {mode: identity}", "kernel: {mode: table, tables: [[[k]]]}", "kernel.tables[0]"),
+    ("values: [0.0]}", "values: [q]}", "inputs[0].steps.values"),
+    ("times: [0.0]", "times: [0.0, {t: 1}]", "inputs[0].steps.times"),
+    ("snapshots: [0.0, 1.0, 2.0, 3.0]", "snapshots: null", "snapshots"),
+    ("- {constant: 0.0}", "- {constant: null}", "absorption[0].constant"),
+    ("values: [0.0]}", "values: [.nan]}", "inputs[0].steps.values"),
 ])
 def test_malformed_numeric_field_is_a_scenario_error(tmp_path, capsys, field, bad, where):
     """Exit 2 with one stderr line naming the field, not a traceback with the

@@ -23,7 +23,7 @@ from posflow import (
 from fractions import Fraction
 from math import factorial
 
-from posflow.transport import _exp_linear_integral, _flat_table, _interp_rows, _phi12
+from posflow.transport import _exp_linear_integral, _flat_table, _interp_rows, _phi12, knot_arrivals
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +170,20 @@ def test_blocks_match_per_pair_loops(case):
         assert_rows(resolvent_apply(system, field, mu), resolvent_ref(system, field, mu), exact)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cases())
+def test_knot_arrivals_match_per_edge_unions(case):
+    """The arrival times of the union of each edge's knots and absorption
+    breaks, edge by edge, knot by knot, node by node, bit for bit as the
+    per-edge np.union1d loop."""
+    _, system, f, *_ = case
+    want = np.concatenate([
+        (np.union1d(f.xs[j], system.absorption.breaks[j])[:, None] / system.vgrid.nodes).ravel()
+        for j in range(system.n_edges)
+    ])
+    assert np.array_equal(knot_arrivals(system, f), want)
+
+
 def test_evaluator_is_the_block_kernel_on_one_pair(rng):
     """Reading T(t)f or D_mu g through its evaluator at one (edge, node)
     pair gives that pair's block row, bit for bit."""
@@ -260,6 +274,29 @@ def test_interp_rows_is_np_interp_bit_for_bit(case):
             want = np.interp(x[j], xp, row)
             assert np.array_equal(got[j, k], want)
             assert np.array_equal(np.signbit(got[j, k]), np.signbit(want))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(interp_cases())
+def test_state_field_reads_are_np_interp_bit_for_bit(case):
+    """A sampled field reads pairs and blocks from the one table it built;
+    both agree with np.interp on its own rows to the bit, the sign of a -0.0
+    sample included, and reading keeps the table."""
+    xs, ys, x = case
+    M, K = len(xs), ys[0].shape[0]
+    graph = MetricGraph(1, [0] * M, [0] * M, [2.0] * M, [1.0 / M] * M)
+    system = TransportSystem(graph, Quadrature.midpoint(0.5, 1.5, K), Absorption.zero([2.0] * M, K),
+                             ScatteringKernel.identity(), 9)
+    f = StateField(system, xs, ys)
+    table = f._table
+    block = f.eval(np.arange(M)[:, None, None], np.arange(K)[:, None], x[:, None, :])
+    for j, (xp, fp) in enumerate(zip(xs, ys)):
+        for k, row in enumerate(fp):
+            want = np.interp(np.minimum(np.maximum(x[j], 0.0), 2.0), xp, row)
+            for got in (block[j, k], f.eval(j, k, x[j])):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert f._table is table
 
 
 def phi_series(z: float, terms: int = 90) -> tuple[float, float]:

@@ -214,11 +214,11 @@ def edge_mass_ref(sol, j, t, refine=1):
         # at the feet of the absorption breaks and of the initial knots
         knots = np.concatenate([sys_.absorption.breaks[j], sol.initial.xs[j]])
         feet = knots - sys_.vgrid.nodes[k] * t
-        kinks = np.concatenate([read_kinks(sys_, j, k, t, sol.ledger.times), feet])
+        kinks = np.concatenate([read_kinks(sys_, t, sol.ledger.times)[j, k], feet])
         cuts = np.unique(np.clip(np.concatenate([[0.0, l], kinks]), 0.0, l))
         steps = np.arange(refine)[:, None] / refine
         fine = (cuts[:-1] + steps * np.diff(cuts)).ravel()
-        pts, wts = gauss_panels(fine, 0.0, l)
+        pts, wts = gauss_panels(fine, l)
         vals = sol.eval_edge(j, k, pts.ravel(), t).reshape(pts.shape)
         total += sys_.vgrid.weights[k] * float(np.sum(wts * vals))
     return total

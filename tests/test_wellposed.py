@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from posflow import (
     Absorption,
@@ -21,9 +23,10 @@ from posflow import (
     step_probes,
     zero_class_scan,
 )
-from posflow.lattice import dense_spectral_radius
+from posflow import wellposed
+from posflow.lattice import dense_spectral_radius, gauss_panels
 from posflow.scenario import parse_scenario
-from posflow.transport import flow_trace
+from posflow.transport import characteristic_read, flow_trace
 
 from conftest import ladder_yaml, make_loop, make_two_cycle, random_network
 
@@ -62,6 +65,40 @@ def input_map_norm_by_substitution(system, u, tau):
             panel = (grow * vals).reshape(mid.size, 5) @ gl_w
             total += system.vgrid.weights[k] * w * v * float(np.dot(half, panel))
     return total
+
+
+def input_map_norm_ref(system, u, tau):
+    """||Phi_tau u|| by the per-(edge, node) loop that the block read
+    replaced: Gauss panels cut at each pair's own kinks (the wavefront, the
+    absorption breaks and the images of the steps of u), one
+    characteristic_read per pair, the pair sums added in (edge, node) order."""
+    total = 0.0
+    for j in range(system.n_edges):
+        l = float(system.graph.lengths[j])
+        for k, v in enumerate(system.vgrid.nodes):
+            kinks = np.concatenate([[l - v * tau], system.absorption.breaks[j], l - v * (tau - u.breaks)])
+            pts, wts = gauss_panels(kinks, l)
+            vals = characteristic_read(system, j, k, pts, tau, inflow=u.eval_channel)
+            total += system.vgrid.weights[k] * float(np.sum(wts * np.abs(vals)))
+    return total
+
+
+@st.composite
+def input_map_cases(draw):
+    """A random Kirchhoff network with 1-3 absorption pieces per edge, a
+    horizon tau below every delay or above every delay, and a positive or
+    signed step input with 1-6 pieces on [0, tau]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys = with_piecewise_absorption(rng, random_network(rng, max_nodes=4, space_samples=9))
+    if draw(st.booleans()):
+        tau = sys.min_delay * draw(st.floats(0.1, 0.95))
+    else:
+        tau = float(sys.delays.max()) * draw(st.floats(1.05, 3.0))
+    pieces = draw(st.integers(1, 6))
+    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, tau, pieces - 1)), [tau]])
+    lo = -1.0 if draw(st.booleans()) else 0.0
+    u = StepSignal(breaks, rng.uniform(lo, 1.0, (pieces, sys.n_vertices, sys.n_nodes)))
+    return sys, u, tau
 
 
 def observation_lp_by_cuts(system, x, alpha, p):
@@ -210,6 +247,29 @@ class TestReferenceIntegrals:
                 for u in step_probes(rng, handle.input_shape, tau, 4, signed=signed):
                     ref = input_map_norm_by_substitution(sys, u, tau)
                     assert handle.input_map_norm(u, tau) == pytest.approx(ref, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(input_map_cases())
+    def test_input_map_norm_matches_per_pair_loop(self, case):
+        """One block read over all pairs gives the per-pair loop's panels;
+        only the empty panels padded into each pair's sum move it."""
+        sys, u, tau = case
+        got = TransportHandle(sys).input_map_norm(u, tau)
+        assert got == pytest.approx(input_map_norm_ref(sys, u, tau), rel=1e-13, abs=0.0)
+
+    def test_input_map_norm_makes_one_read(self, rng, monkeypatch):
+        sys = with_piecewise_absorption(rng, random_network(rng, max_nodes=4, space_samples=9))
+        handle = TransportHandle(sys)
+        u = step_probes(rng, handle.input_shape, 1.3, 2)[1]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return characteristic_read(*args, **kwargs)
+
+        monkeypatch.setattr(wellposed, "characteristic_read", counted)
+        handle.input_map_norm(u, 1.3)
+        assert len(calls) == 1
 
     def test_observation_lp_matches_cut_loop(self, rng):
         for _ in range(16):

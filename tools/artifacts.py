@@ -4,11 +4,13 @@
 
 runs ``python -m posflow`` in a fresh process against this checkout's
 ``src`` for ``simulate``, ``simulate --signed``, ``check``,
-``admissibility``, ``spectrum`` and ``oracle``, on ``scenarios/*.yaml`` and
-on the benchmark's seed-0 scenarios (written to ``OUT/_scenarios`` by
-``perfbench/scenarios.write_workload``).  Each run's artifacts, stdout,
-stderr and exit status go to ``OUT/<scenario>-<command>``.  Two checkouts
-produce the same outputs exactly when ``diff -r`` of their trees is empty.
+``admissibility``, ``admissibility --p 1`` (every scenario sets p = 2, and
+p = 1 skips the zero-class scan), ``spectrum`` and ``oracle``, on
+``scenarios/*.yaml`` and on the benchmark's seed-0 scenarios (written to
+``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``).  Each run's
+artifacts, stdout, stderr and exit status go to ``OUT/<scenario>-<command>``.
+Two checkouts produce the same outputs exactly when ``diff -r`` of their
+trees is empty.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ RUNS = {
     "simulate-signed": ["simulate", "--signed"],
     "check": ["check"],
     "admissibility": ["admissibility"],
+    "admissibility-p1": ["admissibility", "--p", "1"],
     "spectrum": ["spectrum"],
     "oracle": ["oracle"],
 }
