@@ -8,11 +8,10 @@ graph assembly, the network flow operators, a closed-loop solver and a
 scenario-driven CLI.
 """
 
-from .graph import AssumptionReport, IncidenceMatrices, MetricGraph, build_matrices, check_assumptions
+from .graph import AssumptionReport, MetricGraph, check_assumptions
 from .lattice import (
     Quadrature,
     SpectralRadiusResult,
-    decompose_pm,
     dense_spectral_radius,
     is_nonneg,
     spectral_radius,

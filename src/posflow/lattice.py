@@ -1,9 +1,9 @@
 """Ordered-vector-space primitives on quadrature grids.
 
 Discretized L1 spaces are represented by their samples against a fixed
-quadrature grid together with strictly positive weights.  Cone membership,
-lattice decomposition and norms all act componentwise on the samples, so
-every operation here is a pure function of plain arrays.
+quadrature grid together with strictly positive weights.  Cone membership
+and norms act componentwise on the samples, so every operation here is a
+pure function of plain arrays.
 """
 
 from __future__ import annotations
@@ -18,30 +18,12 @@ import numpy as np
 CONE_TOL = 1e-12
 
 
-def cone_floor(values: np.ndarray, tol: float = CONE_TOL) -> float:
-    """Absolute tolerance below zero that still counts as 'in the cone'."""
-    values = np.asarray(values, dtype=float)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    return tol * (1.0 + scale)
-
-
 def is_nonneg(values: np.ndarray, tol: float = CONE_TOL) -> bool:
     """Cone membership test: min sample >= -tol*(1 + max|values|)."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return True
-    return float(values.min()) >= -cone_floor(values, tol)
-
-
-def decompose_pm(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split samples into positive and negative parts.
-
-    Returns the unique componentwise pair ``(plus, minus)`` with
-    ``values = plus - minus``, both parts nonnegative and
-    ``min(plus, minus) = 0`` everywhere.
-    """
-    values = np.asarray(values, dtype=float)
-    return np.maximum(values, 0.0), np.maximum(-values, 0.0)
+    return float(values.min()) >= -tol * (1.0 + float(np.max(np.abs(values))))
 
 
 @dataclass(frozen=True)
@@ -95,9 +77,6 @@ class Quadrature:
         x, w = np.polynomial.legendre.leggauss(n)
         half = 0.5 * (hi - lo)
         return cls(lo + half * (x + 1.0), half * w, lo, hi)
-
-    def integrate(self, samples: np.ndarray) -> float:
-        return float(np.dot(self.weights, np.asarray(samples, dtype=float)))
 
 
 _GAUSS5 = np.polynomial.legendre.leggauss(5)

@@ -80,9 +80,6 @@ class PosLTI:
             and bool(np.all(self.D >= -tol))
         )
 
-    def spectral_bound(self) -> float:
-        return float(np.max(np.linalg.eigvals(self.A).real))
-
 
 def _expm(M: np.ndarray) -> np.ndarray:
     """e^M by scipy's scaling-and-squaring Pade.  scipy.linalg is imported

@@ -37,21 +37,25 @@ def _require(mapping: dict, key: str, ctx: str):
 
 
 def _as_float(value, ctx: str) -> float:
+    """A finite float; non-numbers, NaN and infinities are refused."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ScenarioError(f"{ctx}: expected a number, got {value!r}") from None
+        number = np.nan
+    if not np.isfinite(number):
+        raise ScenarioError(f"{ctx}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_array(value, ctx: str) -> np.ndarray:
-    """A float array; non-numbers, nulls (which numpy reads as NaN) and
-    ragged lists are refused."""
+    """A float array of finite entries; non-numbers, nulls (which numpy
+    reads as NaN), NaN, infinities and ragged lists are refused."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         array = None
-    if array is None or np.isnan(array).any():
-        raise ScenarioError(f"{ctx}: expected an array of numbers, got {value!r}")
+    if array is None or not np.isfinite(array).all():
+        raise ScenarioError(f"{ctx}: expected an array of finite numbers, got {value!r}")
     return array
 
 
@@ -177,7 +181,7 @@ def flux_preserving_kernel(vgrid: Quadrature, n_edges: int) -> ScatteringKernel:
     so vertex scattering preserves the velocity-weighted flux exactly."""
     v, w = vgrid.nodes, vgrid.weights
     mat = np.outer(v, v) / float(np.dot(w, v * v))
-    return ScatteringKernel(tuple(mat.copy() for _ in range(n_edges)))
+    return ScatteringKernel(np.broadcast_to(mat, (n_edges,) + mat.shape))
 
 
 def _build_kernel(section, graph: MetricGraph, vgrid: Quadrature) -> ScatteringKernel:
@@ -319,7 +323,7 @@ def parse_scenario(path: str | Path) -> Scenario:
               "p": _as_float(given["p"], "probes.p")}
     if probes["count"] < 1:
         raise ScenarioError(f"probes.count: expected at least one probe, got {given['count']!r}")
-    if not 1.0 <= probes["p"] < np.inf:
+    if probes["p"] < 1.0:
         raise ScenarioError(f"probes.p: expected a finite p >= 1, got {given['p']!r}")
     seed = _as_int(raw.get("seed", 0), "seed")
     if seed < 0:

@@ -74,19 +74,13 @@ class StepSignal:
         idx = piece_index(self.breaks, t, side, self.values.shape[0] - 1)
         return self.values[idx, channel, node]
 
-    def lp_norm(self, p: float, unit_weights: np.ndarray | None = None) -> float:
-        """Exact Lp([0, horizon]; U) norm; the U-norm of each slice is the
-        weighted L1 norm when ``unit_weights`` is given, else |scalar|."""
+    def lp_norm(self, p: float, unit_weights: np.ndarray) -> float:
+        """Exact Lp([0, horizon]; U) norm; the U-norm of each slice is its
+        L1 norm weighted by ``unit_weights``."""
         if p < 1:
             raise ValueError("p must be >= 1")
         flat = np.abs(self.values.reshape(self.values.shape[0], -1))
-        if unit_weights is None:
-            if flat.shape[1] != 1:
-                raise ValueError("unit_weights required for vector-valued signals")
-            per_piece = flat[:, 0]
-        else:
-            uw = np.asarray(unit_weights, dtype=float).ravel()
-            per_piece = flat @ uw
+        per_piece = flat @ np.asarray(unit_weights, dtype=float).ravel()
         dt = np.diff(self.breaks)
         return float(np.dot(dt, per_piece**p) ** (1.0 / p))
 

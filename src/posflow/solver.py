@@ -81,11 +81,6 @@ class TraceLedger:
         frac = np.minimum(np.maximum(np.where(gap > 0, (t - t0) / safe, 0.0), 0.0), 1.0)
         return (1.0 - frac) * self.values[idx, vertex, node] + frac * self.values[nxt, vertex, node]
 
-    def eval(self, t: float, side: str = "right") -> np.ndarray:
-        """Full (N, K) boundary slice at one time."""
-        N, K = self.values.shape[1:]
-        return self.eval_channel(np.arange(N)[:, None], np.arange(K), float(t), side=side)
-
     def min_value(self) -> float:
         return float(self.values.min()) if self.values.size else 0.0
 
@@ -241,6 +236,11 @@ class ClosedLoopSolution:
         )
 
     @cached_property
+    def _grid(self) -> np.ndarray:
+        """(M, n_x) snapshot x-grids, row j the :meth:`TransportSystem.xgrid` of edge j."""
+        return np.linspace(0.0, self.system.graph.lengths, self.system.space_samples, axis=1)
+
+    @cached_property
     def _initial_kinks(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows (M, Q) c and d with the kinks of the initial-fed read at time
         t and node k at c - d v_k t: the absorption breaks, the feet of the
@@ -320,7 +320,7 @@ class ClosedLoopSolution:
             raise ValueError(f"time {t} outside the solved horizon [0, {self.horizon}]")
         sys_ = self.system
         M, K = sys_.n_edges, sys_.n_nodes
-        grid = np.stack([sys_.xgrid(j) for j in range(M)])
+        grid = self._grid
         end = np.maximum(sys_.graph.lengths[:, None] - sys_.vgrid.nodes * t, 0.0)
         fixed, shift = self._initial_kinks
         kinks = fixed[:, None, :] - shift[:, None, :] * (sys_.vgrid.nodes * t)[:, None]
@@ -342,8 +342,7 @@ class ClosedLoopSolution:
         def ev(j, x, k):
             return self.eval_edge(j, k, x, t)
 
-        xs = [self.system.xgrid(j) for j in range(self.system.n_edges)]
-        return StateField(self.system, xs, list(samples), evaluator=ev), sum(masses.tolist())
+        return StateField(self.system, self._grid, list(samples), evaluator=ev), sum(masses.tolist())
 
     def snapshot(self, t: float) -> StateField:
         """The field of :meth:`observe`."""

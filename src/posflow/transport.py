@@ -165,21 +165,24 @@ class ScatteringKernel:
     """Velocity scattering at the vertices.
 
     ``matrices`` is None in identity mode (no velocity mixing); otherwise one
-    nonnegative (K, K) table per edge sampling ell_j(0, v, v'), applied with
-    the velocity quadrature weights folded in (:attr:`TransportSystem.scatter`):
+    (M, K, K) array of nonnegative tables (a tuple of tables is stacked, a
+    broadcast view stores one), table j sampling ell_j(0, v, v') and applied
+    with the velocity weights folded in (:attr:`TransportSystem.scatter`):
     (J_j f)(v_k) = sum_k' ell_j(0, v_k, v_k') w_k' f(v_k').
     """
 
-    matrices: tuple[np.ndarray, ...] | None
+    matrices: np.ndarray | None
 
     def __post_init__(self):
         if self.matrices is not None:
-            mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
-            for m in mats:
-                if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                    raise ValueError("kernel tables must be square")
-                if np.any(m < 0):
-                    raise ValueError("kernel samples must be nonnegative")
+            try:
+                mats = np.asarray(self.matrices, dtype=float)
+            except ValueError:  # tables of different shapes
+                mats = np.empty(0)
+            if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+                raise ValueError("kernel tables must be square and of one size")
+            if np.any(mats < 0):
+                raise ValueError("kernel samples must be nonnegative")
             object.__setattr__(self, "matrices", mats)
 
     @property
@@ -194,7 +197,7 @@ class ScatteringKernel:
     def constant(cls, c: float, n_edges: int, n_nodes: int) -> "ScatteringKernel":
         if c < 0:
             raise ValueError("kernel constant must be nonnegative")
-        return cls(tuple(np.full((n_nodes, n_nodes), float(c)) for _ in range(n_edges)))
+        return cls(np.broadcast_to(float(c), (n_edges, n_nodes, n_nodes)))
 
 
 @dataclass(frozen=True)
@@ -217,12 +220,8 @@ class TransportSystem:
                 raise ValueError(f"absorption table of edge {j} does not span [0, l_j]")
             if self.absorption.values[j].shape[1] != self.vgrid.n:
                 raise ValueError("absorption tables must have one column per velocity node")
-        if not self.kernel.is_identity:
-            if len(self.kernel.matrices) != self.graph.n_edges:
-                raise ValueError("kernel tables must cover every edge")
-            for m in self.kernel.matrices:
-                if m.shape[0] != self.vgrid.n:
-                    raise ValueError("kernel tables must match the velocity grid")
+        if not self.kernel.is_identity and self.kernel.matrices.shape != (self.n_edges,) + (self.vgrid.n,) * 2:
+            raise ValueError("kernel tables must cover every edge and match the velocity grid")
         if self.space_samples < 2:
             raise ValueError("need at least two spatial samples per edge")
 
@@ -280,7 +279,7 @@ class TransportSystem:
         M, K = self.n_edges, self.n_nodes
         if self.kernel.is_identity:
             return np.broadcast_to(np.eye(K), (M, K, K))
-        return np.stack(self.kernel.matrices) * self.vgrid.weights
+        return self.kernel.matrices * self.vgrid.weights
 
     @cached_property
     def scatter_basis(self) -> np.ndarray:

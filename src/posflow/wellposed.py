@@ -79,9 +79,6 @@ class TransportHandle:
         """Gamma T(t) x at a time or an array of times (see :func:`flow_trace`)."""
         return flow_trace(self.system, x, t)
 
-    def observe_flow(self, x: StateField, t: float) -> np.ndarray:
-        return self._flow_trace(x, t)
-
     def observation_lp(self, x: StateField, alpha: float, p: float) -> float:
         """(int_0^alpha ||Gamma T(t) x||^p dt)^{1/p}, Gauss panels cut at the
         :func:`knot_arrivals` of x so the integrand is smooth per panel."""

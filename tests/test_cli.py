@@ -444,6 +444,14 @@ def test_scenario_error_exit_code(tmp_path):
     ("snapshots: [0.0, 1.0, 2.0, 3.0]", "snapshots: null", "snapshots"),
     ("- {constant: 0.0}", "- {constant: null}", "absorption[0].constant"),
     ("values: [0.0]}", "values: [.nan]}", "inputs[0].steps.values"),
+    ("values: [0.0]}", "values: [.inf]}", "inputs[0].steps.values"),
+    ("horizon: 3.0", "horizon: .nan", "horizon"),
+    ("horizon: 3.0", "horizon: .inf", "horizon"),
+    ("length: 1.0,", "length: .nan,", "graph.edges[0].length"),
+    ("length: 1.0,", "length: .inf,", "graph.edges[0].length"),
+    ("positivity: 1.0e-9", "positivity: .nan", "tolerances.positivity"),
+    ("- {constant: 0.0}", "- {constant: .inf}", "absorption[0].constant"),
+    ("- {constant: 1.0}", "- {constant: .nan}", "initial_state[0]"),
 ])
 def test_malformed_numeric_field_is_a_scenario_error(tmp_path, capsys, field, bad, where):
     """Exit 2 with one stderr line naming the field, not a traceback with the

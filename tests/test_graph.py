@@ -1,42 +1,69 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posflow import MetricGraph, build_matrices, check_assumptions
+from posflow import AssumptionReport, MetricGraph, check_assumptions
+
+
+def assumptions_ref(graph):
+    """check_assumptions from dense N x M incidence matrices and the weighted
+    adjacency inc @ weighted_out.T, whose (i, l) entry is the weight of an
+    edge running from vertex l to vertex i."""
+    n, m = graph.n_vertices, graph.n_edges
+    out, inc = np.zeros((n, m)), np.zeros((n, m))
+    out[graph.tails, np.arange(m)] = 1.0
+    inc[graph.heads, np.arange(m)] = 1.0
+    weighted_out = out * graph.weights[np.newaxis, :]
+    a2_failures = tuple(int(i) for i in np.flatnonzero(out.sum(axis=1) == 0))
+    residuals = weighted_out.sum(axis=1) - 1.0
+    a3_ok = bool(np.all(np.abs(residuals) <= 1e-12))
+    col_sums = (inc @ weighted_out.T).sum(axis=0)
+    deviation = float(np.max(np.abs(col_sums - 1.0)))
+    return AssumptionReport(a2_ok=not a2_failures, a2_failures=a2_failures, a3_ok=a3_ok,
+                            a3_residuals=residuals, column_stochastic=a3_ok and deviation <= 1e-12,
+                            column_sum_deviation=deviation)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Graphs with up to 4 out-edges per vertex (some vertices may have
+    none), non-dyadic weights, and sometimes Kirchhoff-normalized weights."""
+    n = draw(st.integers(1, 6))
+    degrees = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    if sum(degrees) < n:
+        degrees[0] += n - sum(degrees)
+    tails = np.repeat(np.arange(n), degrees)
+    order = draw(st.permutations(range(tails.size)))
+    tails = tails[list(order)]
+    m = tails.size
+    heads = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))) / 3.0
+    if draw(st.booleans()):
+        sums = np.bincount(tails, weights, minlength=n)
+        weights = weights / sums[tails]
+    return MetricGraph(n, tails, heads, np.ones(m), np.minimum(weights, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs())
+def test_matches_dense_incidence_reference(g):
+    got, want = check_assumptions(g), assumptions_ref(g)
+    assert (got.a2_ok, got.a2_failures) == (want.a2_ok, want.a2_failures)
+    if np.bincount(g.tails).max() <= 2:
+        # two terms and zeros add the same in any order
+        assert np.array_equal(got.a3_residuals, want.a3_residuals)
+        assert got.column_sum_deviation == want.column_sum_deviation
+        assert (got.a3_ok, got.column_stochastic) == (want.a3_ok, want.column_stochastic)
+    else:
+        assert np.max(np.abs(got.a3_residuals - want.a3_residuals)) <= 1e-15
+        assert abs(got.column_sum_deviation - want.column_sum_deviation) <= 1e-15
 
 
 def test_single_loop():
-    g = MetricGraph(1, [0], [0], [1.0], [1.0])
-    mats = build_matrices(g)
-    assert mats.out.tolist() == [[1.0]]
-    assert mats.inc.tolist() == [[1.0]]
-    assert mats.adjacency.tolist() == [[1.0]]
-    report = check_assumptions(g)
-    assert report.all_ok and report.column_stochastic
-
-
-def test_two_vertex_edge():
-    # one edge from vertex 1 to vertex 2 with full weight
-    g = MetricGraph(2, [0, 1], [1, 0], [1.0, 1.0], [1.0, 1.0])
-    mats = build_matrices(g)
-    # adjacency entry (i, l) is the weight of an edge from l to i
-    assert mats.adjacency[1, 0] == 1.0
-    assert mats.adjacency[0, 1] == 1.0
-    assert mats.adjacency[0, 0] == 0.0
-
-    g_single = MetricGraph(2, [0, 1], [1, 1], [1.0, 2.0], [1.0, 1.0])
-    sub = build_matrices(g_single).adjacency
-    assert sub[1, 0] == 1.0 and sub[0, 0] == 0.0 and sub[0, 1] == 0.0
-
-
-def test_zero_weights_give_zero_adjacency():
-    g = MetricGraph(2, [0, 1], [1, 0], [1.0, 1.0], [0.0, 0.0])
-    assert np.all(build_matrices(g).adjacency == 0.0)
-
-
-def test_signed_incidence():
-    g = MetricGraph(2, [0, 1], [1, 0], [1.0, 1.0], [1.0, 1.0])
-    mats = build_matrices(g)
-    assert np.array_equal(mats.signed, mats.out - mats.inc)
+    report = check_assumptions(MetricGraph(1, [0], [0], [1.0], [1.0]))
+    assert report.a2_ok and report.a3_ok and report.column_stochastic
+    assert report.column_sum_deviation == 0.0
 
 
 def test_a2_failure_lists_vertex():
@@ -67,8 +94,7 @@ def test_column_stochastic_on_random_graphs(rng):
         g = MetricGraph(n, tails, heads, rng.uniform(0.5, 2.0, m), weights)
         report = check_assumptions(g)
         assert report.a3_ok and report.column_stochastic
-        cols = build_matrices(g).adjacency.sum(axis=0)
-        assert np.max(np.abs(cols - 1.0)) < 1e-12
+        assert report.column_sum_deviation < 1e-12
 
 
 def test_insertion_order_invariance(rng):
@@ -80,9 +106,9 @@ def test_insertion_order_invariance(rng):
     g = MetricGraph(n, tails, heads, lengths, weights)
     perm = rng.permutation(m)
     g_perm = MetricGraph(n, tails[perm], heads[perm], lengths[perm], weights[perm])
-    a = build_matrices(g).adjacency
-    b = build_matrices(g_perm).adjacency
-    assert np.allclose(a, b, atol=0)
+    a, b = check_assumptions(g), check_assumptions(g_perm)
+    assert np.array_equal(a.a3_residuals, b.a3_residuals)
+    assert a.column_sum_deviation == b.column_sum_deviation
 
 
 def test_validation_errors():

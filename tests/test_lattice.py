@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from posflow import (
     Quadrature,
-    decompose_pm,
     dense_spectral_radius,
     is_nonneg,
     spectral_radius,
@@ -15,29 +14,7 @@ from posflow import (
 from posflow.lattice import gauss_block, gauss_panels, gauss_rule
 
 
-class TestDecompose:
-    def test_componentwise_example(self):
-        plus, minus = decompose_pm(np.array([3.0, -2.0]))
-        assert np.array_equal(plus, [3.0, 0.0])
-        assert np.array_equal(minus, [0.0, 2.0])
-
-    def test_positive_element_untouched(self):
-        f = np.array([0.5, 1.0, 0.0])
-        plus, minus = decompose_pm(f)
-        assert np.array_equal(plus, f)
-        assert np.array_equal(minus, np.zeros(3))
-
-    def test_reassembly_exact(self, rng):
-        f = rng.normal(size=200)
-        plus, minus = decompose_pm(f)
-        assert np.array_equal(plus - minus, f)
-
-    def test_parts_are_disjoint(self, rng):
-        f = rng.normal(size=500)
-        plus, minus = decompose_pm(f)
-        assert np.all(np.minimum(plus, minus) == 0.0)
-        assert np.all(plus >= 0) and np.all(minus >= 0)
-
+class TestCone:
     def test_tolerant_cone_membership(self):
         assert is_nonneg(np.array([1.0, -1e-13]))
         assert not is_nonneg(np.array([1.0, -1e-6]))
@@ -51,7 +28,7 @@ class TestQuadrature:
 
     def test_gauss_exactness(self):
         q = Quadrature.gauss_legendre(0.0, 2.0, 5)
-        assert abs(q.integrate(q.nodes**7) - 2.0**8 / 8) < 1e-10
+        assert abs(np.dot(q.weights, q.nodes**7) - 2.0**8 / 8) < 1e-10
 
     def test_rejects_bad_nodes(self):
         with pytest.raises(ValueError):
@@ -140,7 +117,7 @@ class TestStateNorm:
     def test_abs_decomposition_identity(self, rng):
         w = rng.uniform(0.1, 1.0, 64)
         f = rng.normal(size=64)
-        plus, minus = decompose_pm(f)
+        plus, minus = np.maximum(f, 0.0), np.maximum(-f, 0.0)
         lhs = state_norm([(np.abs(f), w)])
         rhs = state_norm([(plus, w)]) + state_norm([(minus, w)])
         # each norm is the correctly rounded true sum; the split can differ

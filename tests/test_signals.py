@@ -31,8 +31,8 @@ class TestStepSignal:
     def test_lp_norm_exact(self):
         u = StepSignal(np.array([0.0, 0.25, 1.0]), np.array([[2.0], [-1.0]]))
         # integral of |u|^2: 4 * 0.25 + 1 * 0.75
-        assert abs(u.lp_norm(2.0) - np.sqrt(1.75)) < 1e-15
-        assert abs(u.lp_norm(1.0) - (0.5 + 0.75)) < 1e-15
+        assert abs(u.lp_norm(2.0, unit_weights=np.ones(1)) - np.sqrt(1.75)) < 1e-15
+        assert abs(u.lp_norm(1.0, unit_weights=np.ones(1)) - (0.5 + 0.75)) < 1e-15
 
     def test_lp_norm_vector_valued(self):
         u = StepSignal(np.array([0.0, 1.0]), np.array([[[1.0, 3.0]]]))
@@ -77,12 +77,6 @@ class TestTraceLedger:
         # approach from below interpolates toward the left value
         assert abs(led.eval_channel(0, 0, np.array([0.999]))[0] - 0.999) < 1e-12
         assert led.eval_channel(0, 0, np.array([1.5]))[0] == 5.0
-
-    def test_eval_slice(self):
-        times = np.array([0.0, 1.0])
-        values = np.arange(4.0).reshape(2, 1, 2)
-        led = TraceLedger(times, values)
-        assert led.eval(0.5).tolist() == [[1.0, 2.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,44 @@ class TestRoute:
         assert np.array_equal(sys.route(traces), route_ref(sys, traces))
 
 
+class TestKernelTables:
+    def test_scatter_is_the_stacked_tables_times_weights(self, rng):
+        k = 5
+        graph = MetricGraph(3, [0, 0, 2, 0, 1, 1], [1, 1, 1, 2, 0, 2], rng.uniform(0.5, 1.5, 6),
+                            [1 / 3, 1 / 3, 1.0, 1 / 3, 0.5, 0.5])
+        # unequal, asymmetric weights, so a weight on the wrong axis shows
+        vgrid = Quadrature(np.linspace(0.6, 1.4, k), [0.1, 0.3, 0.2, 0.25, 0.15], 0.5, 1.5)
+        tables = tuple(rng.uniform(0.0, 1.0, (6, k, k)))
+        one = rng.uniform(0.0, 1.0, (k, k))
+        cases = [
+            (tables, tables),
+            (np.stack(tables), tables),
+            (np.broadcast_to(one, (6, k, k)), (one,) * 6),
+        ]
+        for given, stacked in cases:
+            sys = TransportSystem(graph, vgrid, Absorption.zero(graph.lengths, k),
+                                  ScatteringKernel(given))
+            assert np.array_equal(sys.scatter, np.stack(stacked) * vgrid.weights)
+
+    def test_shared_tables_are_stored_once(self):
+        vgrid = make_two_cycle(n_nodes=4).vgrid
+        for kernel in (flux_preserving_kernel(vgrid, 7), ScatteringKernel.constant(0.5, 7, 4)):
+            assert kernel.matrices.shape == (7, 4, 4)
+            assert kernel.matrices.strides[0] == 0
+
+    def test_rejects_bad_tables(self):
+        with pytest.raises(ValueError, match="square"):
+            ScatteringKernel(np.ones((2, 3, 2)))
+        with pytest.raises(ValueError, match="one size"):
+            ScatteringKernel((np.ones((2, 2)), np.ones((3, 3))))
+        with pytest.raises(ValueError, match="nonnegative"):
+            ScatteringKernel(-np.ones((2, 3, 3)))
+        with pytest.raises(ValueError, match="every edge"):
+            make_two_cycle(n_nodes=3, kernel=ScatteringKernel(np.ones((3, 3, 3))))
+        with pytest.raises(ValueError, match="velocity grid"):
+            make_two_cycle(n_nodes=3, kernel=ScatteringKernel(np.ones((2, 2, 2))))
+
+
 def transfer_ref(system, mu):
     """H(mu) assembled one edge block at a time, in edge order."""
     N, K = system.n_vertices, system.n_nodes

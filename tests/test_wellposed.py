@@ -345,7 +345,7 @@ class TestFeedbackAdmissibility:
             return np.minimum(x, 1.0 - x) * 2.0
 
         x0 = StateField.from_function(sys, hat)
-        psi = np.array([handle.observe_flow(x0, t).ravel() for t in times]).ravel()
+        psi = flow_trace(sys, x0, times).ravel()
         F = io_matrix(handle, tau, n_steps)
         v = np.zeros_like(psi)
         for _ in range(3):
@@ -353,7 +353,8 @@ class TestFeedbackAdmissibility:
         assert np.allclose(F @ v + psi, v, atol=1e-14)  # closed after 3 rounds
 
         sol = closed_loop_solve(sys, x0, None, tau)
-        ledger_vals = np.array([sol.ledger.eval(t).ravel() for t in times]).ravel()
+        vertex, node = np.arange(sys.n_vertices)[:, None], np.arange(sys.n_nodes)
+        ledger_vals = sol.ledger.eval_channel(vertex, node, times[:, None, None]).ravel()
         assert np.max(np.abs(v - ledger_vals)) < 1e-8
 
     def test_poslti_feedthrough_shows_up(self):
