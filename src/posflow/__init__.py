@@ -13,10 +13,7 @@ from .lattice import (
     Quadrature,
     SpectralRadiusResult,
     dense_spectral_radius,
-    is_nonneg,
     spectral_radius,
-    state_norm,
-    trapezoid_weights,
 )
 from .poslti import (
     FeedbackResult,

@@ -1,29 +1,15 @@
 """Ordered-vector-space primitives on quadrature grids.
 
-Discretized L1 spaces are represented by their samples against a fixed
-quadrature grid together with strictly positive weights.  Cone membership
-and norms act componentwise on the samples, so every operation here is a
-pure function of plain arrays.
+Positive quadrature rules, the Gauss panel rule that integrates along
+characteristics, and spectral radii of (nonnegative) matrices; every
+operation here is a pure function of plain arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Relative slack used for cone-membership tests.  Characteristic tracing is
-#: exact, but interpolation and exponential weights introduce rounding.
-CONE_TOL = 1e-12
-
-
-def is_nonneg(values: np.ndarray, tol: float = CONE_TOL) -> bool:
-    """Cone membership test: min sample >= -tol*(1 + max|values|)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return True
-    return float(values.min()) >= -tol * (1.0 + float(np.max(np.abs(values))))
 
 
 @dataclass(frozen=True)
@@ -107,37 +93,6 @@ def gauss_panels(knots, hi: float) -> tuple[np.ndarray, np.ndarray]:
     pts, wts = gauss_block(np.asarray(knots, dtype=float), hi)
     keep = wts[:, 0] > 0.0
     return pts.compress(keep, axis=0), wts.compress(keep, axis=0)
-
-
-def trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    """Weights turning samples on the grid x into the integral of their
-    piecewise-linear interpolant (exact for piecewise-linear data)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need a 1-d grid with at least two points")
-    w = np.zeros_like(x)
-    dx = np.diff(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
-
-
-def state_norm(parts) -> float:
-    """Discretized L1 norm of a product-space element.
-
-    ``parts`` iterates over (values, weights) pairs, one per factor; the norm
-    is the sum over factors of sum(weights * |values|), which is additive on
-    the positive cone by construction.  Summation is exact (fsum), so the
-    result is the correctly rounded value of the true weighted sum.
-    """
-    terms: list[float] = []
-    for values, weights in parts:
-        values = np.asarray(values, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if values.shape != weights.shape:
-            raise ValueError("sample/weight shape mismatch")
-        terms.extend((weights.ravel() * np.abs(values).ravel()).tolist())
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def _build_initial(section, system: TransportSystem) -> StateField:
     for j, entry in enumerate(section):
         ctx = f"initial_state[{j}]"
         if "constant" in entry:
-            c = _as_float(entry["constant"], ctx)
+            c = _as_float(entry["constant"], ctx + ".constant")
             # two knots suffice: keeps the solver's event closure minimal
             xs = np.array([0.0, float(system.graph.lengths[j])])
             tables.append((xs, np.full((system.n_nodes, 2), c)))

@@ -30,7 +30,7 @@ from .signals import StepSignal, piece_index
 from .transport import (
     StateField,
     TransportSystem,
-    _pad_rows,
+    _increasing_rows,
     _phi12,
     characteristic_read,
     flow_trace,
@@ -236,19 +236,22 @@ class ClosedLoopSolution:
         )
 
     @cached_property
-    def _grid(self) -> np.ndarray:
-        """(M, n_x) snapshot x-grids, row j the :meth:`TransportSystem.xgrid` of edge j."""
-        return np.linspace(0.0, self.system.graph.lengths, self.system.space_samples, axis=1)
+    def _grid(self) -> tuple[np.ndarray, ...]:
+        """The :meth:`TransportSystem.xgrid` rows, padded (:func:`_increasing_rows`)."""
+        lengths = self.system.graph.lengths
+        return _increasing_rows(np.linspace(0.0, lengths, self.system.space_samples, axis=1), "grid", lengths)
 
     @cached_property
     def _initial_kinks(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows (M, Q) c and d with the kinks of the initial-fed read at time
         t and node k at c - d v_k t: the absorption breaks, the feet of the
         breaks and the feet of the initial knots."""
-        breaks, xs = self.system.absorption.breaks, self.initial.xs
-        rows = [np.concatenate([b, b, x]) for b, x in zip(breaks, xs)]
-        shifts = [np.repeat([0.0, 1.0], [b.size, b.size + x.size]) for b, x in zip(breaks, xs)]
-        return _pad_rows(rows), _pad_rows(shifts)
+        q, (knots, sizes, _) = self.system.absorption, self.initial._grid
+        # row j: its n breaks, again, its knots, its last knot repeated to Q
+        n = q.pieces[:, None] + 1
+        col, row = np.arange((2 * n[:, 0] + sizes).max() + 1), np.arange(n.size)[:, None]
+        knot = np.minimum(np.maximum(col - 2 * n, 0), knots.shape[1] - 1)
+        return np.where(col < 2 * n, q.breaks[row, col % n], knots[row, knot]), np.where(col < n, 0.0, 1.0)
 
     @cached_property
     def _pieces(self) -> tuple[np.ndarray, ...]:
@@ -259,12 +262,10 @@ class ClosedLoopSolution:
         (:class:`_LedgerIntegrals`), one per distinct (tail vertex, rate row):
         of the ledger for q <= 0, and of the time-reversed ledger when some
         rate grows."""
-        sys_ = self.system
-        q = sys_.absorption
-        edge = np.repeat(np.arange(sys_.n_edges), [v.shape[0] for v in q.values])
-        lo = np.concatenate([b[:-1] for b in q.breaks])
-        hi = np.concatenate([b[1:] for b in q.breaks])
-        rates = np.concatenate(q.values)
+        sys_, q = self.system, self.system.absorption
+        inside = np.arange(q.values.shape[1]) < q.pieces[:, None]
+        edge = np.nonzero(inside)[0]
+        lo, hi, rates = q.breaks[:, :-1][inside], q.breaks[:, 1:][inside], q.values[inside]
         at_lo = q.primitive(edge[:, None], np.arange(sys_.n_nodes), lo[:, None])
         room = (sys_.graph.lengths[edge] - lo)[:, None]
         const = (sys_.edge_primitive[edge] - at_lo - rates * room) / sys_.vgrid.nodes
@@ -307,12 +308,12 @@ class ClosedLoopSolution:
         return fed * sys_.graph.weights[:, None] * v
 
     def _read(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The (M, K, n_x) samples on the x-grids and the (M,) edge masses
-        int int z_j(t, x, v) dx dv at time t.
+        """The (M, K, n_x + 1) samples on the padded x-grids, a field's table,
+        and the (M,) edge masses int int z_j(t, x, v) dx dv at time t.
 
-        One :meth:`eval_edge` call reads a single (M, K, n_x + P) block: the
-        x-grids, then the points of Gauss panels on the initial-fed part
-        [0, max(l_j - v_k t, 0)], cut at its kinks and padded with empty
+        One :meth:`eval_edge` call reads a single (M, K, n_x + 1 + P) block:
+        the padded x-grids, then the points of Gauss panels on the initial-fed
+        part [0, max(l_j - v_k t, 0)], cut at its kinks and padded with empty
         panels.  The ledger-fed rest of the mass is :meth:`_fed_mass`.
         Exact for piecewise-linear profiles (q = 0), high-order accurate on
         the initial-fed part otherwise."""
@@ -320,7 +321,7 @@ class ClosedLoopSolution:
             raise ValueError(f"time {t} outside the solved horizon [0, {self.horizon}]")
         sys_ = self.system
         M, K = sys_.n_edges, sys_.n_nodes
-        grid = self._grid
+        grid = self._grid[0]
         end = np.maximum(sys_.graph.lengths[:, None] - sys_.vgrid.nodes * t, 0.0)
         fixed, shift = self._initial_kinks
         kinks = fixed[:, None, :] - shift[:, None, :] * (sys_.vgrid.nodes * t)[:, None]
@@ -342,7 +343,7 @@ class ClosedLoopSolution:
         def ev(j, x, k):
             return self.eval_edge(j, k, x, t)
 
-        return StateField(self.system, self._grid, list(samples), evaluator=ev), sum(masses.tolist())
+        return StateField._padded(self.system, self._grid, samples, ev), sum(masses.tolist())
 
     def snapshot(self, t: float) -> StateField:
         """The field of :meth:`observe`."""
@@ -405,12 +406,12 @@ def closed_loop_solve(
     ``u`` is the control signal (one channel per control column of the
     graph).  In positive mode negative initial data or inputs are rejected;
     set ``positive=False`` to run signed data without cone checks.  Values
-    down to -1e-9 count as nonnegative.
+    down to -1e-9 count as nonnegative, in the initial state as in the inputs.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if positive:
-        if not x0.is_nonneg(1e-9):
+        if x0.min_value() < -1e-9:
             raise NegativeDataError("positivity mode requires nonnegative initial data")
         if u is not None and u.min_value() < -1e-9:
             raise NegativeDataError("positivity mode requires nonnegative inputs")

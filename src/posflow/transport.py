@@ -22,14 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import MetricGraph
-from .lattice import (
-    CONE_TOL,
-    Quadrature,
-    dense_spectral_radius,
-    is_nonneg,
-    state_norm,
-    trapezoid_weights,
-)
+from .lattice import Quadrature, dense_spectral_radius
 from .signals import StepSignal
 
 
@@ -41,15 +34,25 @@ def _pad_rows(rows) -> np.ndarray:
     return np.moveaxis(np.concatenate(rows, axis=-1)[..., (np.cumsum(sizes) - sizes)[:, None] + cols], -2, 0)
 
 
-def _flat_table(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row interpolation tables xs[j] (n_j,) and ys[j] (K, n_j) padded to
-    one (M, n + 1) grid table and one (M, K, n + 1) value table.  Each grid
-    row continues past its last entry in unit steps and each value row
-    repeats its last column, so every row ends in at least one flat segment
-    and np.interp on a padded row equals np.interp on the row."""
-    xp = _pad_rows(xs)
-    past_end = np.arange(xp.shape[1]) - np.array([x.size for x in xs])[:, None] + 1
-    return xp + np.maximum(past_end, 0), _pad_rows(ys)
+def _increasing_rows(rows, what: str, ends=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-edge rows, 1-d and increasing strictly from 0 (to within 1e-12 of
+    ``ends`` (M,) if given), padded by :func:`_pad_rows`, their sizes, and
+    their interpolation grid: each row continues past its end in unit steps,
+    so np.interp on a padded row equals np.interp on the row.  A ValueError
+    names the first edge whose row is not such a row."""
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    sizes = np.array([r.size if r.ndim == 1 else 0 for r in rows])
+    bad = sizes < 2
+    if not bad.any():
+        xp = _pad_rows(rows)
+        past = np.arange(xp.shape[1]) - sizes[:, None] + 1  # > 0 past the last entry
+        bad = (xp[:, 0] != 0.0) | np.any(~(np.diff(xp, axis=1) > 0.0) & (past[:, 1:] < 1), axis=1)
+        if ends is not None:
+            bad |= np.abs(xp[:, -1] - ends) > 1e-12
+    if bad.any():
+        raise ValueError(f"{what} of edge {np.argmax(bad)}: expected a 1-d table increasing "
+                         f"strictly from 0{'' if ends is None else ' to l_j'}")
+    return xp, sizes, xp + np.maximum(past, 0)
 
 
 def _segment(xp: np.ndarray, j, x) -> np.ndarray:
@@ -72,7 +75,7 @@ def _segment(xp: np.ndarray, j, x) -> np.ndarray:
 
 def _interp_rows(xp: np.ndarray, fp: np.ndarray, j, k, x) -> np.ndarray:
     """np.interp(x, xp[j], fp[j, k]) elementwise, for indices j and k or
-    integer arrays broadcasting against x, on tables from :func:`_flat_table`;
+    integer arrays broadcasting against x, on grid tables from :func:`_increasing_rows`;
     the same arithmetic as np.interp, so the values agree bit for bit up to
     the last knot of each row.  Like np.interp it returns the sample itself
     at a knot, which keeps a -0.0 sample (past the last knot a -0.0 reads
@@ -107,46 +110,42 @@ class CharacteristicGateError(RuntimeError):
 class Absorption:
     """Per-edge absorption rates q_j(x, v), piecewise constant in x.
 
-    ``breaks[j]`` partitions [0, l_j]; ``values[j]`` has shape (pieces, K)
-    holding the rate per piece and velocity node.  Piecewise constancy keeps
-    every path integral of q in closed form.
+    Built from one break table per edge, partitioning [0, l_j], and one
+    (pieces, K) table of rates per edge, and padded once (:func:`_pad_rows`):
+    ``breaks`` (M, B) repeat their last break, ``values`` (M, B - 1, K) their
+    last piece, which has length 0 there, and ``pieces`` is (M,).  Piecewise
+    constancy keeps every path integral of q in closed form.
     """
 
-    breaks: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
+    breaks: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        breaks = tuple(np.asarray(b, dtype=float) for b in self.breaks)
-        values = tuple(np.atleast_2d(np.asarray(v, dtype=float)) for v in self.values)
-        if len(breaks) != len(values):
-            raise ValueError("one break table and one value table per edge")
-        cums = []
-        for b, v in zip(breaks, values):
-            if b.size < 2 or b[0] != 0.0 or np.any(np.diff(b) <= 0):
-                raise ValueError("absorption breaks must increase strictly from 0")
-            if v.shape[0] != b.size - 1:
-                raise ValueError("one value row per absorption piece")
-            # cumulative integral of q from 0 to each break, per velocity node
-            cums.append(np.vstack([np.zeros(v.shape[1]), np.cumsum(v * np.diff(b)[:, None], axis=0)]))
+        breaks, sizes, grid = _increasing_rows(self.breaks, "absorption breaks")
+        rates = [np.atleast_2d(np.asarray(v, dtype=float)) for v in self.values]
+        if len(rates) != sizes.size or any(v.shape != (n - 1, rates[0].shape[-1]) for v, n in zip(rates, sizes)):
+            raise ValueError("one value table per edge: one row per absorption piece, one column per node")
+        rows = _pad_rows([v.T for v in rates])  # (M, K, B - 1)
+        # int_0^b q at each break b per velocity node; a padded piece adds q * 0
+        cums = np.cumsum(rows * np.diff(breaks, axis=1)[:, None, :], axis=2)
+        cums = np.concatenate([np.zeros(cums.shape[:2] + (1,)), cums], axis=2)
         object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_table", _flat_table(breaks, [c.T for c in cums]))
+        object.__setattr__(self, "values", rows.transpose(0, 2, 1))
+        object.__setattr__(self, "pieces", sizes - 1)
+        object.__setattr__(self, "_table", (grid, cums))
 
     @classmethod
     def constant(cls, rates, lengths, n_nodes: int) -> "Absorption":
         """One constant rate per edge: a scalar for all edges, one scalar per
         edge, or one per-velocity-node array per edge."""
-        if np.isscalar(rates):
-            rates = [rates] * len(lengths)
-        breaks, values = [], []
-        for q, l in zip(rates, lengths):
-            breaks.append(np.array([0.0, float(l)]))
-            values.append(np.broadcast_to(np.asarray(q, dtype=float), (1, n_nodes)).copy())
-        return cls(tuple(breaks), tuple(values))
+        lengths, rates = np.asarray(lengths, dtype=float), np.asarray(rates, dtype=float)
+        rates = rates.reshape(lengths.size, 1, -1) if rates.ndim else rates
+        return cls(np.column_stack([np.zeros_like(lengths), lengths]),
+                   np.broadcast_to(rates, (lengths.size, 1, n_nodes)))
 
     @classmethod
     def zero(cls, lengths, n_nodes: int) -> "Absorption":
-        return cls.constant([0.0] * len(lengths), lengths, n_nodes)
+        return cls.constant(0.0, lengths, n_nodes)
 
     def primitive(self, j, k, x: np.ndarray) -> np.ndarray:
         """int_0^x q_j(s, v_k) ds, piecewise linear in x (flat beyond [0, l]).
@@ -157,7 +156,7 @@ class Absorption:
     @cached_property
     def q_sup(self) -> float:
         """sup_j ||q_j||_inf, the upper edge of the positivity regime in mu."""
-        return max(float(np.max(np.abs(v))) for v in self.values)
+        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True)
@@ -213,13 +212,13 @@ class TransportSystem:
     def __post_init__(self):
         if self.vgrid.lo <= 0:
             raise ValueError("velocities must satisfy 0 < v_min")
-        if len(self.absorption.breaks) != self.graph.n_edges:
+        if self.absorption.breaks.shape[0] != self.graph.n_edges:
             raise ValueError("absorption tables must cover every edge")
-        for j, b in enumerate(self.absorption.breaks):
-            if abs(b[-1] - self.graph.lengths[j]) > 1e-12:
-                raise ValueError(f"absorption table of edge {j} does not span [0, l_j]")
-            if self.absorption.values[j].shape[1] != self.vgrid.n:
-                raise ValueError("absorption tables must have one column per velocity node")
+        if self.absorption.values.shape[2] != self.vgrid.n:
+            raise ValueError("absorption tables must have one column per velocity node")
+        off = np.abs(self.absorption.breaks[:, -1] - self.graph.lengths) > 1e-12
+        if off.any():
+            raise ValueError(f"absorption table of edge {np.argmax(off)} does not span [0, l_j]")
         if not self.kernel.is_identity and self.kernel.matrices.shape != (self.n_edges,) + (self.vgrid.n,) * 2:
             raise ValueError("kernel tables must cover every edge and match the velocity grid")
         if self.space_samples < 2:
@@ -307,27 +306,47 @@ class StateField:
     """Per-edge samples of f_j(x, v_k), optionally with an exact evaluator.
 
     Samples live on per-edge grids including both endpoints and are read as
-    piecewise-linear functions of x, from one table padded at construction.
+    piecewise-linear functions of x.  Grids and samples are padded once
+    (:func:`_pad_rows`) into (M, B) knots and an (M, K, B) table, which every
+    read and reduction uses; ``xs`` and ``values`` are per-edge views.
     Operators that have closed forms attach an ``evaluator(j, x, k)`` so that
     downstream evaluations (compositions, traces, refinements) bypass
     interpolation entirely; it takes integer arrays j and k as well as indices.
     """
 
-    __slots__ = ("system", "xs", "values", "evaluator", "_table")
+    __slots__ = ("system", "evaluator", "_grid", "_table")
 
     def __init__(self, system: TransportSystem, xs, values, evaluator=None):
-        self.system = system
-        self.xs = tuple(np.asarray(x, dtype=float) for x in xs)
-        self.values = tuple(np.asarray(v, dtype=float) for v in values)
-        if len(self.xs) != system.n_edges or len(self.values) != system.n_edges:
+        xs, values = list(xs), [np.asarray(v, dtype=float) for v in values]
+        if len(xs) != system.n_edges or len(values) != system.n_edges:
             raise ValueError("need one grid and one sample block per edge")
-        for j, (x, v) in enumerate(zip(self.xs, self.values)):
-            if x.size < 2 or x[0] != 0.0 or abs(x[-1] - system.graph.lengths[j]) > 1e-12:
-                raise ValueError(f"grid of edge {j} must span [0, l_j] with >= 2 samples")
-            if v.shape != (system.n_nodes, x.size):
-                raise ValueError(f"samples of edge {j} must be (nodes, len(grid))")
-        self.evaluator = evaluator
-        self._table = _flat_table(self.xs, self.values) if evaluator is None else None
+        grid = _increasing_rows(xs, "grid", system.graph.lengths)
+        shaped = [v.shape == (system.n_nodes, n) for v, n in zip(values, grid[1].tolist())]
+        if not all(shaped):
+            raise ValueError(f"samples of edge {shaped.index(False)} must be (nodes, len(grid))")
+        self.system, self.evaluator, self._grid = system, evaluator, grid
+        self._table = (grid[2], _pad_rows(values))
+
+    @classmethod
+    def _padded(cls, system, grid, samples=None, evaluator=None) -> "StateField":
+        """The field on ``grid`` (:func:`_increasing_rows`) with an (M, K, B)
+        block of samples padded alike, by default the ``evaluator`` sampled
+        in one call on the padded knots (:meth:`from_function`)."""
+        field = cls.__new__(cls)
+        if samples is None:
+            x = np.broadcast_to(grid[0][:, None, :], (system.n_edges, system.n_nodes, grid[0].shape[1]))
+            samples = evaluator(np.arange(x.shape[0])[:, None, None], x, np.arange(x.shape[1])[:, None])
+            samples = np.broadcast_to(np.asarray(samples, dtype=float), x.shape)
+        field.system, field.evaluator, field._grid, field._table = system, evaluator, grid, (grid[2], samples)
+        return field
+
+    @property
+    def xs(self) -> tuple[np.ndarray, ...]:
+        return tuple(x[:n] for x, n in zip(self._grid[0], self._grid[1].tolist()))
+
+    @property
+    def values(self) -> tuple[np.ndarray, ...]:
+        return tuple(v[:, :n] for v, n in zip(self._table[1], self._grid[1].tolist()))
 
     # -- constructors ------------------------------------------------------
 
@@ -338,22 +357,16 @@ class StateField:
         """Exact field defined by ``fn(j, x_array, k) -> values``, sampled on
         the grids ``xs`` (default: uniform grids of ``n_x`` points) in one
         call for every (edge, node) pair: j and k come as integer arrays of
-        shapes (M, 1, 1) and (K, 1) and x as the (M, K, n) block, the form
-        in which the operators read whole fields (:meth:`eval`).  ``fn`` is
-        also the field's evaluator."""
+        shapes (M, 1, 1) and (K, 1) and x as the padded (M, K, B) block of
+        knots, the form in which the operators read whole fields
+        (:meth:`eval`).  ``fn`` is also the field's evaluator."""
         if xs is None:
             xs = np.linspace(0.0, system.graph.lengths, n_x or system.space_samples, axis=1)
-        xs = [np.asarray(x, dtype=float) for x in xs]
-        points = _pad_rows(xs)
-        shape = (system.n_edges, system.n_nodes, points.shape[1])
-        block = fn(np.arange(shape[0])[:, None, None], np.broadcast_to(points[:, None, :], shape),
-                   np.arange(shape[1])[:, None])
-        return cls(system, xs, [b[:, : len(x)] for b, x in zip(block, xs)], evaluator=fn)
+        return cls._padded(system, _increasing_rows(xs, "grid", system.graph.lengths), evaluator=fn)
 
     @classmethod
     def from_samples(cls, system: TransportSystem, values, n_x: int | None = None) -> "StateField":
-        xs = [system.xgrid(j, n_x) for j in range(system.n_edges)]
-        return cls(system, xs, values)
+        return cls(system, np.linspace(0.0, system.graph.lengths, n_x or system.space_samples, axis=1), values)
 
     @classmethod
     def constant(cls, system: TransportSystem, c: float, n_x: int | None = None) -> "StateField":
@@ -379,40 +392,35 @@ class StateField:
 
     def sampled(self) -> "StateField":
         """The same samples with the exact evaluator dropped."""
-        return StateField(self.system, self.xs, self.values)
+        return StateField._padded(self.system, self._grid, self._table[1])
 
     def resampled(self, n_x: int) -> "StateField":
         field = StateField.from_function(self.system, lambda j, x, k: self.eval(j, k, x), n_x)
         return field if self.evaluator is not None else field.sampled()
 
     def norm(self) -> float:
-        """Discretized X-norm: sum over edges of the L1(x, v) norm."""
-        wv = self.system.vgrid.weights
-        parts = []
-        for x, v in zip(self.xs, self.values):
-            parts.append((v, np.outer(wv, trapezoid_weights(x))))
-        return state_norm(parts)
+        """Discretized X-norm: sum over edges of the L1(x, v) norm, trapezoid
+        rule in x times velocity weights, summed exactly (math.fsum)."""
+        (x, sizes, _), f = self._grid, self._table[1]
+        half = np.pad(0.5 * np.diff(x, axis=1), ((0, 0), (0, 1)))  # 0 past the last knot
+        w = self.system.vgrid.weights[:, None] * (half + np.roll(half, 1, axis=1))[:, None, :]
+        inside = np.broadcast_to(np.arange(x.shape[1]) < sizes[:, None, None], f.shape)
+        return math.fsum((w[inside] * np.abs(f[inside])).tolist())
 
     def min_value(self) -> float:
-        return min(float(v.min()) for v in self.values)
+        return float(self._table[1].min())
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.values)
-
-    def is_nonneg(self, tol: float = CONE_TOL) -> bool:
-        return all(is_nonneg(v, tol) for v in self.values)
+        return float(np.max(np.abs(self._table[1])))
 
     # -- sample-level arithmetic (evaluators are dropped) --------------------
 
     def _zip(self, other: "StateField", op) -> "StateField":
         if self.system is not other.system:
             raise ValueError("fields belong to different systems")
-        values = []
-        for j, (a, b) in enumerate(zip(self.values, other.values)):
-            if a.shape != b.shape or not np.array_equal(self.xs[j], other.xs[j]):
-                raise ValueError("fields are sampled on different grids")
-            values.append(op(a, b))
-        return StateField(self.system, self.xs, values)
+        if not np.array_equal(self._grid[0], other._grid[0]):
+            raise ValueError("fields are sampled on different grids")
+        return StateField._padded(self.system, self._grid, op(self._table[1], other._table[1]))
 
     def __add__(self, other: "StateField") -> "StateField":
         return self._zip(other, np.add)
@@ -421,7 +429,7 @@ class StateField:
         return self._zip(other, np.subtract)
 
     def scaled(self, c: float) -> "StateField":
-        return StateField(self.system, self.xs, [c * v for v in self.values])
+        return StateField._padded(self.system, self._grid, c * self._table[1])
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +506,7 @@ def read_kinks(system: TransportSystem, t: float, inflow_breaks) -> np.ndarray:
     b.  Points outside [0, l_j] are left for the caller to clip
     (:func:`~posflow.lattice.gauss_block` does)."""
     l, v = system.graph.lengths[:, None, None], system.vgrid.nodes[:, None]
-    breaks = np.repeat(_pad_rows(system.absorption.breaks)[:, None, :], system.n_nodes, axis=1)
+    breaks = np.repeat(system.absorption.breaks[:, None, :], system.n_nodes, axis=1)
     return np.concatenate([l - v * t, breaks, l - v * (t - np.asarray(inflow_breaks, dtype=float))], axis=-1)
 
 
@@ -506,7 +514,7 @@ def knot_arrivals(system: TransportSystem, f: StateField) -> np.ndarray:
     """The times sigma / v_k at which the knots sigma of f and the absorption
     breaks of each edge reach the outflow end x = 0, where the zero-inflow
     outflow traces Gamma T(t) f can kink, edge by edge, knot by knot."""
-    grid, sizes = _union_rows(f.xs, system.absorption.breaks)
+    grid, sizes = _union_rows(f._grid[0], system.absorption.breaks)
     return (grid[np.arange(grid.shape[1]) < sizes[:, None]][:, None] / system.vgrid.nodes).ravel()
 
 
@@ -546,7 +554,7 @@ def semigroup_apply(system: TransportSystem, f: StateField, t: float) -> StateFi
     def ev(j, x, k):
         return characteristic_read(system, j, k, x, t, initial=f)
 
-    return StateField.from_function(system, ev, xs=f.xs)
+    return StateField._padded(system, f._grid, evaluator=ev)
 
 
 def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateField:
@@ -565,7 +573,7 @@ def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateF
     if mu <= system.q_sup:
         raise ValueError(f"mu must exceed sup|q| = {system.q_sup:.6g}")
     q = system.absorption
-    grid, sizes = _union_rows(f.xs, q.breaks)
+    grid, sizes = _union_rows(f._grid[0], q.breaks)
     j = np.arange(system.n_edges)[:, None, None]
     k = np.arange(system.n_nodes)[:, None]
     v = system.vgrid.nodes[k]
@@ -585,23 +593,23 @@ def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateF
     S = np.zeros(W.shape)
     for r in range(grid.shape[1] - 2, -1, -1):
         S[..., r] = panel[..., r] + decay[..., r] * S[..., r + 1]
-    rows = S[j, k, _segment(grid, j, _pad_rows(f.xs)[:, None, :])] / v
-    return StateField(system, [x.copy() for x in f.xs], [r[:, : x.size] for r, x in zip(rows, f.xs)])
+    rows = S[j, k, _segment(grid, j, f._grid[0][:, None, :])] / v
+    return StateField._padded(system, f._grid, rows)
 
 
-def _union_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """np.union1d(xs[j], ys[j]) of every row as one (M, G) table and the row
-    sizes; G exceeds every size, and each row continues past its last entry
-    in unit steps."""
+def _union_rows(xp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.union1d of row j of xp and of yp, rows padded by :func:`_pad_rows`,
+    for every row as one (M, G) table and the row sizes; G exceeds every
+    size, and each row continues past its last entry in unit steps."""
     # repeated last entries are duplicates, which the union drops
-    both = np.sort(np.concatenate([_pad_rows(xs), _pad_rows(ys)], axis=1), axis=1)
+    both = np.sort(np.concatenate([xp, yp], axis=1), axis=1)
     fresh = np.ones(both.shape, dtype=bool)
     fresh[:, 1:] = both[:, 1:] != both[:, :-1]
     pos = np.cumsum(fresh, axis=1) - 1
     sizes = pos[:, -1] + 1
     cols = np.arange(sizes.max() + 1)
     grid = both[:, -1:] + 1.0 + (cols - sizes[:, None])
-    grid[np.arange(len(xs))[:, None], pos] = both
+    grid[np.arange(len(xp))[:, None], pos] = both
     return grid, sizes
 
 
@@ -763,4 +771,4 @@ def closed_loop_resolvent(system: TransportSystem, f: StateField, mu: float) -> 
     gamma = boundary_traces(system, base)["Gamma"]
     sol = np.linalg.solve(np.eye(H.shape[0]) - H, gamma.ravel())
     lift = dirichlet_apply(system, sol.reshape(gamma.shape), mu)
-    return base + StateField.from_function(system, lift.evaluator, xs=base.xs)
+    return base + StateField._padded(system, base._grid, evaluator=lift.evaluator)

@@ -71,9 +71,8 @@ class TransportHandle:
         return x.norm()
 
     def random_positive_state(self, rng: np.random.Generator) -> StateField:
-        shape = (self.system.n_nodes, self.system.space_samples)
-        values = [rng.uniform(0.0, 1.0, size=shape) for _ in range(self.system.n_edges)]
-        return StateField.from_samples(self.system, values)
+        shape = (self.system.n_edges, self.system.n_nodes, self.system.space_samples)
+        return StateField.from_samples(self.system, list(rng.uniform(0.0, 1.0, size=shape)))
 
     def _flow_trace(self, x: StateField, t) -> np.ndarray:
         """Gamma T(t) x at a time or an array of times (see :func:`flow_trace`)."""

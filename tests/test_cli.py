@@ -11,8 +11,8 @@ import yaml
 from posflow.cli import SNAPSHOT_HEADER, SPECTRUM_HEADER, TRACE_HEADER, main
 from posflow.scenario import parse_scenario
 from posflow.solver import closed_loop_solve
-from posflow.transport import transfer_operator, transfer_radius
-from conftest import ladder_yaml
+from posflow.transport import StateField, transfer_operator, transfer_radius
+from conftest import ladder_yaml, make_loop
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -175,6 +175,23 @@ class TestSignedData:
         out = tmp_path / "out"
         run(["simulate", "--scenario", SCENARIOS / "loop.yaml", "--out", out])
         assert "positivity" in {g["name"] for g in load_report(out)["gates"]}
+
+    @pytest.mark.parametrize("values", ["[1.0e+6, -1.0e-4, 1.0e+6]", "[1.0, -1.0e-4, 1.0]"])
+    def test_one_bound_at_every_scale(self, tmp_path, capsys, values):
+        """-1e-4 is refused beside samples of 1e6 as beside samples of 1:
+        the initial state gets the inputs' absolute bound -1e-9."""
+        doc = (SCENARIOS / "loop.yaml").read_text()
+        scenario = tmp_path / "negative.yaml"
+        scenario.write_text(doc.replace(
+            "- {constant: 1.0}", f"- {{table: {{x: [0.0, 0.5, 1.0], values: {values}}}}}"))
+        assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "nonnegative initial data" in err and "--signed" in err
+
+    def test_values_down_to_the_bound_count_as_nonnegative(self):
+        loop = make_loop()
+        x0 = StateField(loop, [[0.0, 0.5, 1.0]], [[[1.0, -5e-10, 1.0]]])
+        assert closed_loop_solve(loop, x0, None, 1.0).min_state == -5e-10
 
 
 class TestOptions:
@@ -451,7 +468,15 @@ def test_scenario_error_exit_code(tmp_path):
     ("length: 1.0,", "length: .inf,", "graph.edges[0].length"),
     ("positivity: 1.0e-9", "positivity: .nan", "tolerances.positivity"),
     ("- {constant: 0.0}", "- {constant: .inf}", "absorption[0].constant"),
-    ("- {constant: 1.0}", "- {constant: .nan}", "initial_state[0]"),
+    ("- {constant: 1.0}", "- {constant: .nan}", "initial_state[0].constant"),
+    ("- {constant: 1.0}", "- {table: {x: [0.0, 0.6, 0.4, 1.0], values: [1.0, 2.0, 3.0, 1.0]}}",
+     "initial_state: grid of edge 0"),
+    ("- {constant: 1.0}", "- {table: {x: [0.0, 0.5, 0.5, 1.0], values: [1.0, 2.0, 3.0, 1.0]}}",
+     "initial_state: grid of edge 0"),
+    ("- {constant: 1.0}", "- {table: {x: [[0.0, 1.0]], values: [1.0, 1.0]}}",
+     "initial_state: grid of edge 0"),
+    ("absorption:\n  - {constant: 0.0}", "absorption: {table: {x: [[0.0, 1.0]], values: [0.0]}}",
+     "absorption: absorption breaks of edge 0"),
 ])
 def test_malformed_numeric_field_is_a_scenario_error(tmp_path, capsys, field, bad, where):
     """Exit 2 with one stderr line naming the field, not a traceback with the

@@ -3,21 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posflow import (
-    Quadrature,
-    dense_spectral_radius,
-    is_nonneg,
-    spectral_radius,
-    state_norm,
-    trapezoid_weights,
-)
+from posflow import Quadrature, dense_spectral_radius, spectral_radius
 from posflow.lattice import gauss_block, gauss_panels, gauss_rule
-
-
-class TestCone:
-    def test_tolerant_cone_membership(self):
-        assert is_nonneg(np.array([1.0, -1e-13]))
-        assert not is_nonneg(np.array([1.0, -1e-6]))
 
 
 class TestQuadrature:
@@ -93,40 +80,6 @@ class TestGaussPanels:
             want_pts, want_wts = gauss_panels(row, e)
             assert np.array_equal(p[keep], want_pts) and np.array_equal(w[keep], want_wts)
             assert np.all(w[~keep] == 0.0)
-
-
-class TestStateNorm:
-    def test_zero(self):
-        assert state_norm([(np.zeros(5), np.ones(5))]) == 0.0
-
-    def test_unit_rectangle(self):
-        # constant 1 on one edge of length 2, velocity interval of length 1
-        xw = trapezoid_weights(np.linspace(0, 2, 41))
-        vw = Quadrature.midpoint(1.0, 2.0, 4).weights
-        samples = np.ones((4, 41))
-        assert abs(state_norm([(samples, np.outer(vw, xw))]) - 2.0) < 1e-12
-
-    def test_cone_additivity(self, rng):
-        w = rng.uniform(0.1, 1.0, 64)
-        f = rng.uniform(0.0, 1.0, 64)
-        g = rng.uniform(0.0, 1.0, 64)
-        lhs = state_norm([(f + g, w)])
-        rhs = state_norm([(f, w)]) + state_norm([(g, w)])
-        assert abs(lhs - rhs) < 1e-12
-
-    def test_abs_decomposition_identity(self, rng):
-        w = rng.uniform(0.1, 1.0, 64)
-        f = rng.normal(size=64)
-        plus, minus = np.maximum(f, 0.0), np.maximum(-f, 0.0)
-        lhs = state_norm([(np.abs(f), w)])
-        rhs = state_norm([(plus, w)]) + state_norm([(minus, w)])
-        # each norm is the correctly rounded true sum; the split can differ
-        # from the joint sum by at most one rounding of the final addition
-        assert abs(lhs - rhs) <= 2 * np.finfo(float).eps * lhs
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            state_norm([(np.ones(3), np.ones(4))])
 
 
 class TestSpectralRadius:

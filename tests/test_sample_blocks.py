@@ -23,7 +23,14 @@ from posflow import (
 from fractions import Fraction
 from math import factorial
 
-from posflow.transport import _exp_linear_integral, _flat_table, _interp_rows, _phi12, knot_arrivals
+from posflow.transport import (
+    _exp_linear_integral,
+    _increasing_rows,
+    _interp_rows,
+    _pad_rows,
+    _phi12,
+    knot_arrivals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +38,9 @@ from posflow.transport import _exp_linear_integral, _flat_table, _interp_rows, _
 
 
 def primitive_ref(system, j, k, x):
-    b = system.absorption.breaks[j]
-    cum = np.concatenate([[0.0], np.cumsum(system.absorption.values[j][:, k] * np.diff(b))])
+    n = system.absorption.pieces[j]
+    b = system.absorption.breaks[j, : n + 1]
+    cum = np.concatenate([[0.0], np.cumsum(system.absorption.values[j, :n, k] * np.diff(b))])
     return np.interp(x, b, cum)
 
 
@@ -267,7 +275,8 @@ def test_interp_rows_is_np_interp_bit_for_bit(case):
     """Every row and node agrees with np.interp to the bit, the sign of a
     -0.0 sample read at its own knot included."""
     xs, ys, x = case
-    got = _interp_rows(*_flat_table(xs, ys), np.arange(len(xs))[:, None, None],
+    table = _increasing_rows(xs, "grid")[2], _pad_rows(ys)
+    got = _interp_rows(*table, np.arange(len(xs))[:, None, None],
                        np.arange(ys[0].shape[0])[:, None], x[:, None, :])
     for j, (xp, fp) in enumerate(zip(xs, ys)):
         for k, row in enumerate(fp):

@@ -150,10 +150,10 @@ def test_table_absorption_table_kernel_and_gauss_rule(tmp_path):
     np.testing.assert_allclose(system.vgrid.weights, 0.5 * w, rtol=1e-15)
 
     q = system.absorption
-    np.testing.assert_array_equal(q.breaks[0], [0.0, 0.4, 1.0])
-    np.testing.assert_array_equal(q.values[0], [[0.1] * 3, [0.3] * 3])
-    np.testing.assert_array_equal(q.breaks[1], [0.0, 0.8])
-    np.testing.assert_array_equal(q.values[1], [[0.2, 0.0, 0.5]])
+    # padded once: each row repeats its last break and its last piece
+    np.testing.assert_array_equal(q.pieces, [2, 1])
+    np.testing.assert_array_equal(q.breaks, [[0.0, 0.4, 1.0, 1.0], [0.0, 0.8, 0.8, 0.8]])
+    np.testing.assert_array_equal(q.values, [[[0.1] * 3, [0.3] * 3, [0.3] * 3], [[0.2, 0.0, 0.5]] * 3])
 
     np.testing.assert_array_equal(system.scatter, np.stack(tables) * system.vgrid.weights)
 

@@ -6,8 +6,9 @@ runs ``python -m posflow`` in a fresh process against this checkout's
 ``src`` for ``simulate``, ``simulate --signed``, ``check``,
 ``admissibility``, ``admissibility --p 1`` (every scenario sets p = 2, and
 p = 1 skips the zero-class scan), ``spectrum`` and ``oracle``, on
-``scenarios/*.yaml`` and on the benchmark's seed-0 scenarios (written to
-``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``).  Each run's
+``scenarios/*.yaml``, on the benchmark's seed-0 scenarios (written to
+``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``) and on
+:data:`RAGGED`, written there as ``ragged.yaml``.  Each run's
 artifacts, stdout, stderr and exit status go to ``OUT/<scenario>-<command>``.
 Two checkouts produce the same outputs exactly when ``diff -r`` of their
 trees is empty.
@@ -19,6 +20,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -35,13 +38,50 @@ RUNS = {
     "oracle": ["oracle"],
 }
 
+# Edge tables of different lengths, which no other scenario has: a constant
+# absorption beside a 3-piece per-node table with one growing rate, and a
+# constant initial state beside a 4-knot table.
+RAGGED = {
+    "schema_version": 1,
+    "name": "ragged",
+    "seed": 7,
+    "graph": {
+        "vertices": 2,
+        "edges": [
+            {"tail": 1, "head": 2, "length": 1.0, "weight": 1.0},
+            {"tail": 2, "head": 1, "length": 0.7, "weight": 1.0},
+        ],
+        "control_matrix": [[1.0], [0.0]],
+    },
+    "velocity": {"v_min": 0.8, "v_max": 1.4, "nodes": 3, "rule": "midpoint"},
+    "absorption": [
+        {"constant": -0.2},
+        {"table": {"x": [0.0, 0.2, 0.45, 0.7],
+                   "values": [[-0.3, -0.1, 0.0], [0.1, -0.4, -0.2], [-0.5, 0.05, -0.1]]}},
+    ],
+    "kernel": {"mode": "constant", "value": 0.8},
+    "initial_state": [
+        {"constant": 0.5},
+        {"table": {"x": [0.0, 0.2, 0.5, 0.7], "values": [0.0, 1.0, 0.3, 0.8]}},
+    ],
+    "inputs": [{"steps": {"times": [0.0, 0.5, 1.5], "values": [0.3, 1.0, 0.0]}}],
+    "horizon": 3.0,
+    "snapshots": [0.0, 1.0, 2.0, 3.0],
+    "space_samples": 81,
+    "tolerances": {"positivity": 1.0e-9},
+    "probes": {"count": 12, "p": 2.0},
+}
+
 
 def scenario_files(out: Path) -> list[Path]:
-    """The shipped scenarios, then the benchmark's seed-0 scenarios."""
+    """The shipped scenarios, then the benchmark's seed-0 scenarios, then
+    :data:`RAGGED`."""
     files = sorted((ROOT / "scenarios").glob("*.yaml"))
     for workload in sorted(WORKLOAD_FILES):
         files += write_workload(workload, 0, out / "_scenarios").values()
-    return files
+    ragged = out / "_scenarios" / "ragged.yaml"
+    ragged.write_text(yaml.safe_dump(RAGGED, sort_keys=False))
+    return files + [ragged]
 
 
 def main(argv: list[str]) -> int:
