@@ -139,17 +139,15 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
     outdir = Path(args.out)
 
     # Rows go out one (time, edge, node) block at a time, so no whole file is
-    # held in memory.  Snapshot fields sample on the system's x-grids, so each
+    # held in memory.  Snapshot fields sample on TransportSystem.grid, so each
     # (edge, node) block is one row template with the coordinates formatted
     # once, the time left as "\0" and one %.17g slot per value ({:.17g} to
     # the byte): a block is one replace and one %.
     v_cells = _cells(sys_.vgrid.nodes)
-    block_rows = []
-    for j in range(sys_.n_edges):
-        x_cells = _cells(sys_.xgrid(j))
-        block_rows.append(
-            ["".join(f"\0,{j + 1},{x},{v},%.17g\n" for x in x_cells) for v in v_cells]
-        )
+    block_rows = [
+        ["".join(f"\0,{j + 1},{x},{v},%.17g\n" for x in _cells(knots)) for v in v_cells]
+        for j, knots in enumerate(sys_.grid[0][:, : sys_.space_samples])
+    ]
     snapshot_min = np.inf
     masses = []
     with (outdir / "snapshots.csv").open("w") as fh:

@@ -21,7 +21,7 @@ the mass from closed-form prefix integrals of the ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -30,10 +30,10 @@ from .signals import StepSignal, piece_index
 from .transport import (
     StateField,
     TransportSystem,
-    _increasing_rows,
     _phi12,
     characteristic_read,
     flow_trace,
+    initial_kinks,
     knot_arrivals,
 )
 
@@ -236,22 +236,8 @@ class ClosedLoopSolution:
         )
 
     @cached_property
-    def _grid(self) -> tuple[np.ndarray, ...]:
-        """The :meth:`TransportSystem.xgrid` rows, padded (:func:`_increasing_rows`)."""
-        lengths = self.system.graph.lengths
-        return _increasing_rows(np.linspace(0.0, lengths, self.system.space_samples, axis=1), "grid", lengths)
-
-    @cached_property
     def _initial_kinks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (M, Q) c and d with the kinks of the initial-fed read at time
-        t and node k at c - d v_k t: the absorption breaks, the feet of the
-        breaks and the feet of the initial knots."""
-        q, (knots, sizes, _) = self.system.absorption, self.initial._grid
-        # row j: its n breaks, again, its knots, its last knot repeated to Q
-        n = q.pieces[:, None] + 1
-        col, row = np.arange((2 * n[:, 0] + sizes).max() + 1), np.arange(n.size)[:, None]
-        knot = np.minimum(np.maximum(col - 2 * n, 0), knots.shape[1] - 1)
-        return np.where(col < 2 * n, q.breaks[row, col % n], knots[row, knot]), np.where(col < n, 0.0, 1.0)
+        return initial_kinks(self.system, self.initial)
 
     @cached_property
     def _pieces(self) -> tuple[np.ndarray, ...]:
@@ -308,10 +294,10 @@ class ClosedLoopSolution:
         return fed * sys_.graph.weights[:, None] * v
 
     def _read(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The (M, K, n_x + 1) samples on the padded x-grids, a field's table,
-        and the (M,) edge masses int int z_j(t, x, v) dx dv at time t.
+        """The (M, K, n + 1) samples on :attr:`TransportSystem.grid`, a field's
+        table, and the (M,) edge masses int int z_j(t, x, v) dx dv at time t.
 
-        One :meth:`eval_edge` call reads a single (M, K, n_x + 1 + P) block:
+        One :meth:`eval_edge` call reads a single (M, K, n + 1 + P) block:
         the padded x-grids, then the points of Gauss panels on the initial-fed
         part [0, max(l_j - v_k t, 0)], cut at its kinks and padded with empty
         panels.  The ledger-fed rest of the mass is :meth:`_fed_mass`.
@@ -321,15 +307,13 @@ class ClosedLoopSolution:
             raise ValueError(f"time {t} outside the solved horizon [0, {self.horizon}]")
         sys_ = self.system
         M, K = sys_.n_edges, sys_.n_nodes
-        grid = self._grid[0]
         end = np.maximum(sys_.graph.lengths[:, None] - sys_.vgrid.nodes * t, 0.0)
         fixed, shift = self._initial_kinks
         kinks = fixed[:, None, :] - shift[:, None, :] * (sys_.vgrid.nodes * t)[:, None]
         pts, wts = gauss_block(kinks, end)
-        n_x = grid.shape[1]
-        block = np.concatenate(
-            [np.broadcast_to(grid[:, None, :], (M, K, n_x)), pts.reshape(M, K, -1)], axis=-1
-        )
+        grid = np.broadcast_to(sys_.grid[0][:, None, :], (M, K, sys_.grid[0].shape[1]))
+        n_x = grid.shape[2]
+        block = np.concatenate([grid, pts.reshape(M, K, -1)], axis=-1)
         vals = self.eval_edge(np.arange(M)[:, None, None], np.arange(K)[:, None], block, t)
         initial_fed = np.sum(wts.reshape(M, K, -1) * vals[..., n_x:], axis=-1)
         return vals[..., :n_x].copy(), (initial_fed + self._fed_mass(t)) @ sys_.vgrid.weights
@@ -343,7 +327,7 @@ class ClosedLoopSolution:
         def ev(j, x, k):
             return self.eval_edge(j, k, x, t)
 
-        return StateField._padded(self.system, self._grid, samples, ev), sum(masses.tolist())
+        return StateField._padded(self.system, self.system.grid, samples, ev), sum(masses.tolist())
 
     def snapshot(self, t: float) -> StateField:
         """The field of :meth:`observe`."""
@@ -365,21 +349,20 @@ def _sweep_window(
     left: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """Add the routed ledger reads of the stamps ``times`` (W,) to ``out``
-    (W, N, K): one read over (W, M, K) on the right side, a second one for
-    the left copies of jump pairs, one :meth:`TransportSystem.route`.  A
-    stamp with no read after time 0 gets nothing added, not even the +0.0
+    """Add the routed ledger-fed traces of the stamps ``times`` (W,) to
+    ``out`` (W, N, K): one :func:`characteristic_read` at x = 0 over (W, M, K),
+    a second one for the left copies of jump pairs, one :meth:`TransportSystem.route`.
+    A stamp with no read after time 0 gets nothing added, not even the +0.0
     that would turn a -0.0 entry into +0.0."""
-    s = times[:, None, None] - system.delays
-    served = s > 0.0
-    reads = served.any(axis=(1, 2))
+    reads = (times[:, None, None] > system.delays).any(axis=(1, 2))
     if not reads.any():
         return
-    tails, nodes = system.graph.tails[:, None], np.arange(system.n_nodes)
-    vals = ledger.eval_channel(tails, nodes, s)
+    j, k = np.arange(system.n_edges)[:, None], np.arange(system.n_nodes)
+    vals = characteristic_read(system, j, k, 0.0, times[:, None, None], inflow=ledger.eval_channel)
     if left.any():
-        vals[left] = ledger.eval_channel(tails, nodes, s[left], side="left")
-    routed = system.route(np.where(served, system.edge_gain * vals, 0.0))
+        vals[left] = characteristic_read(system, j, k, 0.0, times[left, None, None],
+                                         inflow=partial(ledger.eval_channel, side="left"))
+    routed = system.route(vals)
     out[reads] += routed[reads]
 
 

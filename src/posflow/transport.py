@@ -245,8 +245,15 @@ class TransportSystem:
         """Shortest boundary-to-boundary transit time min_j l_j / v_max."""
         return float(self.delays.min())
 
-    def xgrid(self, j: int, n: int | None = None) -> np.ndarray:
-        return np.linspace(0.0, float(self.graph.lengths[j]), n or self.space_samples)
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """np.linspace(0, l_j, space_samples) per edge as padded rows
+        (:func:`_increasing_rows`), read-only: every default field shares them."""
+        lengths = self.graph.lengths
+        rows = _increasing_rows(np.linspace(0.0, lengths, self.space_samples, axis=1), "grid", lengths)
+        for a in rows:
+            a.flags.writeable = False
+        return rows
 
     @cached_property
     def edge_primitive(self) -> np.ndarray:
@@ -351,30 +358,27 @@ class StateField:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_function(
-        cls, system: TransportSystem, fn, n_x: int | None = None, xs=None
-    ) -> "StateField":
+    def from_function(cls, system: TransportSystem, fn, xs=None) -> "StateField":
         """Exact field defined by ``fn(j, x_array, k) -> values``, sampled on
-        the grids ``xs`` (default: uniform grids of ``n_x`` points) in one
+        the grids ``xs`` (default: :attr:`TransportSystem.grid`) in one
         call for every (edge, node) pair: j and k come as integer arrays of
         shapes (M, 1, 1) and (K, 1) and x as the padded (M, K, B) block of
         knots, the form in which the operators read whole fields
         (:meth:`eval`).  ``fn`` is also the field's evaluator."""
-        if xs is None:
-            xs = np.linspace(0.0, system.graph.lengths, n_x or system.space_samples, axis=1)
-        return cls._padded(system, _increasing_rows(xs, "grid", system.graph.lengths), evaluator=fn)
+        grid = system.grid if xs is None else _increasing_rows(xs, "grid", system.graph.lengths)
+        return cls._padded(system, grid, evaluator=fn)
 
     @classmethod
-    def from_samples(cls, system: TransportSystem, values, n_x: int | None = None) -> "StateField":
-        return cls(system, np.linspace(0.0, system.graph.lengths, n_x or system.space_samples, axis=1), values)
+    def from_samples(cls, system: TransportSystem, values) -> "StateField":
+        return cls(system, system.grid[0][:, : system.space_samples], values)
 
     @classmethod
-    def constant(cls, system: TransportSystem, c: float, n_x: int | None = None) -> "StateField":
-        return cls.from_function(system, lambda j, x, k: np.full_like(x, float(c)), n_x)
+    def constant(cls, system: TransportSystem, c: float) -> "StateField":
+        return cls.from_function(system, lambda j, x, k: np.full_like(x, float(c)))
 
     @classmethod
-    def zeros(cls, system: TransportSystem, n_x: int | None = None) -> "StateField":
-        return cls.constant(system, 0.0, n_x)
+    def zeros(cls, system: TransportSystem) -> "StateField":
+        return cls.constant(system, 0.0)
 
     # -- evaluation and reductions -----------------------------------------
 
@@ -395,7 +399,8 @@ class StateField:
         return StateField._padded(self.system, self._grid, self._table[1])
 
     def resampled(self, n_x: int) -> "StateField":
-        field = StateField.from_function(self.system, lambda j, x, k: self.eval(j, k, x), n_x)
+        xs = np.linspace(0.0, self.system.graph.lengths, n_x, axis=1)
+        field = StateField.from_function(self.system, lambda j, x, k: self.eval(j, k, x), xs=xs)
         return field if self.evaluator is not None else field.sampled()
 
     def norm(self) -> float:
@@ -510,6 +515,17 @@ def read_kinks(system: TransportSystem, t: float, inflow_breaks) -> np.ndarray:
     return np.concatenate([l - v * t, breaks, l - v * (t - np.asarray(inflow_breaks, dtype=float))], axis=-1)
 
 
+def initial_kinks(system: TransportSystem, f: StateField) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (M, Q) c and d with the kinks of the initial-fed read of f at
+    time t and node k at c - d v_k t: row j holds its n absorption breaks,
+    again (their feet), the knots of f (their feet), its last knot repeated."""
+    q, (knots, sizes, _) = system.absorption, f._grid
+    n = q.pieces[:, None] + 1
+    col, row = np.arange((2 * n[:, 0] + sizes).max() + 1), np.arange(n.size)[:, None]
+    knot = np.minimum(np.maximum(col - 2 * n, 0), knots.shape[1] - 1)
+    return np.where(col < 2 * n, q.breaks[row, col % n], knots[row, knot]), np.where(col < n, 0.0, 1.0)
+
+
 def knot_arrivals(system: TransportSystem, f: StateField) -> np.ndarray:
     """The times sigma / v_k at which the knots sigma of f and the absorption
     breaks of each edge reach the outflow end x = 0, where the zero-inflow
@@ -621,8 +637,8 @@ def dirichlet_apply(system: TransportSystem, g: np.ndarray, mu: float) -> StateF
     an exact exponential profile per edge and velocity node.  The lift
     satisfies G(D_mu g) = g under the Kirchhoff weight normalization and is
     positive for g >= 0 at every real mu.  ``g`` is an (N, K) array; the
-    field samples on the :meth:`TransportSystem.xgrid` grids, all (edge,
-    node) pairs in one call of its evaluator.
+    field samples on :attr:`TransportSystem.grid`, all (edge, node) pairs in
+    one call of its evaluator.
     """
     nodes = system.vgrid.nodes
     lengths = system.graph.lengths
@@ -660,8 +676,8 @@ def input_map(system: TransportSystem, u: StepSignal, t: float) -> StateField:
                         * w_j * u_{tail(j)}((tv - l_j + x)/v)
     where the characteristic entered the edge after time 0, i.e. for
     t > (l_j - x)/v, and exactly 0 otherwise.  ``u`` is a boundary-space
-    history (N channels) defined on [0, t].  The field samples on the
-    :meth:`TransportSystem.xgrid` grids.
+    history (N channels) defined on [0, t].  The field samples on
+    :attr:`TransportSystem.grid`.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -96,7 +96,9 @@ def random_field(rng: np.random.Generator, system: TransportSystem, n_x: int | N
         rng.uniform(0.0, 1.0, (system.n_nodes, n_x or system.space_samples))
         for _ in range(system.n_edges)
     ]
-    return StateField.from_samples(system, values, n_x)
+    if n_x is None:
+        return StateField.from_samples(system, values)
+    return StateField(system, np.linspace(0.0, system.graph.lengths, n_x, axis=1), values)
 
 
 def ladder_yaml(path: Path, n: int, nodes: int, rng, cycle: bool = False) -> Path:

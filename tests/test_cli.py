@@ -407,6 +407,30 @@ def test_scipy_linalg_loads_at_the_first_exponential(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[False, False, True]"
 
 
+NUMPY_MA_PROBE = """
+import sys
+import posflow.cli
+loaded = []
+for command in ("check", "spectrum", "admissibility"):
+    assert posflow.cli.main([command, "--scenario", sys.argv[1], "--out", sys.argv[2] + "/" + command]) == 0
+    loaded.append("numpy.ma" in sys.modules)
+print(loaded)
+"""
+
+
+def test_parsing_inputs_does_not_import_numpy_ma(tmp_path):
+    # A fresh process: np.unique imports numpy.ma (about 14 ms) on its first
+    # call, and none of these commands needs it.  loop.yaml has an input.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, str(SCENARIOS / "loop.yaml"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         run(["frobnicate", "--scenario", SCENARIOS / "loop.yaml"])

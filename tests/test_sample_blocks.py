@@ -81,7 +81,7 @@ def dirichlet_ref(system, g, mu):
     g_ = system.graph
     values = []
     for j, l in enumerate(g_.lengths):
-        x = system.xgrid(j)
+        x = np.linspace(0.0, l, system.space_samples)
         rows = []
         for k, v in enumerate(system.vgrid.nodes):
             edge = primitive_ref(system, j, k, l)

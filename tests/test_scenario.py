@@ -110,6 +110,28 @@ def test_control_signal_assembly(tmp_path):
     assert sc.control.horizon == sc.horizon
 
 
+def test_control_breaks_are_the_distinct_step_times_up_to_the_span(tmp_path):
+    """Shared, repeated and late step times of two channels: the breaks are
+    those of np.unique, cut at max(horizon, 1) with that span included."""
+    text = """
+schema_version: 1
+graph:
+  vertices: 2
+  edges:
+    - {tail: 1, head: 2, length: 1.0, weight: 1.0}
+    - {tail: 2, head: 1, length: 1.0, weight: 1.0}
+  control_matrix: [[1.0, 0.5], [0.0, 1.0]]
+velocity: {v_min: 0.5, v_max: 1.5, nodes: 1}
+inputs:
+  - steps: {times: [0.0, 0.25, 0.5], values: [1.0, 2.0, 3.0]}
+  - steps: {times: [0.0, 0.5, 0.75, 3.0], values: [4.0, 5.0, 6.0, 7.0]}
+horizon: 0.5
+"""
+    sc = parse_scenario(write(tmp_path, text))
+    assert sc.control.breaks.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert sc.control.values[:, :, 0].tolist() == [[1.0, 4.0], [2.0, 4.0], [3.0, 5.0], [3.0, 6.0]]
+
+
 def test_initial_table_broadcasts_over_nodes(tmp_path):
     sc = parse_scenario(SCENARIOS / "conservation.yaml")
     f = sc.initial

@@ -47,7 +47,7 @@ def laplace_of_solution(sol, mu, T, panels=1200):
     gl_x, gl_w = np.polynomial.legendre.leggauss(4)
     edges = np.linspace(0.0, T, panels + 1)
     acc = [np.zeros((sys_.n_nodes, sys_.space_samples)) for _ in range(sys_.n_edges)]
-    grids = [sys_.xgrid(j) for j in range(sys_.n_edges)]
+    grids = [np.linspace(0.0, l, sys_.space_samples) for l in sys_.graph.lengths]
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         for xi, wi in zip(gl_x, gl_w):
@@ -178,7 +178,7 @@ class TestClosedLoopSolve:
         t = 0.7531 * sys.min_delay
         open_loop = input_map(sys, u, t)
         for k in range(2):
-            xs = sys.xgrid(0, 401)
+            xs = np.linspace(0.0, sys.graph.lengths[0], 401)
             a = sol.eval_edge(0, k, xs, t)
             b = open_loop.eval(0, k, xs)
             assert np.max(np.abs(a - b)) < 1e-12
@@ -577,3 +577,30 @@ class TestSweepLayout:
         monkeypatch.setattr(Absorption, "primitive", counted)
         sol.eval_edge(0, 0, np.linspace(0.0, sol.system.graph.lengths[0], 5), 0.9)
         assert len(calls) == 2  # P_j at x and at the foot
+
+    def test_one_characteristic_read_per_window(self, monkeypatch):
+        """A window that reads the ledger makes one characteristic_read, and
+        one more when it holds the left copy of a jump pair."""
+        reads, windows = [], []
+        read, sweep = solver.characteristic_read, solver._sweep_window
+
+        def counted_read(*args, **kwargs):
+            reads.append(kwargs)
+            return read(*args, **kwargs)
+
+        def counted_sweep(system, ledger, times, left, out):
+            before = len(reads)
+            sweep(system, ledger, times, left, out)
+            fed = bool(np.any(times[:, None, None] > system.delays))
+            windows.append((len(reads) - before, fed * (1 + bool(left.any()))))
+
+        monkeypatch.setattr(solver, "characteristic_read", counted_read)
+        monkeypatch.setattr(solver, "_sweep_window", counted_sweep)
+        for block_bytes in (solver._BLOCK_BYTES, 1):  # 1: windows of one stamp or one jump pair
+            monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes)
+            windows.clear()
+            sol, _ = jumpy_kirchhoff_solution(np.random.default_rng(7))
+            assert len(windows) == sol.sweep_windows
+            assert [got for got, _ in windows] == [want for _, want in windows]
+        assert {want for _, want in windows} == {0, 1, 2}
+        assert all(set(kw) == {"inflow"} for kw in reads)  # the ledger alone feeds the sweep

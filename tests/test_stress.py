@@ -76,9 +76,7 @@ class TestPiecewiseAbsorption:
 
     def test_resolvent_vs_laplace_oracle(self):
         sys = piecewise_loop()
-        f = StateField.from_function(
-            sys, lambda j, x, k: np.sin(np.pi * x) ** 2 + 0.1, n_x=161
-        )
+        f = StateField.from_function(sys, lambda j, x, k: np.sin(np.pi * x) ** 2 + 0.1)
         mu = sys.q_sup + 2.0
         direct = resolvent_apply(sys, f, mu)
         oracle = laplace_of_semigroup(sys, f, mu, T=8.0, panels=1500)

@@ -12,6 +12,7 @@ from posflow import (
     StepSignal,
     TransportSystem,
     boundary_traces,
+    closed_loop_solve,
     dirichlet_apply,
     flow_trace,
     flux_preserving_kernel,
@@ -37,7 +38,8 @@ def hat_field(system, n_x=None):
         l = system.graph.lengths[j]
         return np.minimum(x, l - x) * (2.0 / l) * (1.0 + 0.1 * k)
 
-    return StateField.from_function(system, fn, n_x)
+    xs = None if n_x is None else np.linspace(0.0, system.graph.lengths, n_x, axis=1)
+    return StateField.from_function(system, fn, xs=xs)
 
 
 def laplace_of_semigroup(system, f, mu, T, panels=1200):
@@ -69,7 +71,7 @@ class TestSemigroup:
         sys = make_loop()
         f = StateField.constant(sys, 1.0)
         out = semigroup_apply(sys, f, 0.3)
-        xs = sys.xgrid(0)
+        xs = np.linspace(0.0, sys.graph.lengths[0], sys.space_samples)
         vals = out.values[0][0]
         assert np.all(vals[xs < 0.699] == 1.0)
         assert np.all(vals[xs > 0.701] == 0.0)
@@ -78,7 +80,7 @@ class TestSemigroup:
         sys = make_loop(q=-2.0)
         f = StateField.constant(sys, 1.0)
         out = semigroup_apply(sys, f, 0.3)
-        xs = sys.xgrid(0)
+        xs = np.linspace(0.0, sys.graph.lengths[0], sys.space_samples)
         inside = out.values[0][0][xs < 0.699]
         assert np.max(np.abs(inside - np.exp(-0.6))) < 1e-14
 
@@ -115,7 +117,7 @@ class TestResolvent:
         f = StateField.constant(sys, 1.0)
         mu = 2.0
         out = resolvent_apply(sys, f, mu)
-        xs = sys.xgrid(0, 401)
+        xs = np.linspace(0.0, sys.graph.lengths[0], 401)
         exact = (1.0 - np.exp(-mu * (1.0 - xs))) / mu
         assert np.max(np.abs(out.values[0][0] - exact)) < 1e-8
 
@@ -173,7 +175,7 @@ class TestDirichlet:
     def test_loop_exponential_profile(self):
         sys = make_loop()
         out = dirichlet_apply(sys, np.ones((1, 1)), 2.0)
-        xs = sys.xgrid(0)
+        xs = np.linspace(0.0, sys.graph.lengths[0], sys.space_samples)
         exact = np.exp(-2.0 * (1.0 - xs))
         assert np.max(np.abs(out.values[0][0] - exact)) < 1e-14
 
@@ -199,7 +201,7 @@ class TestDirichlet:
         lift = dirichlet_apply(sys, g, mu)
         for n in (2001, 4001):
             for k, v in enumerate(sys.vgrid.nodes):
-                xs = sys.xgrid(0, n)
+                xs = np.linspace(0.0, sys.graph.lengths[0], n)
                 d = lift.eval(0, k, xs)
                 h = xs[1] - xs[0]
                 dp = (d[2:] - d[:-2]) / (2 * h)
@@ -263,7 +265,7 @@ class TestInputMap:
         sys = make_loop()
         u = StepSignal.constant(np.ones((1, 1)), 0.4)
         out = input_map(sys, u, 0.4)
-        xs = sys.xgrid(0)
+        xs = np.linspace(0.0, sys.graph.lengths[0], sys.space_samples)
         vals = out.values[0][0]
         assert np.all(vals[xs > 0.601] == 1.0)
         assert np.all(vals[xs < 0.599] == 0.0)
@@ -302,7 +304,7 @@ class TestInputMap:
                 acc += half * wi * np.exp(-mu * t) * fld.values[0]
         acc += np.exp(-mu * t_fill) / mu * input_map(sys, u, t_fill).values[0]
         predicted = dirichlet_apply(sys, u0, mu)
-        num = StateField(sys, [sys.xgrid(0)], [acc])
+        num = StateField(sys, [np.linspace(0.0, sys.graph.lengths[0], sys.space_samples)], [acc])
         ref = StateField(sys, predicted.xs, [predicted.values[0] / mu])
         assert (num - ref).norm() <= 1e-4 * ref.norm()
 
@@ -612,3 +614,39 @@ class TestTransferRadius:
         for mu in np.linspace(0.5, 8.0, 31):
             exact = np.sum(w * v * v * np.exp(-mu * l / v)) / np.sum(w * v * v)
             assert abs(transfer_radius(sys, mu) - exact) <= 1e-15 * exact
+
+
+class TestSystemGrid:
+    """One cached x-grid per system, np.linspace(0, l_j, space_samples) per
+    edge, read-only and shared by every field sampled on the default grids."""
+
+    def test_default_fields_and_snapshots_share_the_grid(self):
+        sys = parse_scenario(SCENARIOS / "two_cycle.yaml").system
+        g = np.ones((sys.n_vertices, sys.n_nodes))
+        sol = closed_loop_solve(sys, StateField.constant(sys, 1.0), None, 1.0)
+        fields = [
+            StateField.constant(sys, 1.0),
+            StateField.zeros(sys),
+            dirichlet_apply(sys, g, sys.q_sup + 1.0),
+            input_map(sys, StepSignal.constant(g, 1.0), 0.5),
+            sol.observe(0.5)[0],
+            sol.snapshot(1.0),
+        ]
+        for f in fields:
+            assert f._grid is sys.grid
+
+    def test_grid_is_read_only(self):
+        sys = make_two_cycle()
+        for a in sys.grid:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+    def test_rows_are_linspace_bit_for_bit(self, rng):
+        for n in (2, 3, 33, 129, 401):
+            sys = random_network(rng, space_samples=n)
+            knots, sizes, _ = sys.grid
+            assert sizes.tolist() == [n] * sys.n_edges
+            for j, l in enumerate(sys.graph.lengths):
+                assert knots[j, :n].tobytes() == np.linspace(0.0, l, n).tobytes()
+                assert knots[j, n] == l  # the padded column repeats l_j

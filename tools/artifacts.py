@@ -8,7 +8,8 @@ runs ``python -m posflow`` in a fresh process against this checkout's
 p = 1 skips the zero-class scan), ``spectrum`` and ``oracle``, on
 ``scenarios/*.yaml``, on the benchmark's seed-0 scenarios (written to
 ``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``) and on
-:data:`RAGGED`, written there as ``ragged.yaml``.  Each run's
+:data:`RAGGED` and :data:`DEFAULTS`, written there as ``ragged.yaml`` and
+``defaults.yaml``.  Each run's
 artifacts, stdout, stderr and exit status go to ``OUT/<scenario>-<command>``.
 Two checkouts produce the same outputs exactly when ``diff -r`` of their
 trees is empty.
@@ -72,16 +73,42 @@ RAGGED = {
     "probes": {"count": 12, "p": 2.0},
 }
 
+# No initial state, absorption or kernel, which every other scenario sets:
+# the zero field on the default x-grids, q = 0 and the identity kernel, fed
+# by an input that steps inside the horizon.
+DEFAULTS = {
+    "schema_version": 1,
+    "name": "defaults",
+    "seed": 3,
+    "graph": {
+        "vertices": 3,
+        "edges": [
+            {"tail": 1, "head": 2, "length": 0.9, "weight": 0.6},
+            {"tail": 1, "head": 3, "length": 1.3, "weight": 0.4},
+            {"tail": 2, "head": 3, "length": 0.6, "weight": 1.0},
+            {"tail": 3, "head": 1, "length": 1.1, "weight": 1.0},
+        ],
+        "control_matrix": [[1.0], [0.0], [0.0]],
+    },
+    "velocity": {"v_min": 0.7, "v_max": 1.3, "nodes": 2, "rule": "midpoint"},
+    "inputs": [{"steps": {"times": [0.0, 0.8, 1.6], "values": [1.0, 0.4, 0.0]}}],
+    "horizon": 2.5,
+    "snapshots": [0.0, 1.25, 2.5],
+    "space_samples": 21,
+    "probes": {"count": 8, "p": 2.0},
+}
+
 
 def scenario_files(out: Path) -> list[Path]:
     """The shipped scenarios, then the benchmark's seed-0 scenarios, then
-    :data:`RAGGED`."""
+    :data:`RAGGED` and :data:`DEFAULTS`."""
     files = sorted((ROOT / "scenarios").glob("*.yaml"))
     for workload in sorted(WORKLOAD_FILES):
         files += write_workload(workload, 0, out / "_scenarios").values()
-    ragged = out / "_scenarios" / "ragged.yaml"
-    ragged.write_text(yaml.safe_dump(RAGGED, sort_keys=False))
-    return files + [ragged]
+    for extra in (RAGGED, DEFAULTS):
+        files.append(out / "_scenarios" / f"{extra['name']}.yaml")
+        files[-1].write_text(yaml.safe_dump(extra, sort_keys=False))
+    return files
 
 
 def main(argv: list[str]) -> int:
