@@ -58,6 +58,23 @@ def _cells(values) -> list[str]:
     return list(map("{:.17g}".format, np.asarray(values, dtype=float).ravel().tolist()))
 
 
+def _write_block(fh, heads: np.ndarray, t_cells, values) -> None:
+    """Write ``values`` (float64, C order) as the rows "time,head,value" of
+    the object array ``heads`` (",edge,x,v," or ",vertex,v,"), once per cell
+    of ``t_cells``.  Each distinct value is formatted once, keyed by its bits
+    so -0.0 stays apart from +0.0 (piecewise-constant data repeat a few
+    values many times), and the rows are joined from their time cells, heads
+    and the gathered value cells: {:.17g} to the byte."""
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    cells = ("%.17g\n" * keys.size % tuple(keys.view(float).tolist())).splitlines(keepends=True)
+    parts = np.empty((len(t_cells), heads.size, 3), dtype=object)
+    parts[..., 0] = np.array(t_cells, dtype=object)[:, None]
+    parts[..., 1] = heads
+    parts[..., 2] = np.array(cells, dtype=object)[inverse].reshape(parts.shape[:2])
+    fh.write("".join(parts.ravel().tolist()))
+
+
 def _mu_grid(spec: str) -> np.ndarray:
     """--mu-grid a:b:n with finite a and b and an integer n >= 1."""
     try:
@@ -138,16 +155,18 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
         raise ScenarioError(f"{exc}; pass --signed to simulate signed data") from None
     outdir = Path(args.out)
 
-    # Rows go out one (time, edge, node) block at a time, so no whole file is
-    # held in memory.  Snapshot fields sample on TransportSystem.grid, so each
-    # (edge, node) block is one row template with the coordinates formatted
-    # once, the time left as "\0" and one %.17g slot per value ({:.17g} to
-    # the byte): a block is one replace and one %.
+    # Rows go out one block at a time, so no whole file is held in memory: a
+    # snapshot time, or a chunk of trace stamps holding at most as many
+    # values as a snapshot.  Snapshot fields sample on TransportSystem.grid,
+    # so the coordinates are formatted once per run, into the row heads;
+    # _write_block formats each distinct value of a block once.
     v_cells = _cells(sys_.vgrid.nodes)
-    block_rows = [
-        ["".join(f"\0,{j + 1},{x},{v},%.17g\n" for x in _cells(knots)) for v in v_cells]
-        for j, knots in enumerate(sys_.grid[0][:, : sys_.space_samples])
-    ]
+    snapshot_heads = np.array([
+        f",{j + 1},{x},{v},"
+        for j, x_cells in enumerate(map(_cells, sys_.grid[0][:, : sys_.space_samples]))
+        for v in v_cells
+        for x in x_cells
+    ], dtype=object)
     snapshot_min = np.inf
     masses = []
     with (outdir / "snapshots.csv").open("w") as fh:
@@ -156,24 +175,27 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
             fld, mass = sol.observe(float(t))
             snapshot_min = min(snapshot_min, fld.min_value())
             masses.append(mass)
-            for rows, block in zip(block_rows, fld.values):
-                for row, vals in zip(rows, block):
-                    fh.write(row.replace("\0", t_cell) % tuple(vals.tolist()))
+            _write_block(fh, snapshot_heads, [t_cell], np.stack(fld.values))
 
     led = sol.ledger
-    stamp_rows = "".join(
-        f"\0,{i + 1},{v_cell},%.17g\n" for i in range(sys_.n_vertices) for v_cell in v_cells
+    stamp_heads = np.array(
+        [f",{i + 1},{v_cell}," for i in range(sys_.n_vertices) for v_cell in v_cells], dtype=object
     )
+    chunk = max(1, sys_.n_edges * sys_.space_samples // sys_.n_vertices)  # stamps of N K values
+    t_cells = _cells(led.times)
     with (outdir / "traces.csv").open("w") as fh:
         fh.write(TRACE_HEADER)
-        for t_cell, block in zip(_cells(led.times), led.values):
-            fh.write(stamp_rows.replace("\0", t_cell) % tuple(block.ravel().tolist()))
+        for s in range(0, len(t_cells), chunk):
+            _write_block(fh, stamp_heads, t_cells[s : s + chunk], led.values[s : s + chunk])
 
     pos_tol = sc.tolerances["positivity"]
     drift = 0.0
     if masses:
+        # relative to the initial mass, or to the largest mass when that is 0
         m0 = masses[0]
-        drift = max(abs(m - m0) for m in masses) / max(abs(m0), 1e-30)
+        scale = max(abs(m0), 1e-30) if m0 != 0.0 else max(abs(m) for m in masses)
+        if scale > 0.0:
+            drift = max(abs(m - m0) for m in masses) / scale
     min_state = min(sol.min_state, snapshot_min)
     gates = []
     if not args.signed:

@@ -144,9 +144,22 @@ def _build_vgrid(section: dict) -> Quadrature:
     raise ScenarioError(f"velocity.rule must be 'midpoint' or 'gauss', got {rule!r}")
 
 
+def _node_rates(value, ctx: str, n_nodes: int) -> np.ndarray:
+    """A constant absorption entry as a (1, K) row: one rate, or one per
+    velocity node."""
+    rates = _as_array(value, ctx)
+    try:
+        return np.broadcast_to(rates, (1, n_nodes))
+    except ValueError:
+        raise ScenarioError(f"{ctx}: expected one rate or one per velocity node, got {value!r}") from None
+
+
 def _build_absorption(section, graph: MetricGraph, n_nodes: int) -> Absorption:
     if section is None:
         return Absorption.zero(graph.lengths, n_nodes)
+    if isinstance(section, dict) and "constant" in section:
+        rates = _node_rates(section["constant"], "absorption[0].constant", n_nodes)
+        return Absorption.constant(np.broadcast_to(rates, (graph.n_edges, n_nodes)), graph.lengths, n_nodes)
     if isinstance(section, dict):
         section = [section] * graph.n_edges
     if len(section) != graph.n_edges:
@@ -157,9 +170,7 @@ def _build_absorption(section, graph: MetricGraph, n_nodes: int) -> Absorption:
         l = float(graph.lengths[j])
         if "constant" in entry:
             breaks.append(np.array([0.0, l]))
-            values.append(
-                np.broadcast_to(_as_array(entry["constant"], ctx + ".constant"), (1, n_nodes)).copy()
-            )
+            values.append(_node_rates(entry["constant"], ctx + ".constant", n_nodes))
         elif "table" in entry:
             tbl = entry["table"]
             xs = _as_array(_require(tbl, "x", ctx), ctx + ".table.x")
@@ -210,6 +221,12 @@ def _build_kernel(section, graph: MetricGraph, vgrid: Quadrature) -> ScatteringK
 def _build_initial(section, system: TransportSystem) -> StateField:
     if section is None:
         return StateField.zeros(system)
+    # two knots suffice for a constant: keeps the solver's event closure minimal
+    if isinstance(section, dict) and "constant" in section:
+        c = _as_float(section["constant"], "initial_state[0].constant")
+        lengths = system.graph.lengths
+        knots = np.column_stack([np.zeros_like(lengths), lengths])
+        return StateField(system, knots, np.full((system.n_edges, system.n_nodes, 2), c))
     if isinstance(section, dict):
         section = [section] * system.n_edges
     if len(section) != system.n_edges:
@@ -219,7 +236,6 @@ def _build_initial(section, system: TransportSystem) -> StateField:
         ctx = f"initial_state[{j}]"
         if "constant" in entry:
             c = _as_float(entry["constant"], ctx + ".constant")
-            # two knots suffice: keeps the solver's event closure minimal
             xs = np.array([0.0, float(system.graph.lengths[j])])
             tables.append((xs, np.full((system.n_nodes, 2), c)))
         elif "table" in entry:

@@ -28,7 +28,10 @@ from .signals import StepSignal
 
 def _pad_rows(rows) -> np.ndarray:
     """Rows of shape (..., n_j) stacked into one (M, ..., n + 1) array with
-    n = max n_j; each row repeats its last entry past its end."""
+    n = max n_j; each row repeats its last entry past its end.  Rows given
+    as one (M, ..., n) array are padded with one copy of their last column."""
+    if isinstance(rows, np.ndarray):
+        return np.concatenate([rows, rows[..., -1:]], axis=-1)
     sizes = np.array([r.shape[-1] for r in rows])
     cols = np.minimum(np.arange(sizes.max() + 1), sizes[:, None] - 1)
     return np.moveaxis(np.concatenate(rows, axis=-1)[..., (np.cumsum(sizes) - sizes)[:, None] + cols], -2, 0)
@@ -40,7 +43,9 @@ def _increasing_rows(rows, what: str, ends=None) -> tuple[np.ndarray, np.ndarray
     their interpolation grid: each row continues past its end in unit steps,
     so np.interp on a padded row equals np.interp on the row.  A ValueError
     names the first edge whose row is not such a row."""
-    rows = [np.asarray(r, dtype=float) for r in rows]
+    # one (M, n) array stays whole, for _pad_rows to pad in one step
+    rows = (np.asarray(rows, dtype=float) if isinstance(rows, np.ndarray)
+            else [np.asarray(r, dtype=float) for r in rows])
     sizes = np.array([r.size if r.ndim == 1 else 0 for r in rows])
     bad = sizes < 2
     if not bad.any():
@@ -324,7 +329,7 @@ class StateField:
     __slots__ = ("system", "evaluator", "_grid", "_table")
 
     def __init__(self, system: TransportSystem, xs, values, evaluator=None):
-        xs, values = list(xs), [np.asarray(v, dtype=float) for v in values]
+        values = [np.asarray(v, dtype=float) for v in values]
         if len(xs) != system.n_edges or len(values) != system.n_edges:
             raise ValueError("need one grid and one sample block per edge")
         grid = _increasing_rows(xs, "grid", system.graph.lengths)

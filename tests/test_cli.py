@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 import yaml
 
-from posflow.cli import SNAPSHOT_HEADER, SPECTRUM_HEADER, TRACE_HEADER, main
+from posflow.cli import (
+    SNAPSHOT_HEADER,
+    SPECTRUM_HEADER,
+    TRACE_HEADER,
+    _write_block,
+    main,
+)
 from posflow.scenario import parse_scenario
 from posflow.solver import closed_loop_solve
 from posflow.transport import StateField, transfer_operator, transfer_radius
@@ -16,6 +23,9 @@ from conftest import ladder_yaml, make_loop
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
+sys.path.insert(0, str(ROOT / "tools"))
+
+from artifacts import SIGNED  # noqa: E402
 
 
 def run(args):
@@ -57,6 +67,21 @@ class TestSimulate:
         assert gate["mass_drift"]["passed"]
         assert gate["mass_drift"]["value"] < 1e-8
 
+    @pytest.mark.parametrize("inflow, drift", [("1.0", 1.0), ("0.0", 0.0)])
+    def test_mass_drift_from_zero_initial_mass(self, tmp_path, inflow, drift):
+        """With no initial mass the drift is relative to the largest mass, and
+        0 when every mass is 0, not a division by a 1e-30 floor."""
+        doc = (SCENARIOS / "loop.yaml").read_text()
+        doc = doc.replace("- {constant: 1.0}", "- {constant: 0.0}").replace(
+            "values: [0.0]}", f"values: [{inflow}]}}")
+        scenario, out = tmp_path / "zero.yaml", tmp_path / "out"
+        scenario.write_text(doc)
+        run(["simulate", "--scenario", scenario, "--out", out])
+        metrics = load_report(out)["metrics"]
+        assert metrics["mass_by_time"][0] == 0.0
+        assert max(metrics["mass_by_time"]) > 0.0 if drift else not any(metrics["mass_by_time"])
+        assert metrics["mass_drift"] == drift
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -94,31 +119,10 @@ def reference_csvs(scenario: Path, signed: bool = False) -> dict[str, str]:
 
 
 def signed_yaml(path: Path) -> Path:
-    """A signed two-cycle whose data reach -0.0, +-1e300 and 1e-300, with a
-    step input whose breaks put jump pairs into the trace ledger."""
-    doc = {
-        "graph": {
-            "vertices": 2,
-            "edges": [
-                {"tail": 1, "head": 2, "length": 1.0, "weight": 1.0},
-                {"tail": 2, "head": 1, "length": 0.7, "weight": 1.0},
-                {"tail": 2, "head": 2, "length": 0.45, "weight": 1.0},
-            ],
-            "control_matrix": [[1.0], [0.0]],
-        },
-        "velocity": {"v_min": 0.8, "v_max": 1.4, "nodes": 3, "rule": "midpoint"},
-        "kernel": {"mode": "constant", "value": 0.8},
-        "initial_state": [
-            {"table": {"x": [0.0, 0.5, 1.0], "values": [-1e300, 3e-300, 1e300]}},
-            {"constant": -0.0},
-            {"table": {"x": [0.0, 0.45], "values": [-2.5, 1e-300]}},
-        ],
-        "inputs": [{"steps": {"times": [0.0, 0.5, 1.5], "values": [-0.3, 1e-300, -7.0]}}],
-        "horizon": 2.5,
-        "snapshots": [0.0, 0.35, 1.2, 2.5],
-        "space_samples": 17,
-    }
-    path.write_text(yaml.safe_dump(doc))
+    """The signed-extremes scenario of tools/artifacts.py: a signed two-cycle
+    whose data reach -0.0, +-1e300 and 1e-300, with a step input whose
+    breaks put jump pairs into the trace ledger."""
+    path.write_text(yaml.safe_dump(SIGNED))
     return path
 
 
@@ -154,6 +158,63 @@ class TestCsvBytes:
         stamps = [line.split(",", 1)[0] for line in want["traces.csv"].splitlines()[2:]]
         times = stamps[:: 2 * 3]  # one row per (vertex, velocity node) per stamp
         assert len(times) > len(set(times))  # jump pairs: left limit, then right limit
+
+
+def write_block(values, t_cells, rows_per_group) -> str:
+    """_write_block's text for groups of rows "t,r,value" on a StringIO."""
+    out = io.StringIO()
+    heads = np.array([f",{r}," for r in range(rows_per_group)], dtype=object)
+    _write_block(out, heads, t_cells, values)
+    return out.getvalue()
+
+
+def block_reference(values, t_cells, rows_per_group) -> str:
+    cells = [_fmt(x) for x in np.ravel(values)]
+    return "".join(
+        f"{t},{r},{cells[g * rows_per_group + r]}\n"
+        for g, t in enumerate(t_cells) for r in range(rows_per_group)
+    )
+
+
+class TestWriteBlock:
+    """The distinct-value table writes the per-row reference byte for byte,
+    whatever share of a block's values is distinct."""
+
+    @pytest.mark.parametrize("distinct", [64, 33, 32, 1])
+    def test_any_share_of_distinct_values(self, rng, distinct):
+        pool = rng.standard_normal(distinct) * 10.0 ** rng.integers(-20, 20, distinct)
+        values = np.concatenate([pool, pool[rng.integers(0, distinct, 64 - distinct)]])
+        values = rng.permutation(values).reshape(4, 2, 8)
+        assert write_block(values, ["0.5"], 64) == block_reference(values, ["0.5"], 64)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, -0.0, 0.0, -0.0, 1.0],
+        [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 5e-324, -5e-324, 5e-324],
+        [1e300, -1e300, 1e300, 1e300, -1e300, -0.0],
+        [np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 2.0), 1.0, 0.1, 0.1],
+    ])
+    @pytest.mark.parametrize("fill", [[-0.0] * 6, np.arange(1.0, 7.0) / 3.0])  # repeats, or distinct
+    def test_signed_zeros_subnormals_and_extremes(self, values, fill):
+        values = np.concatenate([values, fill])
+        text = write_block(values, ["1e-300", "-0"], 6)
+        assert text == block_reference(values, ["1e-300", "-0"], 6)
+        assert text.count(",-0\n") == int(np.sum((values == 0) & np.signbit(values)))
+
+    def test_trace_chunks_split_a_jump_pair(self, tmp_path):
+        """Chunks of stamps written one call each equal the per-row ledger,
+        also when a chunk ends between the left and right copies of a jump."""
+        sc = parse_scenario(signed_yaml(tmp_path / "signed.yaml"))
+        sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon, positive=False)
+        led = sol.ledger
+        pair = int(np.flatnonzero(led.times[1:] == led.times[:-1])[0])
+        assert not np.array_equal(led.values[pair], led.values[pair + 1])
+        t_cells = [_fmt(t) for t in led.times]
+        width = sc.system.n_vertices * sc.system.n_nodes
+        bounds = [0, pair + 1, len(t_cells)]
+        got = "".join(
+            write_block(led.values[a:b], t_cells[a:b], width) for a, b in zip(bounds, bounds[1:])
+        )
+        assert got == block_reference(led.values, t_cells, width)
 
 
 class TestSignedData:

@@ -25,7 +25,7 @@ from posflow import (
     TransportSystem,
     closed_loop_solve,
 )
-from posflow.transport import _pad_rows
+from posflow.transport import _increasing_rows, _pad_rows
 
 # ---------------------------------------------------------------------------
 # the per-edge references
@@ -174,6 +174,63 @@ def test_constant_absorption_matches_the_per_edge_tables(rates):
     assert q.pieces.tolist() == [1, 1, 1]
     for got, want in zip(q._table, primitive_table_ref(breaks, values)):
         assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 5), (4, 2, 3), (2, 3, 1, 4)])
+def test_rectangular_rows_pad_as_their_rows(rng, shape):
+    """One (M, ..., n) array pads, with one copy of its last column, to the
+    bits of its M rows padded one by one; so do increasing grid rows."""
+    rows = rng.standard_normal(shape)
+    rows[rows > 1.0] = -0.0
+    assert same_bits(_pad_rows(rows), _pad_rows(list(rows)))
+    grid = np.cumsum(rng.uniform(0.1, 1.0, shape[:1] + shape[-1:]), axis=1)
+    grid -= grid[:, :1]
+    for got, want in zip(_increasing_rows(grid, "grid", grid[:, -1]),
+                         _increasing_rows(list(grid), "grid", grid[:, -1])):
+        assert same_bits(got, want)
+
+
+def test_ragged_rows_repeat_their_last_entry():
+    rows = [np.array([0.0, 1.0]), np.array([0.0, 0.25, -0.0, 2.0]), np.array([0.0, 0.5, 3.0])]
+    want = [[0.0, 1.0, 1.0, 1.0, 1.0], [0.0, 0.25, -0.0, 2.0, 2.0], [0.0, 0.5, 3.0, 3.0, 3.0]]
+    assert same_bits(_pad_rows(rows), np.array(want))
+    xp, sizes, grid = _increasing_rows([rows[0], rows[2]], "grid")
+    assert same_bits(xp, np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 0.5, 3.0, 3.0]]))
+    assert sizes.tolist() == [2, 3]
+    assert same_bits(grid, np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 3.0, 4.0]]))
+
+
+@pytest.mark.parametrize("rows, edge", [([[0.0, 1.0], [0.0, 0.0]], 1), ([[0.0], [0.0]], 0),
+                                        ([[0.5, 1.0], [0.0, 1.0]], 0)])
+def test_bad_rectangular_rows_name_the_edge(rows, edge):
+    for given in (np.array(rows), [np.array(r) for r in rows]):
+        with pytest.raises(ValueError, match=f"grid of edge {edge}:"):
+            _increasing_rows(given, "grid")
+
+
+def test_tables_given_as_arrays_match_the_per_edge_tables(rng):
+    """Absorption and StateField given (M, ...) arrays store the bits the
+    per-edge rows give."""
+    lengths, K, n = np.array([1.0, 0.7, 1.3]), 2, 5
+    breaks = lengths[:, None] * np.array([0.0, 0.4, 1.0])
+    rates = rng.uniform(-1.0, 1.0, (3, 2, K))
+    whole, rows = Absorption(breaks, rates), Absorption(tuple(breaks), tuple(rates))
+    for name in ("breaks", "values", "pieces"):
+        assert same_bits(getattr(whole, name), getattr(rows, name))
+    for got, want in zip(whole._table, rows._table):
+        assert same_bits(got, want)
+    graph = MetricGraph(3, [0, 1, 2], [1, 2, 0], lengths, [1.0, 1.0, 1.0], np.ones((3, 1)))
+    system = TransportSystem(graph, Quadrature.midpoint(0.5, 1.5, K), whole,
+                             ScatteringKernel.identity(), n)
+    xs = np.linspace(0.0, lengths, n, axis=1)
+    values = rng.standard_normal((3, K, n))
+    fields = StateField(system, xs, values), StateField(system, list(xs), list(values))
+    for got, want in zip(fields[0]._table, fields[1]._table):
+        assert same_bits(got, want)
+    for got, want in zip(fields[0]._grid, fields[1]._grid):
+        assert same_bits(got, want)
+    with pytest.raises(ValueError, match="samples of edge 0"):
+        StateField(system, xs, values[:, :, 1:])
 
 
 @pytest.mark.parametrize("breaks, values", [

@@ -193,3 +193,49 @@ def test_probe_exponent_must_be_finite_and_at_least_one(tmp_path, p):
 def test_probe_exponent_one_parses(tmp_path):
     text = MINIMAL.format(length=1.0, weight=1.0, v_min=0.5) + "probes: {p: 1}\n"
     assert parse_scenario(write(tmp_path, text)).probes["p"] == 1
+
+
+SHARED = """
+name: shared
+graph:
+  vertices: 2
+  edges:
+    - {{tail: 1, head: 2, length: 1.0, weight: 1.0}}
+    - {{tail: 2, head: 1, length: 0.8, weight: 0.5}}
+    - {{tail: 2, head: 2, length: 1.3, weight: 0.5}}
+  control_matrix: [[1.0], [0.0]]
+velocity: {{v_min: 0.5, v_max: 1.5, nodes: 3}}
+absorption: {absorption}
+initial_state: {initial}
+horizon: 1.0
+"""
+
+
+@pytest.mark.parametrize("rate", ["0.3", "-0.0", "[0.1, -0.2, 0.4]", "[0.25]"])
+def test_shared_constant_matches_per_edge_entries(tmp_path, rate):
+    """A shared {constant: c} builds the padded tables of three per-edge
+    {constant: c} entries, bit for bit."""
+    shared = parse_scenario(write(tmp_path, SHARED.format(
+        absorption=f"{{constant: {rate}}}", initial="{constant: -0.0}")))
+    per_edge = parse_scenario(write(tmp_path, SHARED.format(
+        absorption=f"[{', '.join([f'{{constant: {rate}}}'] * 3)}]",
+        initial="[{constant: -0.0}, {constant: -0.0}, {constant: -0.0}]")))
+    pairs = [(shared.system.absorption.breaks, per_edge.system.absorption.breaks),
+             (shared.system.absorption.values, per_edge.system.absorption.values),
+             *zip(shared.system.absorption._table, per_edge.system.absorption._table),
+             *zip(shared.initial._grid, per_edge.initial._grid),
+             *zip(shared.initial._table, per_edge.initial._table)]
+    for got, want in pairs:
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("absorption, edge", [
+    ("{constant: [0.1, 0.2]}", 0),
+    ("[{constant: 0.0}, {constant: 0.0}, {constant: [0.1, 0.2]}]", 2),
+])
+def test_constant_absorption_must_fit_the_velocity_nodes(tmp_path, absorption, edge):
+    """A scenario error naming the entry, not a numpy broadcast traceback."""
+    text = SHARED.format(absorption=absorption, initial="{constant: 1.0}")
+    with pytest.raises(ScenarioError, match=rf"absorption\[{edge}\]\.constant: expected one rate"):
+        parse_scenario(write(tmp_path, text))

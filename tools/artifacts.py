@@ -8,8 +8,8 @@ runs ``python -m posflow`` in a fresh process against this checkout's
 p = 1 skips the zero-class scan), ``spectrum`` and ``oracle``, on
 ``scenarios/*.yaml``, on the benchmark's seed-0 scenarios (written to
 ``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``) and on
-:data:`RAGGED` and :data:`DEFAULTS`, written there as ``ragged.yaml`` and
-``defaults.yaml``.  Each run's
+:data:`RAGGED`, :data:`DEFAULTS` and :data:`SIGNED`, written there as
+``ragged.yaml``, ``defaults.yaml`` and ``signed.yaml``.  Each run's
 artifacts, stdout, stderr and exit status go to ``OUT/<scenario>-<command>``.
 Two checkouts produce the same outputs exactly when ``diff -r`` of their
 trees is empty.
@@ -98,14 +98,42 @@ DEFAULTS = {
     "probes": {"count": 8, "p": 2.0},
 }
 
+# Signed data reaching -0.0, +-1e300 and 1e-300, whose step input puts jump
+# pairs into the trace ledger: repeated -0.0 cells beside +0.0 ones.  The CSV
+# byte tests of tests/test_cli.py run it too.  Without --signed, simulate
+# refuses it.
+SIGNED = {
+    "name": "signed",
+    "graph": {
+        "vertices": 2,
+        "edges": [
+            {"tail": 1, "head": 2, "length": 1.0, "weight": 1.0},
+            {"tail": 2, "head": 1, "length": 0.7, "weight": 1.0},
+            {"tail": 2, "head": 2, "length": 0.45, "weight": 1.0},
+        ],
+        "control_matrix": [[1.0], [0.0]],
+    },
+    "velocity": {"v_min": 0.8, "v_max": 1.4, "nodes": 3, "rule": "midpoint"},
+    "kernel": {"mode": "constant", "value": 0.8},
+    "initial_state": [
+        {"table": {"x": [0.0, 0.5, 1.0], "values": [-1e300, 3e-300, 1e300]}},
+        {"constant": -0.0},
+        {"table": {"x": [0.0, 0.45], "values": [-2.5, 1e-300]}},
+    ],
+    "inputs": [{"steps": {"times": [0.0, 0.5, 1.5], "values": [-0.3, 1e-300, -7.0]}}],
+    "horizon": 2.5,
+    "snapshots": [0.0, 0.35, 1.2, 2.5],
+    "space_samples": 17,
+}
+
 
 def scenario_files(out: Path) -> list[Path]:
     """The shipped scenarios, then the benchmark's seed-0 scenarios, then
-    :data:`RAGGED` and :data:`DEFAULTS`."""
+    :data:`RAGGED`, :data:`DEFAULTS` and :data:`SIGNED`."""
     files = sorted((ROOT / "scenarios").glob("*.yaml"))
     for workload in sorted(WORKLOAD_FILES):
         files += write_workload(workload, 0, out / "_scenarios").values()
-    for extra in (RAGGED, DEFAULTS):
+    for extra in (RAGGED, DEFAULTS, SIGNED):
         files.append(out / "_scenarios" / f"{extra['name']}.yaml")
         files[-1].write_text(yaml.safe_dump(extra, sort_keys=False))
     return files
