@@ -157,25 +157,25 @@ def cmd_simulate(sc: Scenario, args) -> tuple[list[dict], dict]:
 
     # Rows go out one block at a time, so no whole file is held in memory: a
     # snapshot time, or a chunk of trace stamps holding at most as many
-    # values as a snapshot.  Snapshot fields sample on TransportSystem.grid,
-    # so the coordinates are formatted once per run, into the row heads;
+    # values as a snapshot.  Snapshots sample on TransportSystem.grid, so the
+    # coordinates are formatted once per run, into the row heads;
     # _write_block formats each distinct value of a block once.
+    n = sys_.space_samples
     v_cells = _cells(sys_.vgrid.nodes)
     snapshot_heads = np.array([
         f",{j + 1},{x},{v},"
-        for j, x_cells in enumerate(map(_cells, sys_.grid[0][:, : sys_.space_samples]))
+        for j, x_cells in enumerate(map(_cells, sys_.grid[0][:, :n]))
         for v in v_cells
         for x in x_cells
     ], dtype=object)
     snapshot_min = np.inf
-    masses = []
+    masses = sol.masses(sc.snapshot_times)
     with (outdir / "snapshots.csv").open("w") as fh:
         fh.write(SNAPSHOT_HEADER)
-        for t, t_cell in zip(sc.snapshot_times, _cells(sc.snapshot_times)):
-            fld, mass = sol.observe(float(t))
-            snapshot_min = min(snapshot_min, fld.min_value())
-            masses.append(mass)
-            _write_block(fh, snapshot_heads, [t_cell], np.stack(fld.values))
+        for t, t_cell in zip(sc.snapshot_times.tolist(), _cells(sc.snapshot_times)):
+            samples = sol.samples(t)
+            snapshot_min = min(snapshot_min, float(samples.min()))
+            _write_block(fh, snapshot_heads, [t_cell], samples[..., :n])
 
     led = sol.ledger
     stamp_heads = np.array(

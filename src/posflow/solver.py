@@ -14,8 +14,12 @@ of stamps at a time: a window holds every stamp whose reads lie at or
 before the last fixed stamp, and costs one ledger read over (stamps, edges,
 velocity nodes) and one application of Gamma (:meth:`TransportSystem.route`).
 
-A solution is observed by one block read of the field per snapshot time and
-the mass from closed-form prefix integrals of the ledger.
+A solution is observed by two reads.  The samples of one snapshot time are
+one read of the characteristics through the x-grids, whose t-independent
+part is computed once per solution.  The masses of many times come per chunk
+of times from one read of the Gauss points of each edge's initial-fed part,
+a chunk holding at most one snapshot's number of points, plus the ledger-fed
+rest in closed form from prefix integrals of the ledger.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from .lattice import gauss_block
 from .signals import StepSignal, piece_index
 from .transport import (
+    CharacteristicPath,
     StateField,
     TransportSystem,
     _phi12,
@@ -59,7 +64,9 @@ class TraceLedger:
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
         self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        # contiguous, so eval_channel's flat view is no copy; a contiguous
+        # float array stays the caller's array, which the sweep fills in place
+        self.values = np.ascontiguousarray(values, dtype=float)
         if self.values.shape[0] != self.times.size:
             raise ValueError("one value slice per stamp required")
         if np.any(np.diff(self.times) < 0):
@@ -79,7 +86,10 @@ class TraceLedger:
         safe = np.where(gap > 0, gap, 1.0)
         # np.clip costs about twice as much on small arrays (see piece_index)
         frac = np.minimum(np.maximum(np.where(gap > 0, (t - t0) / safe, 0.0), 0.0), 1.0)
-        return (1.0 - frac) * self.values[idx, vertex, node] + frac * self.values[nxt, vertex, node]
+        # flat indices gather faster than broadcast fancy indexing
+        _, N, K = self.values.shape
+        flat, channel = self.values.reshape(-1), vertex * K + node
+        return (1.0 - frac) * flat[idx * (N * K) + channel] + frac * flat[nxt * (N * K) + channel]
 
     def min_value(self) -> float:
         return float(self.values.min()) if self.values.size else 0.0
@@ -216,6 +226,9 @@ class ClosedLoopSolution:
     The ledger holds the vertex inflow data; the state at any (t, x, v) is a
     single closed-form read against either the initial field (characteristic
     still inside the edge) or the ledger (characteristic entered at l_j).
+    :meth:`samples` and :meth:`masses` read snapshots and masses;
+    :meth:`observe`, :meth:`snapshot`, :meth:`total_mass` and
+    :meth:`edge_mass` are views on those two reads.
     """
 
     system: TransportSystem
@@ -228,16 +241,36 @@ class ClosedLoopSolution:
     events_complete: bool
     min_state: float
 
-    def eval_edge(self, j, k, x: np.ndarray, t: float) -> np.ndarray:
+    def eval_edge(self, j, k, x: np.ndarray, t) -> np.ndarray:
         """z_j(t, x, v_k) along the characteristic through (x, t); ``j`` and
-        ``k`` are indices or integer arrays broadcasting against ``x``."""
+        ``k`` are indices or integer arrays broadcasting against ``x`` and
+        ``t``."""
         return characteristic_read(
             self.system, j, k, x, t, initial=self.initial, inflow=self.ledger.eval_channel
         )
 
     @cached_property
+    def _grid_path(self) -> CharacteristicPath:
+        """The characteristics through the (M, K, n + 1) points of
+        :attr:`TransportSystem.grid`, read once per snapshot time.  Edge,
+        node and point indices are full (M, K, n + 1) copies, so each branch
+        of a read gathers its points without broadcasting them."""
+        sys_ = self.system
+        j, k, x = np.broadcast_arrays(np.arange(sys_.n_edges)[:, None, None],
+                                      np.arange(sys_.n_nodes)[:, None], sys_.grid[0][:, None, :])
+        return CharacteristicPath(sys_, j.copy(), k.copy(), x.copy())
+
+    @cached_property
     def _initial_kinks(self) -> tuple[np.ndarray, np.ndarray]:
         return initial_kinks(self.system, self.initial)
+
+    @cached_property
+    def _mass_rows(self) -> int:
+        """Times per chunk of :meth:`_edge_masses`: gauss_block cuts each of
+        the M K rows at the Q initial kinks into Q + 1 panels of 5 points,
+        and a chunk holds at most M K n of them, one snapshot's worth, but
+        at least one time."""
+        return max(1, self.system.space_samples // (5 * (self._initial_kinks[0].shape[1] + 1)))
 
     @cached_property
     def _pieces(self) -> tuple[np.ndarray, ...]:
@@ -268,14 +301,16 @@ class ClosedLoopSolution:
             tables.append(_LedgerIntegrals(flipped, vertices, np.where(grow, -rows, 0.0)))
         return edge, lo, hi, rates, const, table.ravel(), tables
 
-    def _fed_mass(self, t: float) -> np.ndarray:
-        """(M, K) mass of the ledger-fed part of each edge and node at time t,
+    def _fed_mass(self, t: np.ndarray) -> np.ndarray:
+        """(R, M, K) mass of the ledger-fed part of each edge and node at the
+        times t (R, 1, 1),
 
             w_j v_k sum_i int e^{C_i + q_i (t - s)} g_{tail_j}(s, v_k) ds
 
         over the entry times s in [t - (l_j - b_i)/v_k, t - (l_j - b_{i+1})/v_k]
         clipped to [0, t], from the prefix tables: a difference of forward
-        prefixes, or for a growing rate (q_i > 0) of time-reversed ones."""
+        prefixes, or for a growing rate (q_i > 0) of time-reversed ones.
+        The pieces of one edge add in piece order."""
         sys_ = self.system
         edge, lo, hi, rates, const, table, tables = self._pieces
         v = sys_.vgrid.nodes
@@ -289,57 +324,75 @@ class ClosedLoopSolution:
             c = np.where(grow, const + rates * (t - end), 0.0)
             back = tables[1].scaled(table, end - lo_s, c) - tables[1].scaled(table, end - hi_s, c)
             part = np.where(grow, back, part)
-        fed = np.zeros((sys_.n_edges, sys_.n_nodes))
-        np.add.at(fed, edge, part)
+        fed = np.zeros((t.shape[0], sys_.n_edges, sys_.n_nodes))
+        np.add.at(fed, (slice(None), edge), part)
         return fed * sys_.graph.weights[:, None] * v
 
-    def _read(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The (M, K, n + 1) samples on :attr:`TransportSystem.grid`, a field's
-        table, and the (M,) edge masses int int z_j(t, x, v) dx dv at time t.
+    def _check_times(self, times) -> np.ndarray:
+        times = np.asarray(times, dtype=float).reshape(-1)
+        outside = (times < -1e-12) | (times > self.horizon + 1e-12)
+        if outside.any():
+            raise ValueError(f"time {times[outside][0]} outside the solved horizon [0, {self.horizon}]")
+        return times
 
-        One :meth:`eval_edge` call reads a single (M, K, n + 1 + P) block:
-        the padded x-grids, then the points of Gauss panels on the initial-fed
-        part [0, max(l_j - v_k t, 0)], cut at its kinks and padded with empty
-        panels.  The ledger-fed rest of the mass is :meth:`_fed_mass`.
-        Exact for piecewise-linear profiles (q = 0), high-order accurate on
-        the initial-fed part otherwise."""
-        if t < -1e-12 or t > self.horizon + 1e-12:
-            raise ValueError(f"time {t} outside the solved horizon [0, {self.horizon}]")
+    def samples(self, t: float) -> np.ndarray:
+        """The (M, K, n + 1) samples at time t on :attr:`TransportSystem.grid`,
+        a field's table: one read of the grid's characteristics, whose
+        t-independent part is computed once per solution."""
+        (t,) = self._check_times(t).tolist()
+        return self._grid_path.read(t, initial=self.initial, inflow=self.ledger.eval_channel)
+
+    def _edge_masses(self, times) -> np.ndarray:
+        """The (T, M) edge masses int int z_j(t, x, v) dx dv at the times.
+
+        Per chunk of times, one :meth:`eval_edge` call reads the points of
+        Gauss panels on the initial-fed part [0, max(l_j - v_k t, 0)] of
+        each edge and node, cut at its kinks; the ledger-fed rest is
+        :meth:`_fed_mass`.  A chunk holds :attr:`_mass_rows` times.  Exact for
+        piecewise-linear profiles (q = 0), high-order accurate on the
+        initial-fed part otherwise."""
+        times = self._check_times(times)
         sys_ = self.system
-        M, K = sys_.n_edges, sys_.n_nodes
-        end = np.maximum(sys_.graph.lengths[:, None] - sys_.vgrid.nodes * t, 0.0)
+        M, K, v = sys_.n_edges, sys_.n_nodes, sys_.vgrid.nodes
+        j, k = np.arange(M)[:, None, None], np.arange(K)[:, None]
         fixed, shift = self._initial_kinks
-        kinks = fixed[:, None, :] - shift[:, None, :] * (sys_.vgrid.nodes * t)[:, None]
-        pts, wts = gauss_block(kinks, end)
-        grid = np.broadcast_to(sys_.grid[0][:, None, :], (M, K, sys_.grid[0].shape[1]))
-        n_x = grid.shape[2]
-        block = np.concatenate([grid, pts.reshape(M, K, -1)], axis=-1)
-        vals = self.eval_edge(np.arange(M)[:, None, None], np.arange(K)[:, None], block, t)
-        initial_fed = np.sum(wts.reshape(M, K, -1) * vals[..., n_x:], axis=-1)
-        return vals[..., :n_x].copy(), (initial_fed + self._fed_mass(t)) @ sys_.vgrid.weights
+        rows = self._mass_rows
+        out = np.empty((times.size, M))
+        for a in range(0, times.size, rows):
+            t = times[a : a + rows, None, None]
+            vt = v * t
+            end = np.maximum(sys_.graph.lengths[:, None] - vt, 0.0)
+            pts, wts = gauss_block(fixed[:, None, :] - shift[:, None, :] * vt[..., None], end)
+            vals = self.eval_edge(j, k, pts.reshape(pts.shape[:3] + (-1,)), t[..., None])
+            initial_fed = np.sum(wts.reshape(vals.shape) * vals, axis=-1)
+            out[a : a + rows] = (initial_fed + self._fed_mass(t)) @ sys_.vgrid.weights
+        return out
 
-    def observe(self, t: float) -> tuple[StateField, float]:
-        """The snapshot field at time t (exact evaluator attached) and the
-        total mass, the edge masses summed in edge order, from one block
-        read (:meth:`_read`)."""
-        samples, masses = self._read(t)
+    def masses(self, times) -> list[float]:
+        """The total mass at each time, its edge masses (:meth:`_edge_masses`)
+        summed in edge order."""
+        return [sum(m) for m in self._edge_masses(times).tolist()]
 
+    def snapshot(self, t: float) -> StateField:
+        """The field at time t: :meth:`samples` with the exact evaluator
+        attached."""
         def ev(j, x, k):
             return self.eval_edge(j, k, x, t)
 
-        return StateField._padded(self.system, self.system.grid, samples, ev), sum(masses.tolist())
-
-    def snapshot(self, t: float) -> StateField:
-        """The field of :meth:`observe`."""
-        return self.observe(t)[0]
-
-    def edge_mass(self, j: int, t: float) -> float:
-        """The mass of edge j at time t (:meth:`_read`)."""
-        return float(self._read(t)[1][j])
+        return StateField._padded(self.system, self.system.grid, self.samples(t), ev)
 
     def total_mass(self, t: float) -> float:
-        """The mass of :meth:`observe`."""
-        return self.observe(t)[1]
+        """The total mass at time t (:meth:`masses`)."""
+        return self.masses(t)[0]
+
+    def edge_mass(self, j: int, t: float) -> float:
+        """The mass of edge j at time t (:meth:`_edge_masses`)."""
+        return float(self._edge_masses(t)[0, j])
+
+    def observe(self, t: float) -> tuple[StateField, float]:
+        """The snapshot field at time t (exact evaluator attached) and the
+        total mass."""
+        return self.snapshot(t), self.total_mass(t)
 
 
 def _sweep_window(

@@ -475,37 +475,97 @@ def _exp_linear_integral(beta: np.ndarray, h: np.ndarray, c0: np.ndarray, c1: np
 # the characteristic read
 
 
+class CharacteristicPath:
+    """The characteristics through the points ``x`` of edge j at node k, read
+    at any time by :meth:`read`.
+
+    It holds what a read does not take from t: x clamped to [0, l_j], l_j,
+    v_k, the transit time (l_j - x)/v_k, P_j(x) and, computed on first use,
+    the inflow gain exp((P_j(l_j) - P_j(x))/v_k) w_j.  ``j`` and ``k`` are
+    indices, or integer arrays broadcasting against ``x`` that read many
+    pairs at once.  A path kept across reads (the snapshot grid of
+    :class:`~posflow.solver.ClosedLoopSolution`) pays these once.
+    """
+
+    def __init__(self, system: TransportSystem, j, k, x):
+        self.system, self.j, self.k = system, j, k
+        self.l, self.v = system.graph.lengths[j], system.vgrid.nodes[k]
+        self.x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), self.l)
+        self.transit = (self.l - self.x) / self.v
+        self.at_x = system.absorption.primitive(j, k, self.x)  # P_j(x), for either branch
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """Growth from l_j down to x, with the full-edge primitive from the
+        table, times the boundary weight w_j."""
+        sys_, j = self.system, self.j
+        return np.exp((sys_.edge_primitive[j, self.k] - self.at_x) / self.v) * sys_.graph.weights[j]
+
+    def read(self, t, initial=None, inflow=None) -> np.ndarray:
+        """z_j(t, x, v_k) read along the characteristic through (x, t).
+
+        The characteristic entered edge j at x = l_j at the entry time
+        s = t - (l_j - x)/v_k.  When s <= 0 it still carries the initial
+        datum, ``initial`` read at the foot min(x + v_k t, l_j); otherwise
+        it carries the vertex inflow w_j * inflow(tail_j, k, s).  Either read
+        is multiplied by the absorption growth of the travelled segment, and
+        a missing source reads as zero.  This is the only place that decides
+        the wavefront of the state (:func:`io_map` samples its output
+        right-continuously).  ``t`` broadcasts against the path.
+
+        A read with one source evaluates it at every point in one np.where.
+        With both, each point reads only its own source: a branch gathers
+        its points unless it holds all of them.
+        """
+        s = t - self.transit
+        if initial is None or inflow is None:
+            out = np.zeros(np.shape(s))
+            if initial is not None:
+                out = np.where(s <= 0.0, self._from_initial(initial, t), out)
+            if inflow is not None:
+                out = np.where(s > 0.0, self._from_inflow(inflow, s), out)
+            return out
+        first, fed = s <= 0.0, s > 0.0
+        if first.all():
+            return np.asarray(self._from_initial(initial, t))
+        if fed.all():
+            return np.asarray(self._from_inflow(inflow, s))
+        out = np.zeros(s.shape)
+        if first.any():
+            out[first] = self._from_initial(initial, t, first)
+        if fed.any():
+            out[fed] = self._from_inflow(inflow, s, fed)
+        return out
+
+    def _from_initial(self, initial, t, mask=None) -> np.ndarray:
+        j, k, x, l, v, at_x = self.j, self.k, self.x, self.l, self.v, self.at_x
+        if mask is not None:
+            j, k, x, l, v, at_x, t = _gather(mask, j, k, x, l, v, at_x, t)
+        foot = np.minimum(x + v * t, l)
+        grow = np.exp((self.system.absorption.primitive(j, k, foot) - at_x) / v)
+        return grow * initial.eval(j, k, foot)
+
+    def _from_inflow(self, inflow, s, mask=None) -> np.ndarray:
+        j, k, gain = self.j, self.k, self.gain
+        if mask is not None:
+            j, k, gain, s = _gather(mask, j, k, gain, s)
+        return gain * inflow(self.system.graph.tails[j], k, s)
+
+
+def _gather(mask: np.ndarray, *arrays) -> list:
+    """Each array broadcast to ``mask`` and taken at its points, flat;
+    scalars stay as they are."""
+    return [a if not isinstance(a, np.ndarray)
+            else (a if a.shape == mask.shape else np.broadcast_to(a, mask.shape))[mask] for a in arrays]
+
+
 def characteristic_read(
     system: TransportSystem, j: int, k: int, x, t, initial=None, inflow=None
 ) -> np.ndarray:
-    """z_j(t, x, v_k) read along the characteristic through (x, t).
-
-    The characteristic entered edge j at x = l_j at the entry time
-    s = t - (l_j - x)/v_k.  When s <= 0 it still carries the initial datum,
-    ``initial`` read at the foot min(x + v_k t, l_j); otherwise it carries
-    the vertex inflow w_j * inflow(tail_j, k, s).  Either read is multiplied
-    by the absorption growth of the travelled segment, and a missing source
-    reads as zero.  This is the only place that decides the wavefront of
-    the state (:func:`io_map` samples its output right-continuously).
-    ``x`` and ``t`` broadcast against each other, and against ``j`` and
-    ``k`` when these are integer arrays that read many pairs at once.
-    """
-    l = system.graph.lengths[j]
-    v = system.vgrid.nodes[k]
-    x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), l)
-    s = t - (l - x) / v
-    at_x = system.absorption.primitive(j, k, x)  # P_j(x), for the growth of either branch
-    out = np.zeros(np.shape(s))
-    if initial is not None:
-        foot = np.minimum(x + v * t, l)
-        grow = np.exp((system.absorption.primitive(j, k, foot) - at_x) / v)
-        out = np.where(s <= 0.0, grow * initial.eval(j, k, foot), out)
-    if inflow is not None:
-        fed = inflow(system.graph.tails[j], k, s)
-        # growth from l_j down to x, with the full-edge primitive from the table
-        grow = np.exp((system.edge_primitive[j, k] - at_x) / v)
-        out = np.where(s > 0.0, grow * system.graph.weights[j] * fed, out)
-    return out
+    """z_j(t, x, v_k): one :meth:`CharacteristicPath.read` of a path built
+    for this read alone.  ``x`` and ``t`` broadcast against each other, and
+    against ``j`` and ``k`` when these are integer arrays."""
+    return CharacteristicPath(system, j, k, x).read(t, initial, inflow)
 
 
 def read_kinks(system: TransportSystem, t: float, inflow_breaks) -> np.ndarray:

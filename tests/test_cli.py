@@ -17,7 +17,7 @@ from posflow.cli import (
     main,
 )
 from posflow.scenario import parse_scenario
-from posflow.solver import closed_loop_solve
+from posflow.solver import ClosedLoopSolution, closed_loop_solve
 from posflow.transport import StateField, transfer_operator, transfer_radius
 from conftest import ladder_yaml, make_loop
 
@@ -45,6 +45,25 @@ class TestSimulate:
         masses = report["metrics"]["mass_by_time"]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-8 * abs(masses[0])
         assert all(g["passed"] for g in report["gates"])
+
+    def test_one_masses_call_then_one_grid_read_per_snapshot(self, tmp_path, monkeypatch):
+        scenario = SCENARIOS / "conservation.yaml"
+        times = parse_scenario(scenario).snapshot_times.tolist()
+        calls = []
+        masses, samples = ClosedLoopSolution.masses, ClosedLoopSolution.samples
+
+        def counted_masses(self, times):
+            calls.append(("masses", list(times)))
+            return masses(self, times)
+
+        def counted_samples(self, t):
+            calls.append(("samples", t))
+            return samples(self, t)
+
+        monkeypatch.setattr(ClosedLoopSolution, "masses", counted_masses)
+        monkeypatch.setattr(ClosedLoopSolution, "samples", counted_samples)
+        assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "out"]) == 0
+        assert calls == [("masses", times)] + [("samples", t) for t in times]
 
     def test_snapshot_csv_schema(self, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,13 @@ from posflow import (
 from posflow.lattice import gauss_panels
 from posflow.scenario import flux_preserving_kernel, parse_scenario
 from posflow.solver import ClosedLoopSolution, TraceLedger, _event_stamps
-from posflow.transport import TransportSystem, flow_trace, read_kinks
+from posflow.transport import CharacteristicPath, TransportSystem, flow_trace, read_kinks
 
 from conftest import make_loop, make_two_cycle, random_field, random_network
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from artifacts import SIGNED  # noqa: E402
 
 
 def coarse_hat(system, knots=5):
@@ -224,10 +229,23 @@ def edge_mass_ref(sol, j, t, refine=1):
     return total
 
 
-def jumpy_kirchhoff_solution(rng):
+def strong_rate_solution(q, horizon, knots=None):
+    """The loop with constant rate q at two velocity nodes, a weak kernel and
+    a step input; the constant-1 initial state on the default grid, or on
+    ``knots`` equally spaced knots."""
+    loop = make_loop(n_nodes=2, v_lo=0.5, v_hi=1.5, control=np.ones((1, 1)),
+                     kernel=ScatteringKernel.constant(1e-6, 1, 2))
+    sys_ = dataclasses.replace(loop, absorption=Absorption.constant(q, [1.0], 2))
+    u = StepSignal(np.array([0.0, 0.7, horizon]), np.array([[[1.0, 2.0]], [[0.5, 3.0]]]))
+    x0 = (StateField.constant(sys_, 1.0) if knots is None
+          else StateField(sys_, [np.linspace(0.0, 1.0, knots)], [np.ones((2, knots))]))
+    return closed_loop_solve(sys_, x0, u, horizon)
+
+
+def jumpy_kirchhoff_solution(rng, space_samples=41):
     """A random Kirchhoff network with piecewise absorption (q != 0) driven by
     a step input, so the ledger holds jump pairs."""
-    base = random_network(rng, q_range=(-0.5, -0.1), space_samples=41)
+    base = random_network(rng, q_range=(-0.5, -0.1), space_samples=space_samples)
     breaks, values = [], []
     for l in base.graph.lengths:
         breaks.append(np.array([0.0, rng.uniform(0.2, 0.8) * l, l]))
@@ -278,10 +296,10 @@ def sweep_cases(draw, positive=None):
 
 
 class TestObserve:
-    """One block read per snapshot time serves the samples, bit for bit as
-    the x-grid read alone, and the initial-fed part of the mass; the
-    ledger-fed part comes from closed-form prefix integrals of the ledger,
-    within 1e-12 of Gauss panels cut at every ledger stamp image."""
+    """observe gives the samples, bit for bit as the x-grid read alone, and
+    the mass: Gauss panels on the initial-fed part plus closed-form prefix
+    integrals of the ledger, within 1e-12 of Gauss panels cut at every
+    ledger stamp image."""
 
     def assert_matches_separate_reads(self, sol, times, refine=1):
         for t in times:
@@ -324,29 +342,48 @@ class TestObserve:
         """q = -400: e^{|q| t} overflows past t = 1.78.  q = +10: a prefix
         from t = 0 weighs the first transit e^{60} above the last.  The mass
         stays finite and matches the refined panels either way."""
-        loop = make_loop(n_nodes=2, v_lo=0.5, v_hi=1.5, control=np.ones((1, 1)),
-                         kernel=ScatteringKernel.constant(1e-6, 1, 2))
-        sys_ = dataclasses.replace(loop, absorption=Absorption.constant(q, [1.0], 2))
-        u = StepSignal(np.array([0.0, 0.7, horizon]), np.array([[[1.0, 2.0]], [[0.5, 3.0]]]))
-        sol = closed_loop_solve(sys_, StateField.constant(sys_, 1.0), u, horizon)
+        sol = strong_rate_solution(q, horizon)
         times = np.linspace(0.0, horizon, 7)
         self.assert_matches_separate_reads(sol, times, refine=8)
         assert all(np.isfinite(sol.total_mass(t)) for t in times)
 
-    def test_one_eval_edge_call_per_snapshot(self, monkeypatch):
-        sc = parse_scenario(SCENARIOS / "two_cycle.yaml")
+    def test_one_grid_read_per_snapshot_and_chunked_mass_reads(self, monkeypatch):
+        """samples(t) is one read of the cached grid path and no eval_edge;
+        masses(times) makes ceil(T / rows) eval_edge calls, each over at most
+        M K n Gauss points (one snapshot) unless it holds a single time, and
+        rows is the most times that fit."""
+        sc = parse_scenario(SCENARIOS / "loop.yaml")
         sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon)
-        calls = []
-        eval_edge = ClosedLoopSolution.eval_edge
+        reads, calls = [], []
+        read, eval_edge = CharacteristicPath.read, ClosedLoopSolution.eval_edge
 
-        def counted(self, *args):
-            calls.append(args)
-            return eval_edge(self, *args)
+        def counted_read(self, *args, **kwargs):
+            reads.append(self)
+            return read(self, *args, **kwargs)
 
-        monkeypatch.setattr(ClosedLoopSolution, "eval_edge", counted)
-        for t in sc.snapshot_times:
-            sol.observe(float(t))
-        assert len(calls) == len(sc.snapshot_times)
+        def counted_eval(self, j, k, x, t):
+            calls.append(np.shape(x))
+            return eval_edge(self, j, k, x, t)
+
+        monkeypatch.setattr(CharacteristicPath, "read", counted_read)
+        monkeypatch.setattr(ClosedLoopSolution, "eval_edge", counted_eval)
+        times = np.linspace(0.0, sc.horizon, 11)
+        for t in times.tolist():
+            sol.samples(t)
+        assert len(reads) == times.size and calls == []
+        assert all(path is sol._grid_path for path in reads)
+
+        reads.clear()
+        sol.masses(times)
+        rows = sol._mass_rows
+        assert rows > 1
+        assert len(calls) == len(reads) == -(-times.size // rows)
+        sys_ = sol.system
+        budget = sys_.n_edges * sys_.n_nodes * sys_.space_samples
+        per_time = int(np.prod(calls[0][1:]))
+        assert [shape[0] for shape in calls] == [min(rows, times.size - a)
+                                                 for a in range(0, times.size, rows)]
+        assert rows * per_time <= budget < (rows + 1) * per_time
 
     def test_rejects_times_outside_the_horizon(self):
         sys = make_loop()
@@ -356,6 +393,68 @@ class TestObserve:
                 sol.observe(t)
             with pytest.raises(ValueError, match="outside the solved horizon"):
                 sol.edge_mass(0, t)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bit patterns (-0.0 is not +0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestChunkedReads:
+    """samples(t) equals the grid read of a path built for that read alone,
+    and masses(times), read in chunks of times, equals the per-time masses
+    of observe, bit for bit.  Times include -0.0, the wavefronts
+    t = l_j / v_k and the ends, and the chunked reads take 1, rows - 1,
+    rows and rows + 1 times and all of them."""
+
+    def assert_bitwise(self, sol, times=()):
+        sys_ = sol.system
+        rows = sol._mass_rows
+        fronts = np.unique(sys_.delays[sys_.delays <= sol.horizon])
+        times = np.concatenate([[-0.0, 0.0], fronts, np.asarray(times, dtype=float),
+                                np.linspace(0.0, sol.horizon, rows + 2)])
+        for t in times.tolist():
+            assert same_bits(sol.samples(t), snapshot_ref(sol, t)._table[1])
+        per_time = [sol.observe(t)[1] for t in times.tolist()]
+        per_edge = [sol._edge_masses(t)[0] for t in times.tolist()]
+        for count in sorted({1, rows - 1, rows, rows + 1, times.size} - {0}):
+            assert same_bits(sol.masses(times[:count]), per_time[:count])
+            assert same_bits(sol._edge_masses(times[:count]), per_edge[:count])
+        assert same_bits(sol.masses(times[::-1]), per_time[::-1])
+
+    @pytest.mark.parametrize("name", ["loop", "conservation", "two_cycle", "blocked"])
+    def test_shipped_scenarios(self, name):
+        sc = parse_scenario(SCENARIOS / f"{name}.yaml")
+        sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon)
+        self.assert_bitwise(sol, sc.snapshot_times)
+
+    def test_signed_zeros_and_extremes(self, tmp_path):
+        """The signed scenario of tools/artifacts.py: -0.0 samples beside
+        +0.0 ones, +-1e300 and 1e-300, jump pairs in the ledger."""
+        path = tmp_path / "signed.yaml"
+        path.write_text(yaml.safe_dump(SIGNED))
+        sc = parse_scenario(path)
+        sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon, positive=False)
+        assert any(np.signbit(sol.samples(t)[sol.samples(t) == 0.0]).any()
+                   for t in sc.snapshot_times.tolist())
+        self.assert_bitwise(sol, sc.snapshot_times)
+
+    @pytest.mark.parametrize("space_samples", [41, 401])
+    def test_random_kirchhoff_network_with_jump_pairs(self, rng, space_samples):
+        for _ in range(2):
+            sol, times = jumpy_kirchhoff_solution(rng, space_samples)
+            self.assert_bitwise(sol, times)
+
+    @pytest.mark.parametrize("q, horizon", [(-400.0, 2.0), (10.0, 6.0)])
+    @pytest.mark.parametrize("knots", [None, 2])
+    def test_strong_absorption_and_growth(self, q, horizon, knots):
+        """The cases of TestObserve; with a two-knot initial state a chunk
+        holds several times, so growing rates read the time-reversed prefix
+        tables in chunks."""
+        sol = strong_rate_solution(q, horizon, knots)
+        assert (sol._mass_rows > 1) == (knots is not None)
+        self.assert_bitwise(sol, np.linspace(0.0, horizon, 7))
 
 
 def jump_closure_ref(breaks, delays, horizon, budget):

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from posflow import (
     transfer_radius,
 )
 from posflow.lattice import dense_spectral_radius
+from posflow.transport import CharacteristicPath, characteristic_read
 from posflow.scenario import parse_scenario
 from conftest import make_loop, make_two_cycle, random_field, random_network
 
@@ -650,3 +652,100 @@ class TestSystemGrid:
             for j, l in enumerate(sys.graph.lengths):
                 assert knots[j, :n].tobytes() == np.linspace(0.0, l, n).tobytes()
                 assert knots[j, n] == l  # the padded column repeats l_j
+
+
+def where_read(system, j, k, x, t, initial=None, inflow=None):
+    """The characteristic read as one np.where per source over every point."""
+    l = system.graph.lengths[j]
+    v = system.vgrid.nodes[k]
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), l)
+    s = t - (l - x) / v
+    at_x = system.absorption.primitive(j, k, x)
+    out = np.zeros(np.shape(s))
+    if initial is not None:
+        foot = np.minimum(x + v * t, l)
+        grow = np.exp((system.absorption.primitive(j, k, foot) - at_x) / v)
+        out = np.where(s <= 0.0, grow * initial.eval(j, k, foot), out)
+    if inflow is not None:
+        fed = inflow(system.graph.tails[j], k, s)
+        grow = np.exp((system.edge_primitive[j, k] - at_x) / v)
+        out = np.where(s > 0.0, grow * system.graph.weights[j] * fed, out)
+    return out
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestCharacteristicPath:
+    """CharacteristicPath(...).read equals the np.where form bit for bit:
+    scalar and array (edge, node) indices, array times, points outside
+    [0, l_j], each source alone and both with mixed branch masks, sampled
+    initial data and data with an exact evaluator."""
+
+    def case(self, rng):
+        base = random_network(rng, q_range=(-0.5, 0.3), space_samples=17)
+        breaks = [np.array([0.0, rng.uniform(0.2, 0.8) * l, l]) for l in base.graph.lengths]
+        values = [rng.uniform(-0.6, 0.4, (2, base.n_nodes)) for _ in breaks]
+        sys = dataclasses.replace(base, absorption=Absorption(tuple(breaks), tuple(values)))
+        f = random_field(rng, sys, 9)
+        u = StepSignal(np.array([0.0, 0.4, 1.1, 3.0]),
+                       rng.uniform(-1.0, 1.0, (3, sys.n_vertices, sys.n_nodes)))
+        return sys, (f, semigroup_apply(sys, f, 0.3)), u
+
+    def sources(self, initial, u):
+        return [dict(initial=initial), dict(inflow=u.eval_channel),
+                dict(initial=initial, inflow=u.eval_channel)]
+
+    def test_scalar_pairs_with_array_times(self, rng):
+        for _ in range(3):
+            sys, fields, u = self.case(rng)
+            for j in range(sys.n_edges):
+                l = sys.graph.lengths[j]
+                x = np.concatenate([[-0.3, -0.0, 0.0], np.linspace(0.0, l, 13), [l, l + 0.2]])
+                k = int(rng.integers(sys.n_nodes))
+                t = np.concatenate([[0.0, -0.0, sys.delays[j, k]], np.linspace(0.0, 2.5, 9)])[:, None]
+                for initial in fields:
+                    for src in self.sources(initial, u):
+                        path = CharacteristicPath(sys, j, k, x)
+                        assert same_bits(path.read(t, **src), where_read(sys, j, k, x, t, **src))
+                        assert same_bits(characteristic_read(sys, j, k, x, t, **src),
+                                         where_read(sys, j, k, x, t, **src))
+
+    def test_array_pairs_reused_across_times(self, rng):
+        for _ in range(3):
+            sys, fields, u = self.case(rng)
+            M, K = sys.n_edges, sys.n_nodes
+            j, k = np.arange(M)[:, None, None], np.arange(K)[:, None]
+            x = np.linspace(-0.2, sys.graph.lengths + 0.2, 23, axis=1)[:, None, :]
+            path = CharacteristicPath(sys, j, k, x)
+            fronts = np.unique(sys.delays)
+            for t in [0.0, -0.0, *fronts[:3].tolist(), 0.77, 5.0, np.linspace(0.0, 2.0, 5)[:, None, None, None]]:
+                for initial in fields:
+                    for src in self.sources(initial, u):
+                        assert same_bits(path.read(t, **src), where_read(sys, j, k, x, t, **src))
+
+    def test_each_point_reads_only_its_own_source(self, rng):
+        sys, (f, _), u = self.case(rng)
+        j, k = np.arange(sys.n_edges)[:, None], np.arange(sys.n_nodes)
+        path = CharacteristicPath(sys, j, k, 0.4 * sys.graph.lengths[:, None])
+        seen = {"initial": 0, "inflow": 0}
+
+        def ev(jj, x, kk):
+            seen["initial"] += np.size(x)
+            return f.eval(jj, kk, x)
+
+        def inflow(i, kk, s):
+            seen["inflow"] += np.size(s)
+            return u.eval_channel(i, kk, s)
+
+        field = StateField._padded(sys, f._grid, f._table[1], ev)
+        for t in (0.0, 0.6, 0.9, 4.0):
+            s = t - path.transit
+            seen.update(initial=0, inflow=0)
+            path.read(t, initial=field, inflow=inflow)
+            assert seen == {"initial": int(np.sum(s <= 0.0)), "inflow": int(np.sum(s > 0.0))}
+            seen.update(initial=0, inflow=0)
+            path.read(t, inflow=inflow)  # one source reads every point
+            assert seen == {"initial": 0, "inflow": s.size}

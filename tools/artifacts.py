@@ -40,8 +40,10 @@ RUNS = {
 }
 
 # Edge tables of different lengths, which no other scenario has: a constant
-# absorption beside a 3-piece per-node table with one growing rate, and a
-# constant initial state beside a 4-knot table.
+# absorption beside a 3-piece per-node table with growing rates, and a
+# constant initial state beside a 4-knot table.  Its 13 snapshot times make
+# 5 mass chunks of at most 3 times each (ClosedLoopSolution.masses), so
+# the time-reversed prefix tables of the growing rates are read in chunks.
 RAGGED = {
     "schema_version": 1,
     "name": "ragged",
@@ -67,8 +69,8 @@ RAGGED = {
     ],
     "inputs": [{"steps": {"times": [0.0, 0.5, 1.5], "values": [0.3, 1.0, 0.0]}}],
     "horizon": 3.0,
-    "snapshots": [0.0, 1.0, 2.0, 3.0],
-    "space_samples": 81,
+    "snapshots": [0.25 * i for i in range(13)],
+    "space_samples": 241,
     "tolerances": {"positivity": 1.0e-9},
     "probes": {"count": 12, "p": 2.0},
 }
