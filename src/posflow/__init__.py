@@ -60,7 +60,6 @@ from .wellposed import (
     ZeroClassScan,
     control_admissibility,
     feedback_admissibility,
-    io_matrix,
     observation_admissibility,
     regularity_probe,
     step_probes,

@@ -101,18 +101,20 @@ class TransportHandle:
         return io_map(self.system, u, times).reshape(times.size, -1)
 
     def volterra(self, tau: float, n_steps: int) -> np.ndarray:
-        """:func:`io_matrix` in one scatter-add: input piece r at (tail_j, l) reaches (head_j, k)
-        at t_i with gain J_j[k, l] E_j[l] w_j when s = t_i - l_j / v_l >= 0 lies in piece r
+        """The lag blocks of :func:`io_matrix`, its first block column as an (n_steps, d, d)
+        array, in one scatter-add: the input on piece 0 at (tail_j, l) reaches (head_j, k)
+        at t_i with gain J_j[k, l] E_j[l] w_j when s = t_i - l_j / v_l >= 0 lies in piece 0
         (StepSignal's rule); parallel edges add in edge order."""
         sys_, g, h = self.system, self.system.graph, tau / n_steps
         N, K = self.input_shape
         s = (h * np.arange(n_steps))[:, None, None] - sys_.delays
         i, j, l = np.nonzero(s >= 0.0)
-        r = piece_index(h * np.arange(n_steps + 1), s[i, j, l], "right", n_steps - 1)
+        first = piece_index(h * np.arange(n_steps + 1), s[i, j, l], "right", n_steps - 1) == 0
+        i, j, l = i[first], j[first], l[first]
         gain = sys_.scatter[j, :, l] * sys_.edge_gain[j, l][:, None]
-        F = np.zeros((n_steps, N, K, n_steps, N, K))
-        np.add.at(F, (i, g.heads[j], slice(None), r, g.tails[j], l), gain)
-        return F.reshape(n_steps * N * K, -1)
+        blocks = np.zeros((n_steps, N, K, N, K))
+        np.add.at(blocks, (i, g.heads[j], slice(None), g.tails[j], l), gain)
+        return blocks.reshape(n_steps, N * K, N * K)
 
 
 class PosLTIHandle:
@@ -152,7 +154,10 @@ class PosLTIHandle:
         return self.system.D @ np.asarray(g, dtype=float)
 
     def volterra(self, tau: float, n_steps: int) -> np.ndarray:
-        return io_matrix(self, tau, n_steps)
+        """The lag blocks of :func:`io_matrix`, its first block column as an
+        (n_steps, d, d) array: the responses to a unit input on piece 0."""
+        d = self.system.m
+        return _unit_responses(self, tau, n_steps, d).reshape(n_steps, d, d)
 
     def io_samples(self, u: StepSignal, times: np.ndarray) -> np.ndarray:
         grid = np.union1d(u.breaks, times)
@@ -401,12 +406,16 @@ def io_matrix(handle, tau: float, n_steps: int) -> np.ndarray:
     convention, which preserves causality structurally); column (r, b) holds
     the output samples produced by the unit input on piece r, component b.
     """
-    d = int(np.prod(handle.input_shape))
+    return _unit_responses(handle, tau, n_steps, n_steps * int(np.prod(handle.input_shape)))
+
+
+def _unit_responses(handle, tau: float, n_steps: int, n_columns: int) -> np.ndarray:
+    """The first ``n_columns`` columns of :func:`io_matrix`, one probe each."""
     h = tau / n_steps
     times = h * np.arange(n_steps)
     breaks = h * np.arange(n_steps + 1)
-    F = np.zeros((n_steps * d, n_steps * d))
-    for c in range(n_steps * d):  # c = r * d + b
+    F = np.zeros((n_steps * int(np.prod(handle.input_shape)), n_columns))
+    for c in range(n_columns):  # c = r * d + b
         vals = np.zeros((n_steps, *handle.input_shape))
         vals.flat[c] = 1.0
         F[:, c] = handle.io_samples(StepSignal(breaks, vals), times).ravel()
@@ -417,27 +426,34 @@ def feedback_admissibility(handle, K, tau: float, n_steps: int = 24) -> Feedback
     """Admissibility of the feedback operator K through r(K F) < 1.
 
     K acts on output slices (a (d, d) matrix or a scalar multiple of the
-    identity) and F is ``handle.volterra``.  F is causal, so r(K F) is the largest
-    r(K F_ii) over the distinct diagonal blocks: exactly 0 for transport (positive
-    delays), r(K D) for a positive LTI system.  When K F >= 0 the Neumann series makes
-    (I - K F)^{-1} nonnegative, so only a K F with a negative entry has it formed.
+    identity) and F is the block-Toeplitz map whose first block column is
+    ``handle.volterra``, the lag blocks F_0, ..., F_{n-1}.  F is causal, so r(K F)
+    is r(K F_0): exactly 0 for transport (positive delays), r(K D) for a positive
+    LTI system.  When every K F_i >= 0 the Neumann series makes (I - K F)^{-1}
+    nonnegative, so only a K F with a negative entry has the dense K F formed and
+    inverted.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     d = int(np.prod(handle.input_shape))
     K = np.asarray(K, dtype=float)
+    if not np.all(np.isfinite(K)):
+        raise ValueError("K has non-finite entries")
     K_mat = float(K) * np.eye(d) if K.ndim == 0 else K
     if K_mat.shape != (d, d):
         raise ValueError("K must act on flattened output slices")
-    F = handle.volterra(tau, n_steps)
-    # block-diagonal K applied one row block (output sample) at a time
-    KF = (K_mat @ F.reshape(n_steps, d, -1)).reshape(F.shape)
-    diagonal = KF.reshape(n_steps, d, n_steps, d)[np.arange(n_steps), :, np.arange(n_steps)]
-    radius = max(dense_spectral_radius(b) for b in np.unique(diagonal, axis=0))
+    lags = K_mat @ handle.volterra(tau, n_steps)
+    radius = dense_spectral_radius(lags[0])
     admissible = radius < 1.0
     inverse_nonneg = admissible
-    if admissible and np.any(KF < 0.0):
-        inv = np.linalg.inv(np.eye(KF.shape[0]) - KF)
+    if admissible and np.any(lags < 0.0):
+        KF = np.zeros((n_steps, d, n_steps, d))
+        for k in range(n_steps):  # block (i, i - k) is K F_k
+            i = np.arange(k, n_steps)
+            KF[i, :, i - k, :] = lags[k]
+        inv = np.linalg.inv(np.eye(n_steps * d) - KF.reshape(n_steps * d, -1))
         inverse_nonneg = bool(np.all(inv >= -1e-10))
     return FeedbackReport(
         radius=radius,

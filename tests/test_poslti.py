@@ -2,6 +2,9 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from posflow import (
     PosLTI,
@@ -14,6 +17,7 @@ from posflow import (
     simulate_mild,
     transfer,
 )
+from posflow.poslti import _THETA, _expm
 
 
 def random_positive_system(rng, n_max=6, m_max=3, p_max=3, gain=0.4):
@@ -31,11 +35,85 @@ def random_positive_system(rng, n_max=6, m_max=3, p_max=3, gain=0.4):
     )
 
 
+def rel_err(E, R):
+    return np.linalg.norm(E - R, 1) / np.linalg.norm(R, 1)
+
+
+@st.composite
+def square_matrices(draw, lo, hi, max_norm):
+    """An n x n matrix, n <= 8, of entries in [lo, hi], rescaled to a 1-norm in
+    [0, max_norm]."""
+    n = draw(st.integers(1, 8))
+    M = draw(arrays(float, (n, n), elements=st.floats(lo, hi)))
+    norm = np.abs(M).sum(axis=0).max()
+    return M * (draw(st.floats(0.0, max_norm)) / norm) if norm > 1e-8 else M
+
+
 class TestExpm:
+    # scipy.linalg.expm misses e^M by up to 5.5e-12 relative on non-normal
+    # matrices of 1-norm 5-140, where _expm stays below 3.5e-14 (both against
+    # 40-digit mpmath), so scipy is the reference only up to 1-norm 3 and on
+    # nilpotent M; Metzler M of larger norm are checked against the positive
+    # series, which has no cancellation.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(square_matrices(-1.0, 1.0, 3.0))
+    def test_matches_scipy_up_to_norm_3(self, M):
+        import scipy.linalg
+
+        assert rel_err(_expm(M), scipy.linalg.expm(M)) <= 1e-13
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 8).flatmap(lambda n: arrays(float, (n, n), elements=st.floats(-3, 3))))
+    def test_nilpotent_matches_scipy(self, M):
+        import scipy.linalg
+
+        N = np.triu(M, 1)
+        assert rel_err(_expm(N), scipy.linalg.expm(N)) <= 1e-13
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-700.0, 700.0))
+    def test_scalar_is_scipy_exactly(self, a):
+        import scipy.linalg
+
+        M = np.array([[a]])
+        assert np.array_equal(_expm(M), scipy.linalg.expm(M))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(square_matrices(0.0, 1.0, 1.0), st.floats(0.0, 2.0), st.floats(0.01, 5.0))
+    def test_metzler_matches_the_positive_series(self, P, slack, t):
+        # M = t (P - diag(colsum(P) + slack)), 1-norm up to 20, above theta_13;
+        # e^M = e^{-c} sum_k N^k / k! with N = M + c I >= 0
+        n = P.shape[0]
+        M = t * (P - np.diag(np.diag(P) + P.sum(axis=0) + slack))
+        c = -float(np.min(np.diag(M)))
+        N = M + c * np.eye(n)
+        term, series = np.eye(n), np.eye(n)
+        for k in range(1, 200):
+            term = term @ N / k
+            series += term
+        assert np.all(np.isfinite(series))
+        assert rel_err(_expm(M), np.exp(-c) * series) <= 1e-13
+
     def test_identity_at_zero(self, rng):
+        for n in range(1, 9):
+            for zero in (np.zeros((n, n)), -np.zeros((n, n))):
+                assert np.array_equal(_expm(zero), np.eye(n))
         A = rng.normal(size=(4, 4))
         x = rng.normal(size=4)
         assert np.allclose(expm_apply(A, 0.0, x), x, atol=0, rtol=0)
+
+    def test_every_degree_and_scaling_is_reached(self):
+        # just below each bound, one degree; above theta_13, degree 13 squared
+        import scipy.linalg
+
+        M = np.array([[-0.5, 0.3], [0.2, -0.4]])
+        M /= np.abs(M).sum(axis=0).max()
+        for norm in [t for _, t in _THETA] + [20.0]:
+            assert rel_err(_expm(norm * M), scipy.linalg.expm(norm * M)) <= 1e-13
+
+    def test_non_finite_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
     def test_diagonal_closed_form(self):
         out = expm_apply(np.diag([-1.0, -2.0]), 1.0, np.ones(2))

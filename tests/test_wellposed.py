@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from posflow import (
     closed_loop_solve,
     control_admissibility,
     feedback_admissibility,
-    io_matrix,
     observation_admissibility,
     regularity_probe,
     step_probes,
@@ -27,6 +27,7 @@ from posflow import wellposed
 from posflow.lattice import dense_spectral_radius, gauss_panels
 from posflow.scenario import parse_scenario
 from posflow.transport import characteristic_read, flow_trace
+from posflow.wellposed import io_matrix
 
 from conftest import ladder_yaml, make_loop, make_two_cycle, random_network
 
@@ -123,6 +124,54 @@ def observation_lp_by_cuts(system, x, alpha, p):
 def unit_loop_handle():
     # single velocity node at v = 1, unit loop, no absorption
     return TransportHandle(make_loop(n_nodes=1, v_lo=0.5, v_hi=1.5))
+
+
+FEEDBACK_GRIDS = ((0.5, 32), (1.0, 24), (2.0, 48))
+
+
+def feedback_handles(tmp_path, rng):
+    """The shipped scenarios, an 8-vertex, 4-node ladder network and three
+    random positive LTI systems with as many outputs as inputs."""
+    handles = [TransportHandle(parse_scenario(SCENARIOS / f"{name}.yaml").system)
+               for name in ("loop", "conservation", "two_cycle", "blocked")]
+    handles.append(TransportHandle(
+        parse_scenario(ladder_yaml(tmp_path / "ladder.yaml", 8, 4, rng)).system))
+    for n, m in ((1, 1), (3, 2), (4, 3)):
+        A = rng.uniform(0.0, 1.0, (n, n))
+        A -= np.diag(np.diag(A) + A.sum(axis=1) + 1.0)
+        handles.append(PosLTIHandle(PosLTI(A, rng.uniform(0.0, 1.0, (n, m)),
+                                           rng.uniform(0.0, 1.0, (m, n)),
+                                           rng.uniform(0.0, 1.0, (m, m)))))
+    return handles
+
+
+def block_toeplitz(blocks):
+    """The causal (n d, n d) matrix whose block (i, r) is blocks[i - r] for i >= r."""
+    n, d, _ = blocks.shape
+    out = np.zeros((n, d, n, d))
+    for i in range(n):
+        for r in range(i + 1):
+            out[i, :, r, :] = blocks[i - r]
+    return out.reshape(n * d, n * d)
+
+
+def feedback_admissibility_ref(F, K, tau, n_steps):
+    """feedback_admissibility on the dense io_matrix F, as it was before it
+    read the lag blocks: K F formed whole, the radius from its distinct
+    diagonal blocks, (I - K F)^{-1} inverted when K F has a negative entry."""
+    d = F.shape[0] // n_steps
+    K = np.asarray(K, dtype=float)
+    K_mat = float(K) * np.eye(d) if K.ndim == 0 else K
+    KF = (K_mat @ F.reshape(n_steps, d, -1)).reshape(F.shape)
+    diagonal = KF.reshape(n_steps, d, n_steps, d)[np.arange(n_steps), :, np.arange(n_steps)]
+    radius = max(dense_spectral_radius(b) for b in np.unique(diagonal, axis=0))
+    admissible = radius < 1.0
+    inverse_nonneg = admissible
+    if admissible and np.any(KF < 0.0):
+        inv = np.linalg.inv(np.eye(KF.shape[0]) - KF)
+        inverse_nonneg = bool(np.all(inv >= -1e-10))
+    return wellposed.FeedbackReport(radius=radius, admissible=admissible,
+                                    inverse_nonneg=inverse_nonneg, tau=tau, n_steps=n_steps)
 
 
 class TestControlAdmissibility:
@@ -378,17 +427,60 @@ class TestFeedbackAdmissibility:
                 block = F[s * d : (s + 1) * d, r * d : (r + 1) * d]
                 assert np.all(block == 0.0)
 
-    def test_transport_volterra_is_the_probe_matrix(self, tmp_path, rng):
-        # the shipped scenarios (delay/step ties on blocked and conservation)
-        # and an 8-vertex, 4-node ladder network
-        systems = [parse_scenario(SCENARIOS / f"{name}.yaml").system
-                   for name in ("loop", "conservation", "two_cycle", "blocked")]
-        systems.append(parse_scenario(ladder_yaml(tmp_path / "ladder.yaml", 8, 4, rng)).system)
-        for sys in systems:
-            handle = TransportHandle(sys)
-            for tau, n_steps in ((0.5, 32), (1.0, 24), (2.0, 48)):
-                F = handle.volterra(tau, n_steps)
-                assert np.array_equal(F, io_matrix(handle, tau, n_steps))
+    def test_volterra_is_the_first_block_column_of_io_matrix(self, tmp_path, rng):
+        # the shipped scenarios, an 8-vertex, 4-node ladder network and random
+        # positive LTI systems; blocked and conservation have delay/step ties on
+        # these grids, where the dense F is not exactly block-Toeplitz
+        ties = 0
+        for handle in feedback_handles(tmp_path, rng):
+            d = int(np.prod(handle.input_shape))
+            for tau, n_steps in FEEDBACK_GRIDS:
+                blocks = handle.volterra(tau, n_steps)
+                F = io_matrix(handle, tau, n_steps)
+                assert blocks.shape == (n_steps, d, d)
+                assert np.array_equal(blocks, F.reshape(n_steps, d, n_steps, d)[:, :, 0, :])
+                ties += not np.array_equal(block_toeplitz(blocks), F)
+        assert ties > 0
+
+    def test_reports_match_the_dense_reference(self, tmp_path, rng):
+        for handle in feedback_handles(tmp_path, rng):
+            d = int(np.prod(handle.input_shape))
+            signed = 0.5 * rng.uniform(0.0, 1.0, (d, d))
+            signed[rng.integers(0, d), rng.integers(0, d)] = -0.4
+            for tau, n_steps in FEEDBACK_GRIDS:
+                F = io_matrix(handle, tau, n_steps)
+                for K in (1.0, 0.0, 0.5 * rng.uniform(0.0, 1.0, (d, d)), signed):
+                    rep = feedback_admissibility(handle, K, tau=tau, n_steps=n_steps)
+                    assert rep == feedback_admissibility_ref(F, K, tau, n_steps)
+
+    def test_peak_memory_is_the_lag_blocks(self, tmp_path, rng):
+        # N*K = 128: the dense F and K F would take 134 MB each
+        sys = parse_scenario(ladder_yaml(tmp_path / "ladder.yaml", 32, 4, rng)).system
+        handle = TransportHandle(sys)
+        tracemalloc.start()
+        try:
+            rep = feedback_admissibility(handle, 1.0, tau=0.5, n_steps=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.admissible and rep.inverse_nonneg
+        assert peak < 32e6
+
+    @pytest.mark.parametrize("bad, name", [
+        (dict(tau=float("nan")), "tau"),
+        (dict(tau=float("inf")), "tau"),
+        (dict(tau=0.0), "tau"),
+        (dict(n_steps=0), "n_steps"),
+        (dict(n_steps=-4), "n_steps"),
+        (dict(n_steps=2.5), "n_steps"),
+        (dict(n_steps=16.0), "n_steps"),
+        (dict(K=float("nan")), "K"),
+        (dict(K=np.array([[np.inf]])), "K"),
+    ])
+    def test_bad_argument_is_refused_by_name(self, unit_loop_handle, bad, name):
+        args = {"K": 1.0, "tau": 0.8, "n_steps": 16, **bad}
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            feedback_admissibility(unit_loop_handle, **args)
 
     def test_poslti_radius_is_the_feedthrough_radius_on_every_grid(self):
         rng = np.random.default_rng(7)
@@ -414,9 +506,11 @@ class TestFeedbackAdmissibility:
             K[1, 2] = -0.4
         tau, n_steps = 3.0, 24
         rep = feedback_admissibility(handle, K, tau=tau, n_steps=n_steps)
-        KF = (K @ io_matrix(handle, tau, n_steps).reshape(n_steps, 4, -1)).reshape(96, 96)
+        F = io_matrix(handle, tau, n_steps)
+        KF = (K @ F.reshape(n_steps, 4, -1)).reshape(96, 96)
         assert np.any(KF < 0.0) == signed
         inv = np.linalg.inv(np.eye(96) - KF)
         assert rep.admissible
         assert rep.inverse_nonneg == bool(np.all(inv >= -1e-10))
         assert rep.inverse_nonneg != signed
+        assert rep == feedback_admissibility_ref(F, K, tau, n_steps)

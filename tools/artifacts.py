@@ -5,7 +5,8 @@
 runs ``python -m posflow`` in a fresh process against this checkout's
 ``src`` for ``simulate``, ``simulate --signed``, ``check``,
 ``admissibility``, ``admissibility --p 1`` (every scenario sets p = 2, and
-p = 1 skips the zero-class scan), ``spectrum`` and ``oracle``, on
+p = 1 skips the zero-class scan), ``spectrum``, ``oracle`` and
+:data:`FEEDBACK` (``feedback_admissibility`` with K = 1 and with a signed K), on
 ``scenarios/*.yaml``, on the benchmark's seed-0 scenarios (written to
 ``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``) and on
 :data:`RAGGED`, :data:`DEFAULTS` and :data:`SIGNED`, written there as
@@ -38,6 +39,26 @@ RUNS = {
     "spectrum": ["spectrum"],
     "oracle": ["oracle"],
 }
+
+# feedback_admissibility on the transport handle over the scenario's horizon,
+# with K = 1 and with the checkerboard K = 0.5 (-1)^(a + b + 1), whose K F has
+# negative entries wherever F is nonzero, so (I - K F)^{-1} is formed.  At most
+# 1024 output samples (n_steps d), which bounds that dense inverse.
+FEEDBACK = """
+import json, sys
+import numpy as np
+from posflow.scenario import parse_scenario
+from posflow.wellposed import TransportHandle, feedback_admissibility
+sc = parse_scenario(sys.argv[1])
+handle = TransportHandle(sc.system)
+d = int(np.prod(handle.input_shape))
+n_steps = max(1, min(32, 1024 // d))
+signed = 0.5 * (-1.0) ** (1 + np.add.outer(np.arange(d), np.arange(d)))
+reports = {name: feedback_admissibility(handle, K, tau=sc.horizon, n_steps=n_steps).as_dict()
+           for name, K in (("unit", 1.0), ("signed", signed))}
+with open(sys.argv[2] + "/report.json", "w") as fh:
+    json.dump(reports, fh, indent=2, sort_keys=True)
+"""
 
 # Edge tables of different lengths, which no other scenario has: a constant
 # absorption beside a 3-piece per-node table with growing rates, and a
@@ -141,6 +162,17 @@ def scenario_files(out: Path) -> list[Path]:
     return files
 
 
+def capture(rundir: Path, args: list[str], env: dict) -> None:
+    """Run ``python *args`` in a fresh process; its stdout, stderr and exit
+    status go to ``rundir``."""
+    rundir.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    (rundir / "stdout.txt").write_text(proc.stdout)
+    (rundir / "stderr.txt").write_text(proc.stderr)
+    (rundir / "exit_code.txt").write_text(f"{proc.returncode}\n")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -150,15 +182,10 @@ def main(argv: list[str]) -> int:
     for scenario in scenario_files(out):
         for run, args in RUNS.items():
             rundir = out / f"{scenario.stem}-{run}"
-            rundir.mkdir(parents=True, exist_ok=True)
-            proc = subprocess.run(
-                [sys.executable, "-m", "posflow", *args, "--scenario", str(scenario),
-                 "--out", str(rundir)],
-                cwd=ROOT, env=env, capture_output=True, text=True,
-            )
-            (rundir / "stdout.txt").write_text(proc.stdout)
-            (rundir / "stderr.txt").write_text(proc.stderr)
-            (rundir / "exit_code.txt").write_text(f"{proc.returncode}\n")
+            capture(rundir, ["-m", "posflow", *args, "--scenario", str(scenario),
+                             "--out", str(rundir)], env)
+        rundir = out / f"{scenario.stem}-feedback"
+        capture(rundir, ["-c", FEEDBACK, str(scenario), str(rundir)], env)
     return 0
 
 
