@@ -11,8 +11,9 @@ characteristic arrival events (so the ledger is exact whenever the data is
 piecewise linear and the event closure fits the budget) plus a uniform
 ceiling that bounds interpolation error otherwise, and fixes it one window
 of stamps at a time: a window holds every stamp whose reads lie at or
-before the last fixed stamp, and costs one ledger read over (stamps, edges,
-velocity nodes) and one application of Gamma (:meth:`TransportSystem.route`).
+before the last fixed stamp, and costs one read over (stamps, edges,
+velocity nodes) that takes the initial data and the ledger together, and
+one application of Gamma (:meth:`TransportSystem.route`).
 
 A solution is observed by two reads.  The samples of one snapshot time are
 one read of the characteristics through the x-grids, whose t-independent
@@ -37,7 +38,6 @@ from .transport import (
     TransportSystem,
     _phi12,
     characteristic_read,
-    flow_trace,
     initial_kinks,
     knot_arrivals,
 )
@@ -395,28 +395,19 @@ class ClosedLoopSolution:
         return self.snapshot(t), self.total_mass(t)
 
 
-def _sweep_window(
-    system: TransportSystem,
-    ledger: TraceLedger,
-    times: np.ndarray,
-    left: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Add the routed ledger-fed traces of the stamps ``times`` (W,) to
-    ``out`` (W, N, K): one :func:`characteristic_read` at x = 0 over (W, M, K),
-    a second one for the left copies of jump pairs, one :meth:`TransportSystem.route`.
-    A stamp with no read after time 0 gets nothing added, not even the +0.0
-    that would turn a -0.0 entry into +0.0."""
-    reads = (times[:, None, None] > system.delays).any(axis=(1, 2))
-    if not reads.any():
-        return
+def _sweep_window(system: TransportSystem, x0: StateField, ledger: TraceLedger,
+                  times: np.ndarray, left: np.ndarray, out: np.ndarray) -> None:
+    """Store the routed outflow traces of the stamps ``times`` (W,) in
+    ``out`` (W, N, K): one :func:`characteristic_read` at x = 0 over
+    (W, M, K) that takes the initial data and the ledger together, a second
+    one for the left copies of jump pairs, one :meth:`TransportSystem.route`."""
     j, k = np.arange(system.n_edges)[:, None], np.arange(system.n_nodes)
-    vals = characteristic_read(system, j, k, 0.0, times[:, None, None], inflow=ledger.eval_channel)
+    vals = characteristic_read(system, j, k, 0.0, times[:, None, None],
+                               initial=x0, inflow=ledger.eval_channel)
     if left.any():
-        vals[left] = characteristic_read(system, j, k, 0.0, times[left, None, None],
+        vals[left] = characteristic_read(system, j, k, 0.0, times[left, None, None], initial=x0,
                                          inflow=partial(ledger.eval_channel, side="left"))
-    routed = system.route(vals)
-    out[reads] += routed[reads]
+    out[:] = system.route(vals)
 
 
 def closed_loop_solve(
@@ -432,12 +423,11 @@ def closed_loop_solve(
     """Solve the coupled network flow on [0, horizon] by generation recursion.
 
     At each stamp t the outflow trace of edge j at velocity node k is read
-    from the initial data while t - l_j / v_k <= 0 (for all stamps at once,
-    by :func:`flow_trace`) and from the ledger at t - l_j / v_k afterwards;
-    Gamma (:meth:`TransportSystem.route`) and the control matrix assemble
-    the vertex inflow slice.  The sweep loops over windows of stamps
-    (:func:`_sweep_window`), each read in one pass; ``sweep_windows`` counts
-    them.
+    from the initial data while t - l_j / v_k <= 0 and from the ledger at
+    t - l_j / v_k afterwards; Gamma (:meth:`TransportSystem.route`) and the
+    control matrix assemble the vertex inflow slice.  The sweep loops over
+    windows of stamps (:func:`_sweep_window`), each one read that takes the
+    initial data and the ledger together; ``sweep_windows`` counts them.
 
     ``u`` is the control signal (one channel per control column of the
     graph).  In positive mode negative initial data or inputs are rejected;
@@ -477,9 +467,8 @@ def closed_loop_solve(
         pieces = np.where(left, piece_index(u.breaks, stamp_times, "left", last), right)
         pushed = system.graph.control @ u.values[pieces]
 
-    # traces of characteristics that still carry initial data; the sweep adds
-    # the ledger-fed rest, the complement t - l_j / v_k > 0
-    G = flow_trace(system, x0, stamp_times)
+    # zeros, not empty: a read at the last fixed stamp gives the open entry after it weight 0, and 0*NaN is NaN
+    G = np.zeros((stamp_times.size, system.n_vertices, system.n_nodes))
     ledger = TraceLedger(stamp_times, G)
 
     # Once the stamps before index a are final, every stamp t with
@@ -495,7 +484,7 @@ def closed_loop_solve(
         b = int(np.searchsorted(latest, stamp_times[a - 1] if a else 0.0, side="right"))
         b = min(b, a + rows)
         b += bool(left[b - 1])  # a capped window keeps both stamps of a jump pair
-        _sweep_window(system, ledger, stamp_times[a:b], left[a:b], G[a:b])
+        _sweep_window(system, x0, ledger, stamp_times[a:b], left[a:b], G[a:b])
         if pushed is not None:
             G[a:b] += pushed[a:b]
         windows, a = windows + 1, b

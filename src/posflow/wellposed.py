@@ -406,7 +406,16 @@ def io_matrix(handle, tau: float, n_steps: int) -> np.ndarray:
     convention, which preserves causality structurally); column (r, b) holds
     the output samples produced by the unit input on piece r, component b.
     """
-    return _unit_responses(handle, tau, n_steps, n_steps * int(np.prod(handle.input_shape)))
+    return _unit_responses(handle, tau, n_steps, n_steps * _slice_size(handle))
+
+
+def _slice_size(handle) -> int:
+    """d, the size of an input slice and of an output slice: F and K need
+    both equal, so a positive LTI system with p != m is refused."""
+    sys_ = handle.system
+    if isinstance(sys_, poslti.PosLTI) and sys_.p != sys_.m:
+        raise ValueError(f"the input-output map needs p = m, got p = {sys_.p}, m = {sys_.m}")
+    return int(np.prod(handle.input_shape))
 
 
 def _unit_responses(handle, tau: float, n_steps: int, n_columns: int) -> np.ndarray:
@@ -437,7 +446,7 @@ def feedback_admissibility(handle, K, tau: float, n_steps: int = 24) -> Feedback
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    d = int(np.prod(handle.input_shape))
+    d = _slice_size(handle)
     K = np.asarray(K, dtype=float)
     if not np.all(np.isfinite(K)):
         raise ValueError("K has non-finite entries")

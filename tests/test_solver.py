@@ -20,11 +20,18 @@ from posflow import (
     closed_loop_solve,
     resolvent_apply,
     solver,
+    transport,
 )
 from posflow.lattice import gauss_panels
 from posflow.scenario import flux_preserving_kernel, parse_scenario
 from posflow.solver import ClosedLoopSolution, TraceLedger, _event_stamps
-from posflow.transport import CharacteristicPath, TransportSystem, flow_trace, read_kinks
+from posflow.transport import (
+    CharacteristicPath,
+    TransportSystem,
+    characteristic_read,
+    flow_trace,
+    read_kinks,
+)
 
 from conftest import make_loop, make_two_cycle, random_field, random_network
 
@@ -570,8 +577,10 @@ class TestClosedLoopResolvent:
 
 def sweep_ref(system, x0, u, horizon, dt_max, budget):
     """The ledger of the forward sweep, stamped from a list of (time, side)
-    tuples with each jump time > 0 doubled (left limit first), and the
-    control read at each stamp by ``StepSignal.eval`` on the stamp's side."""
+    tuples with each jump time > 0 doubled (left limit first): at each stamp
+    the (M, K) outflow trace reads the initial data where s <= 0 and the
+    ledger where s > 0, is routed once, and gets the control read by
+    ``StepSignal.eval`` on the stamp's side."""
     times, jumps, _ = _event_stamps(system, x0, u, horizon, dt_max, budget)
     jump_set = set(jumps.tolist())
     expanded = []
@@ -580,16 +589,15 @@ def sweep_ref(system, x0, u, horizon, dt_max, budget):
             expanded.append((t, "left"))
         expanded.append((t, "right"))
     stamp_times = np.array([t for t, _ in expanded])
-    G = flow_trace(system, x0, stamp_times)
+    G = np.zeros((stamp_times.size, system.n_vertices, system.n_nodes))
     ledger = TraceLedger(stamp_times, G)
-    tails = system.graph.tails[:, None]
+    edges, tails = np.arange(system.n_edges)[:, None], system.graph.tails[:, None]
     node_idx = np.arange(system.n_nodes)
     for s_idx, (t, side) in enumerate(expanded):
         s_arr = t - system.delays
-        served = s_arr > 0.0
-        if served.any():
-            vals = ledger.eval_channel(tails, node_idx, s_arr, side=side)
-            G[s_idx] += system.route(np.where(served, system.edge_gain * vals, 0.0))
+        first = characteristic_read(system, edges, node_idx, 0.0, t, initial=x0)
+        vals = ledger.eval_channel(tails, node_idx, s_arr, side=side)
+        G[s_idx] = system.route(np.where(s_arr > 0.0, system.edge_gain * vals, first))
         if u is not None and system.graph.n_controls:
             G[s_idx] += system.graph.control @ u.eval(t, side=side)
     return stamp_times, G
@@ -659,6 +667,28 @@ class TestSweepLayout:
         assert np.array_equal(sol.ledger.times, times)
         assert np.array_equal(sol.ledger.values, values)
 
+    @staticmethod
+    def assert_initial_rows_match_flow_trace(system, x0, horizon, **kwargs):
+        """Without input, the ledger rows at stamps t <= Delta are the
+        pair-loop Gamma T(t) x0 bit for bit, sign bits included."""
+        sol = closed_loop_solve(system, x0, None, horizon, **kwargs)
+        early = sol.ledger.times <= system.min_delay
+        assert early.any()
+        want = flow_trace(system, x0, sol.ledger.times[early])
+        assert np.array_equal(sol.ledger.values[early].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("name", ["loop", "conservation", "two_cycle", "blocked"])
+    def test_initial_rows_are_flow_trace_on_shipped_scenarios(self, name):
+        sc = parse_scenario(SCENARIOS / f"{name}.yaml")
+        self.assert_initial_rows_match_flow_trace(sc.system, sc.initial, sc.horizon)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_cases())
+    def test_initial_rows_are_flow_trace(self, case):
+        system, x0, _, horizon, dt_max, positive = case
+        self.assert_initial_rows_match_flow_trace(system, x0, horizon, dt_max=dt_max,
+                                                  stamp_budget=400, positive=positive)
+
     def test_call_counts(self, monkeypatch):
         def refused(self, *args, **kwargs):
             raise AssertionError("the sweep reads the control from its table")
@@ -678,8 +708,13 @@ class TestSweepLayout:
         assert len(calls) == 2  # P_j at x and at the foot
 
     def test_one_characteristic_read_per_window(self, monkeypatch):
-        """A window that reads the ledger makes one characteristic_read, and
-        one more when it holds the left copy of a jump pair."""
+        """Every window makes one characteristic_read that takes the initial
+        data and the ledger together, and one more when it holds the left
+        copy of a jump pair; the pair loop of flow_trace is never called."""
+        def refused(*args, **kwargs):
+            raise AssertionError("the sweep reads the initial data in its windows")
+
+        monkeypatch.setattr(transport, "flow_trace", refused)
         reads, windows = [], []
         read, sweep = solver.characteristic_read, solver._sweep_window
 
@@ -687,11 +722,10 @@ class TestSweepLayout:
             reads.append(kwargs)
             return read(*args, **kwargs)
 
-        def counted_sweep(system, ledger, times, left, out):
+        def counted_sweep(system, x0, ledger, times, left, out):
             before = len(reads)
-            sweep(system, ledger, times, left, out)
-            fed = bool(np.any(times[:, None, None] > system.delays))
-            windows.append((len(reads) - before, fed * (1 + bool(left.any()))))
+            sweep(system, x0, ledger, times, left, out)
+            windows.append((len(reads) - before, 1 + bool(left.any())))
 
         monkeypatch.setattr(solver, "characteristic_read", counted_read)
         monkeypatch.setattr(solver, "_sweep_window", counted_sweep)
@@ -701,5 +735,5 @@ class TestSweepLayout:
             sol, _ = jumpy_kirchhoff_solution(np.random.default_rng(7))
             assert len(windows) == sol.sweep_windows
             assert [got for got, _ in windows] == [want for _, want in windows]
-        assert {want for _, want in windows} == {0, 1, 2}
-        assert all(set(kw) == {"inflow"} for kw in reads)  # the ledger alone feeds the sweep
+        assert {want for _, want in windows} == {1, 2}
+        assert all(set(kw) == {"initial", "inflow"} for kw in reads)

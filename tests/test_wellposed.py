@@ -482,6 +482,21 @@ class TestFeedbackAdmissibility:
         with pytest.raises(ValueError, match=rf"^{name} "):
             feedback_admissibility(unit_loop_handle, **args)
 
+    @pytest.mark.parametrize("check", [
+        lambda handle: feedback_admissibility(handle, 1.0, tau=1.0, n_steps=12),
+        lambda handle: io_matrix(handle, 1.0, 12),
+    ], ids=["feedback_admissibility", "io_matrix"])
+    def test_poslti_with_p_unlike_m_is_refused_by_shape(self, check, monkeypatch):
+        sys = PosLTI(-np.eye(2), np.ones((2, 2)), np.ones((1, 2)), 0.1 * np.ones((1, 2)))
+        handle = PosLTIHandle(sys)
+
+        def probed(*args):
+            raise AssertionError("the shapes are refused before any probe runs")
+
+        monkeypatch.setattr(handle, "io_samples", probed)
+        with pytest.raises(ValueError, match=r"p = 1, m = 2"):
+            check(handle)
+
     def test_poslti_radius_is_the_feedthrough_radius_on_every_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(3):
