@@ -30,10 +30,34 @@ class ScenarioError(ValueError):
     """Malformed scenario file (syntax or semantic), annotated with context."""
 
 
-def _require(mapping: dict, key: str, ctx: str):
-    if key not in mapping:
+def _mapping(value, ctx: str) -> dict:
+    """``value`` itself if it is a mapping; any other shape is refused."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{ctx}: expected a mapping, got {value!r}")
+    return value
+
+
+def _list(value, ctx: str) -> list:
+    """``value`` itself if it is a list; any other shape is refused."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{ctx}: expected a list, got {value!r}")
+    return value
+
+
+def _require(mapping, key: str, ctx: str):
+    """``mapping[key]`` of the mapping at ``ctx``."""
+    if key not in _mapping(mapping, ctx):
         raise ScenarioError(f"{ctx}: missing required key '{key}'")
     return mapping[key]
+
+
+def _per_edge(section, ctx: str, n_edges: int) -> list[dict]:
+    """One mapping per edge: a single mapping shared by every edge, or a list
+    of one per edge."""
+    entries = [section] * n_edges if isinstance(section, dict) else _list(section, ctx)
+    if len(entries) != n_edges:
+        raise ScenarioError(f"{ctx}: need one entry per edge (or a single shared entry)")
+    return [_mapping(entry, f"{ctx}[{j}]") for j, entry in enumerate(entries)]
 
 
 def _as_float(value, ctx: str) -> float:
@@ -70,10 +94,8 @@ def _as_int(value, ctx: str) -> int:
 
 def _settings(raw: dict, key: str, defaults: dict) -> dict:
     """The keys of ``defaults`` read from the mapping ``raw[key]``, with the
-    default value where it has none."""
-    given = raw.get(key) or {}
-    if not isinstance(given, dict):
-        raise ScenarioError(f"{key}: expected a mapping, got {given!r}")
+    default value where it has none; a missing or null section is empty."""
+    given = _mapping({} if raw.get(key) is None else raw[key], key)
     return {name: given.get(name, value) for name, value in defaults.items()}
 
 
@@ -160,12 +182,8 @@ def _build_absorption(section, graph: MetricGraph, n_nodes: int) -> Absorption:
     if isinstance(section, dict) and "constant" in section:
         rates = _node_rates(section["constant"], "absorption[0].constant", n_nodes)
         return Absorption.constant(np.broadcast_to(rates, (graph.n_edges, n_nodes)), graph.lengths, n_nodes)
-    if isinstance(section, dict):
-        section = [section] * graph.n_edges
-    if len(section) != graph.n_edges:
-        raise ScenarioError("absorption: need one entry per edge (or a single shared entry)")
     breaks, values = [], []
-    for j, entry in enumerate(section):
+    for j, entry in enumerate(_per_edge(section, "absorption", graph.n_edges)):
         ctx = f"absorption[{j}]"
         l = float(graph.lengths[j])
         if "constant" in entry:
@@ -173,8 +191,8 @@ def _build_absorption(section, graph: MetricGraph, n_nodes: int) -> Absorption:
             values.append(_node_rates(entry["constant"], ctx + ".constant", n_nodes))
         elif "table" in entry:
             tbl = entry["table"]
-            xs = _as_array(_require(tbl, "x", ctx), ctx + ".table.x")
-            vals = _as_array(_require(tbl, "values", ctx), ctx + ".table.values")
+            xs = _as_array(_require(tbl, "x", ctx + ".table"), ctx + ".table.x")
+            vals = _as_array(_require(tbl, "values", ctx + ".table"), ctx + ".table.values")
             if vals.ndim == 1:
                 vals = np.repeat(vals[:, None], n_nodes, axis=1)
             breaks.append(xs)
@@ -198,7 +216,7 @@ def flux_preserving_kernel(vgrid: Quadrature, n_edges: int) -> ScatteringKernel:
 def _build_kernel(section, graph: MetricGraph, vgrid: Quadrature) -> ScatteringKernel:
     if section is None:
         return ScatteringKernel.identity()
-    mode = section.get("mode", "identity")
+    mode = _mapping(section, "kernel").get("mode", "identity")
     if mode == "identity":
         return ScatteringKernel.identity()
     if mode == "constant":
@@ -207,7 +225,7 @@ def _build_kernel(section, graph: MetricGraph, vgrid: Quadrature) -> ScatteringK
     if mode == "flux_preserving":
         return flux_preserving_kernel(vgrid, graph.n_edges)
     if mode == "table":
-        tables = _require(section, "tables", "kernel")
+        tables = _list(_require(section, "tables", "kernel"), "kernel.tables")
         if len(tables) != graph.n_edges:
             raise ScenarioError("kernel.tables: need one table per edge")
         tables = tuple(_as_array(t, f"kernel.tables[{j}]") for j, t in enumerate(tables))
@@ -227,12 +245,8 @@ def _build_initial(section, system: TransportSystem) -> StateField:
         lengths = system.graph.lengths
         knots = np.column_stack([np.zeros_like(lengths), lengths])
         return StateField(system, knots, np.full((system.n_edges, system.n_nodes, 2), c))
-    if isinstance(section, dict):
-        section = [section] * system.n_edges
-    if len(section) != system.n_edges:
-        raise ScenarioError("initial_state: need one entry per edge (or a single shared entry)")
     tables = []
-    for j, entry in enumerate(section):
+    for j, entry in enumerate(_per_edge(section, "initial_state", system.n_edges)):
         ctx = f"initial_state[{j}]"
         if "constant" in entry:
             c = _as_float(entry["constant"], ctx + ".constant")
@@ -240,8 +254,8 @@ def _build_initial(section, system: TransportSystem) -> StateField:
             tables.append((xs, np.full((system.n_nodes, 2), c)))
         elif "table" in entry:
             tbl = entry["table"]
-            xs = _as_array(_require(tbl, "x", ctx), ctx + ".table.x")
-            vals = _as_array(_require(tbl, "values", ctx), ctx + ".table.values")
+            xs = _as_array(_require(tbl, "x", ctx + ".table"), ctx + ".table.x")
+            vals = _as_array(_require(tbl, "values", ctx + ".table"), ctx + ".table.values")
             if vals.ndim == 1:
                 vals = np.repeat(vals[None, :], system.n_nodes, axis=0)
             if vals.shape != (system.n_nodes, xs.size):
@@ -261,7 +275,7 @@ def _build_inputs(section, system: TransportSystem, horizon: float) -> StepSigna
         if n_controls == 0:
             return None
         return StepSignal.zero((n_controls, system.n_nodes), max(horizon, 1.0))
-    if len(section) != n_controls:
+    if len(_list(section, "inputs")) != n_controls:
         raise ScenarioError(
             f"inputs: need one entry per control channel ({n_controls}), got {len(section)}"
         )
@@ -271,8 +285,8 @@ def _build_inputs(section, system: TransportSystem, horizon: float) -> StepSigna
     for c, entry in enumerate(section):
         ctx = f"inputs[{c}]"
         steps = _require(entry, "steps", ctx)
-        times = _as_array(_require(steps, "times", ctx), ctx + ".steps.times")
-        vals = _as_array(_require(steps, "values", ctx), ctx + ".steps.values")
+        times = _as_array(_require(steps, "times", ctx + ".steps"), ctx + ".steps.times")
+        vals = _as_array(_require(steps, "values", ctx + ".steps"), ctx + ".steps.values")
         if times.ndim != 1 or times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ScenarioError(f"{ctx}: step times must increase strictly from 0")
         if vals.ndim == 1:
@@ -329,6 +343,8 @@ def parse_scenario(path: str | Path) -> Scenario:
     initial = _build_initial(raw.get("initial_state"), system)
     control = _build_inputs(raw.get("inputs"), system, horizon)
     snapshots = _as_array(raw.get("snapshots", [0.0, horizon]), "snapshots")
+    if snapshots.ndim != 1:
+        raise ScenarioError(f"snapshots: expected a flat list of times, got {raw['snapshots']!r}")
     if np.any(snapshots < 0) or np.any(snapshots > horizon + 1e-12):
         raise ScenarioError("snapshot times must lie in [0, horizon]")
 
@@ -344,6 +360,9 @@ def parse_scenario(path: str | Path) -> Scenario:
     seed = _as_int(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ScenarioError(f"seed: expected a nonnegative integer, got {seed}")
+    conserve = raw.get("expect_mass_conservation", False)
+    if not isinstance(conserve, bool):
+        raise ScenarioError(f"expect_mass_conservation: expected true or false, got {conserve!r}")
 
     warnings = []
     report = check_assumptions(graph)
@@ -366,7 +385,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         seed=seed,
         tolerances=tolerances,
         probes=probes,
-        expect_mass_conservation=bool(raw.get("expect_mass_conservation", False)),
+        expect_mass_conservation=conserve,
         name=str(raw.get("name", path.stem)),
         source_hash=hashlib.sha256(text).hexdigest(),
         assumptions=report,

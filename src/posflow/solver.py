@@ -36,7 +36,7 @@ from .transport import (
     CharacteristicPath,
     StateField,
     TransportSystem,
-    _phi12,
+    _segment_weights,
     characteristic_read,
     initial_kinks,
     knot_arrivals,
@@ -151,20 +151,11 @@ def _event_stamps(
     return stamps, jumps, complete
 
 
-def _segment_weights(q, h, factor) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (w0, w1) with int_0^h e^{q (h - r)} g(r) dr = w0 g(0) + w1 g(h)
-    for g linear on [0, h], both times ``factor``: with phi1, phi2 of z = q h
-    (:func:`~posflow.transport._phi12`), w0 = h phi2 and w1 = h (phi1 - phi2)."""
-    phi1, phi2 = _phi12(q * h)
-    scale = h * factor
-    return scale * phi2, scale * (phi1 - phi2)
-
-
 class _LedgerIntegrals:
     """Prefix integrals F_u(tau) = int_0^tau e^{-q_u r} g_{vertex_u}(r) dr of
     ledger channels, one table u per (vertex, rate row q_u) pair, with (K,)
     rates and channels per table.  The ledger is linear between stamps, so
-    every segment integral is closed form (:func:`_segment_weights`).
+    every segment integral is closed form (:func:`~posflow.transport._segment_weights`).
 
     The tables are built in chunks of stamps, each (rows, U, K) temporary
     near :data:`_BLOCK_BYTES`.  A column with q < 0 is rebased to the end
@@ -227,8 +218,7 @@ class ClosedLoopSolution:
     single closed-form read against either the initial field (characteristic
     still inside the edge) or the ledger (characteristic entered at l_j).
     :meth:`samples` and :meth:`masses` read snapshots and masses;
-    :meth:`observe`, :meth:`snapshot`, :meth:`total_mass` and
-    :meth:`edge_mass` are views on those two reads.
+    :meth:`snapshot` and :meth:`total_mass` are views on those two reads.
     """
 
     system: TransportSystem
@@ -384,15 +374,6 @@ class ClosedLoopSolution:
     def total_mass(self, t: float) -> float:
         """The total mass at time t (:meth:`masses`)."""
         return self.masses(t)[0]
-
-    def edge_mass(self, j: int, t: float) -> float:
-        """The mass of edge j at time t (:meth:`_edge_masses`)."""
-        return float(self._edge_masses(t)[0, j])
-
-    def observe(self, t: float) -> tuple[StateField, float]:
-        """The snapshot field at time t (exact evaluator attached) and the
-        total mass."""
-        return self.snapshot(t), self.total_mass(t)
 
 
 def _sweep_window(system: TransportSystem, x0: StateField, ledger: TraceLedger,

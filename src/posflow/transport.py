@@ -267,15 +267,11 @@ class TransportSystem:
         return self.absorption._table[1][..., -1]
 
     @cached_property
-    def edge_growth(self) -> np.ndarray:
-        """(M, K) full-edge growth exp(int_0^{l_j} q_j(s, v_k) ds / v_k)."""
-        return np.exp(self.edge_primitive / self.vgrid.nodes)
-
-    @cached_property
     def edge_gain(self) -> np.ndarray:
         """(M, K) gain E_j w_j of a boundary datum carried across edge j: the
-        full-edge growth times the boundary weight."""
-        return self.edge_growth * self.graph.weights[:, None]
+        full-edge growth exp(int_0^{l_j} q_j(s, v_k) ds / v_k) times the
+        boundary weight, :attr:`CharacteristicPath.gain` at x = 0 bit for bit."""
+        return np.exp(self.edge_primitive / self.vgrid.nodes) * self.graph.weights[:, None]
 
     @cached_property
     def delays(self) -> np.ndarray:
@@ -465,10 +461,13 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi1, phi2
 
 
-def _exp_linear_integral(beta: np.ndarray, h: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """int_0^h e^{beta s} (c0 + c1 s) ds, stable as beta -> 0."""
-    phi1, phi2 = _phi12(beta * h)
-    return h * c0 * phi1 + h * h * c1 * phi2
+def _segment_weights(q, h, factor) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (w0, w1) with int_0^h e^{q (h - r)} g(r) dr = w0 g(0) + w1 g(h)
+    for g linear on [0, h], both times ``factor``: with phi1, phi2 of z = q h
+    (:func:`_phi12`), w0 = h phi2 and w1 = h (phi1 - phi2), stable as q -> 0."""
+    phi1, phi2 = _phi12(q * h)
+    scale = h * factor
+    return scale * phi2, scale * (phi1 - phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +591,12 @@ def initial_kinks(system: TransportSystem, f: StateField) -> tuple[np.ndarray, n
 
 
 def knot_arrivals(system: TransportSystem, f: StateField) -> np.ndarray:
-    """The times sigma / v_k at which the knots sigma of f and the absorption
-    breaks of each edge reach the outflow end x = 0, where the zero-inflow
-    outflow traces Gamma T(t) f can kink, edge by edge, knot by knot."""
-    grid, sizes = _union_rows(f._grid[0], system.absorption.breaks)
-    return (grid[np.arange(grid.shape[1]) < sizes[:, None]][:, None] / system.vgrid.nodes).ravel()
+    """The times c / v_k at which the moving kinks c of :func:`initial_kinks`
+    (the absorption breaks and the knots of f) reach the outflow end x = 0,
+    where the zero-inflow outflow traces Gamma T(t) f can kink, edge by edge,
+    knot by knot.  Unsorted, with repeats: callers sort or unique them."""
+    c, d = initial_kinks(system, f)
+    return (c[d > 0][:, None] / system.vgrid.nodes).ravel()
 
 
 def flow_trace(system: TransportSystem, f: StateField, t) -> np.ndarray:
@@ -663,12 +663,12 @@ def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateF
     # W(y) = (int_0^y q - mu y)/v, linear on each panel
     W = (q.primitive(j, k, y) - mu * y) / v
     h = np.diff(y)
-    beta = np.diff(W) / h
-    c1 = (fy[..., 1:] - fy[..., :-1]) / h
+    # int_0^h e^{beta s} f(y_r + s) ds with beta = dW/dy, f linear on the panel
+    w_hi, w_lo = _segment_weights(np.diff(W) / h, h, 1.0)
     # panels past the end of a shorter grid integrate 0 and decay by 1, so
     # they leave the suffix sums of the grid unchanged
     inside = np.arange(grid.shape[1] - 1) < sizes[:, None, None] - 1
-    panel = np.where(inside, _exp_linear_integral(beta, h, fy[..., :-1], c1), 0.0)
+    panel = np.where(inside, w_lo * fy[..., :-1] + w_hi * fy[..., 1:], 0.0)
     decay = np.where(inside, np.exp(np.diff(W)), 1.0)
     # suffix recursion over all (edge, node) pairs: S_r = int_{y_r}^{l} e^{W(y)-W(y_r)} f dy
     S = np.zeros(W.shape)
@@ -703,18 +703,15 @@ def dirichlet_apply(system: TransportSystem, g: np.ndarray, mu: float) -> StateF
     satisfies G(D_mu g) = g under the Kirchhoff weight normalization and is
     positive for g >= 0 at every real mu.  ``g`` is an (N, K) array; the
     field samples on :attr:`TransportSystem.grid`, all (edge, node) pairs in
-    one call of its evaluator.
+    one call of its evaluator: the inflow gain of a :class:`CharacteristicPath`
+    (:attr:`CharacteristicPath.gain`) times e^{-mu transit}, the read of a
+    constant inflow weighted by the Laplace factor of its entry time.
     """
-    nodes = system.vgrid.nodes
-    lengths = system.graph.lengths
     tails = system.graph.tails
-    w = system.graph.weights
-    q = system.absorption
 
     def ev(j, x, k):
-        grow = np.exp((system.edge_primitive[j, k] - q.primitive(j, k, x)) / nodes[k])
-        decay = np.exp(-mu * (lengths[j] - x) / nodes[k])
-        return grow * decay * w[j] * g[tails[j], k]
+        path = CharacteristicPath(system, j, k, x)
+        return path.gain * np.exp(-mu * path.transit) * g[tails[j], k]
 
     return StateField.from_function(system, ev)
 
@@ -814,8 +811,9 @@ def _pair_blocks(system: TransportSystem, mu: float, basis=None) -> tuple[np.nda
     basis^T (.) basis when a (K, R) basis is given, summed in edge order per
     distinct (head_j, tail_j) pair: (pair keys head N + tail, (P, R, R))."""
     N, g = system.n_vertices, system.graph
-    decay = system.edge_growth * np.exp(-mu * g.lengths[:, None] / system.vgrid.nodes)
-    blocks = system.scatter * (decay * g.weights[:, None])[:, None, :]
+    # the Dirichlet lift at x = 0 (dirichlet_apply)
+    lift = system.edge_gain * np.exp(-mu * system.delays)
+    blocks = system.scatter * lift[:, None, :]
     if basis is not None:
         blocks = basis.T @ blocks @ basis
     keys, pair_of_edge = np.unique(g.heads * N + g.tails, return_inverse=True)

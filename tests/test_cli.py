@@ -537,6 +537,7 @@ def test_scenario_error_exit_code(tmp_path):
     ("probes: {count: 12", "probes: {count: 0", "probes.count"),
     ("probes: {count: 12", "probes: {count: 2.5", "probes.count"),
     ("probes: {count: 12, p: 2.0}", "probes: [12]", "probes"),
+    ("probes: {count: 12, p: 2.0}", "probes: []", "probes"),
     ("space_samples: 101", "space_samples: abc", "space_samples"),
     ("space_samples: 101", "space_samples: 100.5", "space_samples"),
     ("nodes: 1,", "nodes: abc,", "velocity.nodes"),

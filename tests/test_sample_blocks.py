@@ -1,8 +1,13 @@
 """The positivity operators T(t), D_mu and R(mu) compute all (edge, node)
 sample rows in one block; the per-pair loops they replaced are kept here as
-oracles and compared on random Kirchhoff networks.  The block kernels they
-share, row interpolation and the exponential-times-linear segment integral,
-are checked against np.interp and exact series."""
+oracles and compared on random Kirchhoff networks.  The oracles write each
+closed form the way the operators do (the inflow gain, the segment weights),
+so the blocking is checked bit for bit.  The block kernels they share, row
+interpolation and the exponential-times-linear segment integral, are checked
+against np.interp and exact series."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from posflow import (
     StateField,
     TransportSystem,
     dirichlet_apply,
+    parse_scenario,
     resolvent_apply,
     semigroup_apply,
 )
@@ -24,13 +30,19 @@ from fractions import Fraction
 from math import factorial
 
 from posflow.transport import (
-    _exp_linear_integral,
+    CharacteristicPath,
     _increasing_rows,
     _interp_rows,
     _pad_rows,
     _phi12,
+    _segment_weights,
     knot_arrivals,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+from artifacts import scenario_files  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +79,8 @@ def resolvent_ref(system, f, mu):
             fy = f.eval(j, k, grid)
             W = (primitive_ref(system, j, k, grid) - mu * grid) / v
             h = np.diff(grid)
-            panel = _exp_linear_integral(np.diff(W) / h, h, fy[:-1], (fy[1:] - fy[:-1]) / h)
+            w_hi, w_lo = _segment_weights(np.diff(W) / h, h, 1.0)
+            panel = w_lo * fy[:-1] + w_hi * fy[1:]
             decay = np.exp(np.diff(W))
             S = np.zeros(grid.size)
             for r in range(grid.size - 2, -1, -1):
@@ -85,9 +98,8 @@ def dirichlet_ref(system, g, mu):
         rows = []
         for k, v in enumerate(system.vgrid.nodes):
             edge = primitive_ref(system, j, k, l)
-            grow = np.exp((edge - primitive_ref(system, j, k, x)) / v)
-            decay = np.exp(-mu * (l - x) / v)
-            rows.append(grow * decay * g_.weights[j] * g[g_.tails[j], k])
+            gain = np.exp((edge - primitive_ref(system, j, k, x)) / v) * g_.weights[j]
+            rows.append(gain * np.exp(-mu * ((l - x) / v)) * g[g_.tails[j], k])
         values.append(np.stack(rows))
     return values
 
@@ -181,15 +193,45 @@ def test_blocks_match_per_pair_loops(case):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(cases())
 def test_knot_arrivals_match_per_edge_unions(case):
-    """The arrival times of the union of each edge's knots and absorption
-    breaks, edge by edge, knot by knot, node by node, bit for bit as the
-    per-edge np.union1d loop."""
+    """The distinct arrival times, the set that the event closure and the
+    Gauss panels read, are those of the union of each edge's knots and
+    absorption breaks, bit for bit as the per-edge np.union1d loop."""
     _, system, f, *_ = case
     want = np.concatenate([
         (np.union1d(f.xs[j], system.absorption.breaks[j])[:, None] / system.vgrid.nodes).ravel()
         for j in range(system.n_edges)
     ])
-    assert np.array_equal(knot_arrivals(system, f), want)
+    assert np.array_equal(np.unique(knot_arrivals(system, f)), np.unique(want))
+
+
+def assert_lift_ties(system, g, mu):
+    """The full-edge gain is the path gain at x = 0, and the Dirichlet lift
+    at x = 0 is the edge factor of H(mu), both bit for bit."""
+    M, K = system.n_edges, system.n_nodes
+    path = CharacteristicPath(system, np.arange(M)[:, None], np.arange(K), 0.0)
+    assert np.array_equal(system.edge_gain, path.gain)
+    lift = dirichlet_apply(system, g, mu).eval(np.arange(M)[:, None], np.arange(K), 0.0)
+    want = system.edge_gain * np.exp(-mu * system.delays) * g[system.graph.tails]
+    assert np.array_equal(lift, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cases())
+def test_lift_ties_on_kirchhoff_networks(case):
+    _, system, _, g, _, _, mu = case
+    assert_lift_ties(system, g, mu)
+
+
+def test_lift_ties_on_scenarios(tmp_path, rng):
+    """The shipped scenarios, the benchmark's seed-0 scenarios and the
+    extra ones of tools/artifacts.py."""
+    files = scenario_files(tmp_path)
+    assert len(files) == 12
+    for path in files:
+        system = parse_scenario(path).system
+        g = rng.uniform(0.0, 1.0, (system.n_vertices, system.n_nodes))
+        for mu in (-0.5, 0.0, system.q_sup + 1.3):
+            assert_lift_ties(system, g, mu)
 
 
 def test_evaluator_is_the_block_kernel_on_one_pair(rng):

@@ -1,11 +1,17 @@
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from posflow import ScenarioError, parse_scenario
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+sys.path.insert(0, str(ROOT / "tools"))
+
+from artifacts import MALFORMED  # noqa: E402
 
 MINIMAL = """
 schema_version: 1
@@ -239,3 +245,44 @@ def test_constant_absorption_must_fit_the_velocity_nodes(tmp_path, absorption, e
     text = SHARED.format(absorption=absorption, initial="{constant: 1.0}")
     with pytest.raises(ScenarioError, match=rf"absorption\[{edge}\]\.constant: expected one rate"):
         parse_scenario(write(tmp_path, text))
+
+
+
+# where each malformed variant of tools/artifacts.py is refused
+MALFORMED_AT = {
+    "absorption-floats": r"absorption\[0\]: expected a mapping",
+    "initial-floats": r"initial_state\[0\]: expected a mapping",
+    "inputs-mapping": r"inputs: expected a list",
+    "inputs-number": r"inputs\[0\]: expected a mapping",
+    "edges-numbers": r"graph\.edges\[0\]: expected a mapping",
+    "kernel-list": r"kernel: expected a mapping",
+    "kernel-tables-number": r"kernel\.tables: expected a list",
+    "snapshots-nested": r"snapshots: expected a flat list",
+    "conservation-string": r"expect_mass_conservation: expected true or false",
+}
+
+
+def two_cycle_with(tmp_path, key, value):
+    """scenarios/two_cycle.yaml with one top-level key replaced."""
+    doc = yaml.safe_load((SCENARIOS / "two_cycle.yaml").read_text())
+    doc[key] = value
+    return write(tmp_path, yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_shape_names_its_location(tmp_path, name):
+    """A section or entry of the wrong shape is a scenario error at its
+    location, not a TypeError or AttributeError from inside the parser; a
+    nested snapshot list does not reach the solver, and the string 'no' is
+    not read as True."""
+    assert set(MALFORMED_AT) == set(MALFORMED)
+    with pytest.raises(ScenarioError, match=MALFORMED_AT[name]):
+        parse_scenario(two_cycle_with(tmp_path, *MALFORMED[name]))
+
+
+@pytest.mark.parametrize("value", ["true", 1, None])
+def test_expect_mass_conservation_must_be_a_boolean(tmp_path, value):
+    with pytest.raises(ScenarioError, match="expect_mass_conservation: expected true or false"):
+        parse_scenario(two_cycle_with(tmp_path, "expect_mass_conservation", value))
+    assert parse_scenario(two_cycle_with(tmp_path, "expect_mass_conservation", False)) \
+        .expect_mass_conservation is False

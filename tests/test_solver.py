@@ -126,7 +126,7 @@ class TestClosedLoopSolve:
         for t in (0.1, 0.25, 0.45):
             vals = np.concatenate([sol.eval_edge(0, 0, c, t) for c in np.array_split(x, 8)])
             trapezoid = (x[1] - x[0]) * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-            assert sol.edge_mass(0, t) == pytest.approx(trapezoid, rel=1e-10)
+            assert sol._edge_masses(t)[0, 0] == pytest.approx(trapezoid, rel=1e-10)
 
     def test_positive_battery(self, rng):
         for _ in range(4):
@@ -302,24 +302,24 @@ def sweep_cases(draw, positive=None):
     return system, x0, u, horizon, dt_max, positive
 
 
-class TestObserve:
-    """observe gives the samples, bit for bit as the x-grid read alone, and
-    the mass: Gauss panels on the initial-fed part plus closed-form prefix
-    integrals of the ledger, within 1e-12 of Gauss panels cut at every
-    ledger stamp image."""
+class TestSnapshotAndMass:
+    """snapshot gives the samples, bit for bit as the x-grid read alone, and
+    total_mass the mass: Gauss panels on the initial-fed part plus
+    closed-form prefix integrals of the ledger, within 1e-12 of Gauss panels
+    cut at every ledger stamp image."""
 
     def assert_matches_separate_reads(self, sol, times, refine=1):
         for t in times:
-            fld, mass = sol.observe(float(t))
+            fld, mass = sol.snapshot(float(t)), sol.total_mass(float(t))
             ref = snapshot_ref(sol, float(t))
             for got, want in zip(fld.values, ref.values):
                 assert np.array_equal(got, want)
             edges = range(sol.system.n_edges)
             edge_masses = [edge_mass_ref(sol, j, float(t), refine) for j in edges]
             assert mass == pytest.approx(sum(edge_masses), rel=1e-12, abs=0.0)
-            assert sol.total_mass(float(t)) == mass
+            got = sol._edge_masses(float(t))[0]
             for j, m in enumerate(edge_masses):
-                assert sol.edge_mass(j, float(t)) == pytest.approx(m, rel=1e-12, abs=0.0)
+                assert got[j] == pytest.approx(m, rel=1e-12, abs=0.0)
             x = np.linspace(0.0, sol.system.graph.lengths[0], 7)
             assert np.array_equal(fld.eval(0, 0, x), sol.eval_edge(0, 0, x, float(t)))
 
@@ -397,9 +397,9 @@ class TestObserve:
         sol = closed_loop_solve(sys, StateField.constant(sys, 1.0), None, 1.0)
         for t in (-0.1, 1.1):
             with pytest.raises(ValueError, match="outside the solved horizon"):
-                sol.observe(t)
+                sol.snapshot(t)
             with pytest.raises(ValueError, match="outside the solved horizon"):
-                sol.edge_mass(0, t)
+                sol.total_mass(t)
 
 
 def same_bits(a, b) -> bool:
@@ -411,7 +411,7 @@ def same_bits(a, b) -> bool:
 class TestChunkedReads:
     """samples(t) equals the grid read of a path built for that read alone,
     and masses(times), read in chunks of times, equals the per-time masses
-    of observe, bit for bit.  Times include -0.0, the wavefronts
+    of total_mass, bit for bit.  Times include -0.0, the wavefronts
     t = l_j / v_k and the ends, and the chunked reads take 1, rows - 1,
     rows and rows + 1 times and all of them."""
 
@@ -423,7 +423,7 @@ class TestChunkedReads:
                                 np.linspace(0.0, sol.horizon, rows + 2)])
         for t in times.tolist():
             assert same_bits(sol.samples(t), snapshot_ref(sol, t)._table[1])
-        per_time = [sol.observe(t)[1] for t in times.tolist()]
+        per_time = [sol.total_mass(t) for t in times.tolist()]
         per_edge = [sol._edge_masses(t)[0] for t in times.tolist()]
         for count in sorted({1, rows - 1, rows, rows + 1, times.size} - {0}):
             assert same_bits(sol.masses(times[:count]), per_time[:count])
@@ -456,7 +456,7 @@ class TestChunkedReads:
     @pytest.mark.parametrize("q, horizon", [(-400.0, 2.0), (10.0, 6.0)])
     @pytest.mark.parametrize("knots", [None, 2])
     def test_strong_absorption_and_growth(self, q, horizon, knots):
-        """The cases of TestObserve; with a two-knot initial state a chunk
+        """The cases of TestSnapshotAndMass; with a two-knot initial state a chunk
         holds several times, so growing rates read the time-reversed prefix
         tables in chunks."""
         sol = strong_rate_solution(q, horizon, knots)

@@ -484,10 +484,8 @@ def transfer_ref(system, mu):
     N, K = system.n_vertices, system.n_nodes
     H = np.zeros((N * K, N * K))
     for j in range(system.n_edges):
-        l = system.graph.lengths[j]
         tail, head = system.graph.tails[j], system.graph.heads[j]
-        decay = system.edge_growth[j] * np.exp(-mu * l / system.vgrid.nodes)
-        block = system.scatter[j] * (decay * system.graph.weights[j])
+        block = system.scatter[j] * (system.edge_gain[j] * np.exp(-mu * system.delays[j]))
         H[head * K : (head + 1) * K, tail * K : (tail + 1) * K] += block
     return H
 
@@ -631,7 +629,7 @@ class TestSystemGrid:
             StateField.zeros(sys),
             dirichlet_apply(sys, g, sys.q_sup + 1.0),
             input_map(sys, StepSignal.constant(g, 1.0), 0.5),
-            sol.observe(0.5)[0],
+            sol.snapshot(0.5),
             sol.snapshot(1.0),
         ]
         for f in fields:

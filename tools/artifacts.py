@@ -12,6 +12,8 @@ p = 1 skips the zero-class scan), ``spectrum``, ``oracle`` and
 :data:`RAGGED`, :data:`DEFAULTS` and :data:`SIGNED`, written there as
 ``ragged.yaml``, ``defaults.yaml`` and ``signed.yaml``.  Each run's
 artifacts, stdout, stderr and exit status go to ``OUT/<scenario>-<command>``.
+The malformed variants of ``scenarios/two_cycle.yaml`` in :data:`MALFORMED`
+are run with ``simulate`` alone, to ``OUT/malformed-<name>-simulate``.
 Two checkouts produce the same outputs exactly when ``diff -r`` of their
 trees is empty.
 """
@@ -150,6 +152,33 @@ SIGNED = {
 }
 
 
+# scenarios/two_cycle.yaml with one top-level key replaced by a value of the
+# wrong shape: each must end in exit 2 and one "scenario error:" line that
+# names the key, not a traceback or a gate failure.
+MALFORMED = {
+    "absorption-floats": ("absorption", [1.0, 2.0]),
+    "initial-floats": ("initial_state", [1.0, 0.5]),
+    "inputs-mapping": ("inputs", {"steps": {"times": [0.0], "values": [1.0]}}),
+    "inputs-number": ("inputs", [3]),
+    "edges-numbers": ("graph", {"vertices": 2, "edges": [5, 6]}),
+    "kernel-list": ("kernel", [1, 2]),
+    "kernel-tables-number": ("kernel", {"mode": "table", "tables": 3}),
+    "snapshots-nested": ("snapshots", [[0.0, 1.0]]),
+    "conservation-string": ("expect_mass_conservation", "no"),
+}
+
+
+def malformed_files(out: Path) -> list[Path]:
+    """The :data:`MALFORMED` scenarios, written to ``OUT/_scenarios``."""
+    files = []
+    for name, (key, value) in MALFORMED.items():
+        doc = yaml.safe_load((ROOT / "scenarios" / "two_cycle.yaml").read_text())
+        doc[key] = value
+        files.append(out / "_scenarios" / f"malformed-{name}.yaml")
+        files[-1].write_text(yaml.safe_dump(doc, sort_keys=False))
+    return files
+
+
 def scenario_files(out: Path) -> list[Path]:
     """The shipped scenarios, then the benchmark's seed-0 scenarios, then
     :data:`RAGGED`, :data:`DEFAULTS` and :data:`SIGNED`."""
@@ -186,6 +215,10 @@ def main(argv: list[str]) -> int:
                              "--out", str(rundir)], env)
         rundir = out / f"{scenario.stem}-feedback"
         capture(rundir, ["-c", FEEDBACK, str(scenario), str(rundir)], env)
+    for scenario in malformed_files(out):
+        rundir = out / f"{scenario.stem}-simulate"
+        capture(rundir, ["-m", "posflow", "simulate", "--scenario", str(scenario),
+                         "--out", str(rundir)], env)
     return 0
 
 
