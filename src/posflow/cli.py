@@ -89,13 +89,15 @@ def _mu_grid(spec: str) -> np.ndarray:
 
 
 def _tau_grid(spec: str) -> list[float]:
-    """--tau-grid t1,t2,...: at least one value, each finite and positive."""
+    """--tau-grid t1,t2,...: at least one value, each finite, positive and
+    given once."""
     try:
         taus = [float(s) for s in spec.split(",") if s]
     except ValueError:
         taus = []
-    if not taus or not all(0.0 < t < math.inf for t in taus):
-        raise argparse.ArgumentTypeError(f"expected finite positive taus t1,t2,..., got {spec!r}")
+    if not taus or not all(0.0 < t < math.inf for t in taus) or len(set(taus)) < len(taus):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct finite positive taus t1,t2,..., got {spec!r}")
     return taus
 
 

@@ -51,15 +51,6 @@ def _require(mapping, key: str, ctx: str):
     return mapping[key]
 
 
-def _per_edge(section, ctx: str, n_edges: int) -> list[dict]:
-    """One mapping per edge: a single mapping shared by every edge, or a list
-    of one per edge."""
-    entries = [section] * n_edges if isinstance(section, dict) else _list(section, ctx)
-    if len(entries) != n_edges:
-        raise ScenarioError(f"{ctx}: need one entry per edge (or a single shared entry)")
-    return [_mapping(entry, f"{ctx}[{j}]") for j, entry in enumerate(entries)]
-
-
 def _as_float(value, ctx: str) -> float:
     """A finite float; non-numbers, NaN and infinities are refused."""
     try:
@@ -166,41 +157,57 @@ def _build_vgrid(section: dict) -> Quadrature:
     raise ScenarioError(f"velocity.rule must be 'midpoint' or 'gauss', got {rule!r}")
 
 
-def _node_rates(value, ctx: str, n_nodes: int) -> np.ndarray:
-    """A constant absorption entry as a (1, K) row: one rate, or one per
-    velocity node."""
-    rates = _as_array(value, ctx)
-    try:
-        return np.broadcast_to(rates, (1, n_nodes))
-    except ValueError:
-        raise ScenarioError(f"{ctx}: expected one rate or one per velocity node, got {value!r}") from None
+def _node_table(values, ctx: str, n_nodes: int, node_axis: int) -> np.ndarray:
+    """A table of values with one row (``node_axis`` 0) or column (1) per
+    velocity node; a flat list is read at every node."""
+    table = _as_array(values, ctx)
+    if table.ndim == 1:
+        table = np.repeat(np.expand_dims(table, node_axis), n_nodes, axis=node_axis)
+    return table
+
+
+def _edge_tables(section, ctx: str, lengths: np.ndarray, n_nodes: int, node_axis: int):
+    """The knot rows and value tables of a per-edge section: one entry shared
+    by every edge, or a list of one entry per edge.  ``{constant: c}`` is one
+    value, or one per velocity node, on the knots 0 and l_j (two knots keep
+    the solver's event closure minimal); ``{table: {x, values}}`` reads
+    ``values`` by :func:`_node_table`.  Values on pieces have their nodes on
+    axis 1, (pieces, nodes), and values on knots on axis 0, (nodes, knots).
+    A shared entry is read once."""
+    shared, n_edges = isinstance(section, dict), lengths.size
+    entries = [section] if shared else _list(section, ctx)
+    if len(entries) != (1 if shared else n_edges):
+        raise ScenarioError(f"{ctx}: need one entry per edge (or a single shared entry)")
+    knots, tables = [], []
+    for j, entry in enumerate(entries):
+        at = f"{ctx}[{j}]"
+        if "constant" in _mapping(entry, at):
+            value = _as_array(entry["constant"], at + ".constant")
+            try:
+                value = np.broadcast_to(value, (n_nodes,))
+            except ValueError:
+                raise ScenarioError(f"{at}.constant: expected one value or one per velocity node, "
+                                    f"got {entry['constant']!r}") from None
+            knots.append(None)
+            tables.append(value[None, :] if node_axis else np.column_stack([value, value]))
+        elif "table" in entry:
+            tbl = entry["table"]
+            knots.append(_as_array(_require(tbl, "x", at + ".table"), at + ".table.x"))
+            tables.append(_node_table(_require(tbl, "values", at + ".table"), at + ".table.values",
+                                      n_nodes, node_axis))
+        else:
+            raise ScenarioError(f"{at}: expected 'constant' or 'table'")
+    if shared:
+        knots, tables = knots * n_edges, tables * n_edges
+    return [np.array([0.0, l]) if x is None else x for x, l in zip(knots, lengths.tolist())], tables
 
 
 def _build_absorption(section, graph: MetricGraph, n_nodes: int) -> Absorption:
     if section is None:
         return Absorption.zero(graph.lengths, n_nodes)
-    if isinstance(section, dict) and "constant" in section:
-        rates = _node_rates(section["constant"], "absorption[0].constant", n_nodes)
-        return Absorption.constant(np.broadcast_to(rates, (graph.n_edges, n_nodes)), graph.lengths, n_nodes)
-    breaks, values = [], []
-    for j, entry in enumerate(_per_edge(section, "absorption", graph.n_edges)):
-        ctx = f"absorption[{j}]"
-        l = float(graph.lengths[j])
-        if "constant" in entry:
-            breaks.append(np.array([0.0, l]))
-            values.append(_node_rates(entry["constant"], ctx + ".constant", n_nodes))
-        elif "table" in entry:
-            tbl = entry["table"]
-            xs = _as_array(_require(tbl, "x", ctx + ".table"), ctx + ".table.x")
-            vals = _as_array(_require(tbl, "values", ctx + ".table"), ctx + ".table.values")
-            if vals.ndim == 1:
-                vals = np.repeat(vals[:, None], n_nodes, axis=1)
-            breaks.append(xs)
-            values.append(vals)
-        else:
-            raise ScenarioError(f"{ctx}: expected 'constant' or 'table'")
+    breaks, values = _edge_tables(section, "absorption", graph.lengths, n_nodes, 1)
     try:
-        return Absorption(tuple(breaks), tuple(values))
+        return Absorption(breaks, values)
     except ValueError as exc:
         raise ScenarioError(f"absorption: {exc}") from exc
 
@@ -221,7 +228,10 @@ def _build_kernel(section, graph: MetricGraph, vgrid: Quadrature) -> ScatteringK
         return ScatteringKernel.identity()
     if mode == "constant":
         c = _as_float(_require(section, "value", "kernel"), "kernel.value")
-        return ScatteringKernel.constant(c, graph.n_edges, vgrid.n)
+        try:
+            return ScatteringKernel.constant(c, graph.n_edges, vgrid.n)
+        except ValueError as exc:
+            raise ScenarioError(f"kernel.value: {exc}") from exc
     if mode == "flux_preserving":
         return flux_preserving_kernel(vgrid, graph.n_edges)
     if mode == "table":
@@ -239,32 +249,9 @@ def _build_kernel(section, graph: MetricGraph, vgrid: Quadrature) -> ScatteringK
 def _build_initial(section, system: TransportSystem) -> StateField:
     if section is None:
         return StateField.zeros(system)
-    # two knots suffice for a constant: keeps the solver's event closure minimal
-    if isinstance(section, dict) and "constant" in section:
-        c = _as_float(section["constant"], "initial_state[0].constant")
-        lengths = system.graph.lengths
-        knots = np.column_stack([np.zeros_like(lengths), lengths])
-        return StateField(system, knots, np.full((system.n_edges, system.n_nodes, 2), c))
-    tables = []
-    for j, entry in enumerate(_per_edge(section, "initial_state", system.n_edges)):
-        ctx = f"initial_state[{j}]"
-        if "constant" in entry:
-            c = _as_float(entry["constant"], ctx + ".constant")
-            xs = np.array([0.0, float(system.graph.lengths[j])])
-            tables.append((xs, np.full((system.n_nodes, 2), c)))
-        elif "table" in entry:
-            tbl = entry["table"]
-            xs = _as_array(_require(tbl, "x", ctx + ".table"), ctx + ".table.x")
-            vals = _as_array(_require(tbl, "values", ctx + ".table"), ctx + ".table.values")
-            if vals.ndim == 1:
-                vals = np.repeat(vals[None, :], system.n_nodes, axis=0)
-            if vals.shape != (system.n_nodes, xs.size):
-                raise ScenarioError(f"{ctx}: values must be (nodes, len(x))")
-            tables.append((xs, vals))
-        else:
-            raise ScenarioError(f"{ctx}: expected 'constant' or 'table'")
+    xs, values = _edge_tables(section, "initial_state", system.graph.lengths, system.n_nodes, 0)
     try:
-        return StateField(system, [t[0] for t in tables], [t[1] for t in tables])
+        return StateField(system, xs, values)
     except ValueError as exc:
         raise ScenarioError(f"initial_state: {exc}") from exc
 
@@ -286,11 +273,10 @@ def _build_inputs(section, system: TransportSystem, horizon: float) -> StepSigna
         ctx = f"inputs[{c}]"
         steps = _require(entry, "steps", ctx)
         times = _as_array(_require(steps, "times", ctx + ".steps"), ctx + ".steps.times")
-        vals = _as_array(_require(steps, "values", ctx + ".steps"), ctx + ".steps.values")
+        vals = _node_table(_require(steps, "values", ctx + ".steps"), ctx + ".steps.values",
+                           system.n_nodes, 1)
         if times.ndim != 1 or times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ScenarioError(f"{ctx}: step times must increase strictly from 0")
-        if vals.ndim == 1:
-            vals = np.repeat(vals[:, None], system.n_nodes, axis=1)
         if vals.shape != (times.size, system.n_nodes):
             raise ScenarioError(f"{ctx}: values must be (len(times), nodes) or a flat list")
         all_breaks.append(times)
@@ -325,7 +311,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: scenario must be a mapping")
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
+        raise ScenarioError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     graph = _build_graph(_require(raw, "graph", "scenario"))
     vgrid = _build_vgrid(_require(raw, "velocity", "scenario"))
@@ -350,6 +336,9 @@ def parse_scenario(path: str | Path) -> Scenario:
 
     given = _settings(raw, "tolerances", {"positivity": 1e-9, "mass_drift": 1e-8})
     tolerances = {key: _as_float(value, f"tolerances.{key}") for key, value in given.items()}
+    for key, value in tolerances.items():
+        if value < 0:
+            raise ScenarioError(f"tolerances.{key}: expected a nonnegative tolerance, got {value}")
     given = _settings(raw, "probes", {"count": 16, "p": 2.0})
     probes = {"count": _as_int(given["count"], "probes.count"),
               "p": _as_float(given["p"], "probes.p")}

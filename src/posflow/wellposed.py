@@ -322,12 +322,12 @@ def zero_class_fit(p: float, taus, estimates) -> ZeroClassScan:
 
     The conjugate exponent 1/q = 1 - 1/p is the predicted decay rate of the
     admissibility constant.  The fit is only attached when the grid has at
-    least five points.
+    least five distinct points.
     """
     taus = np.asarray(taus, dtype=float)
     estimates = np.asarray(estimates, dtype=float)
     fit = None
-    if taus.size >= 5 and np.all(estimates > 0):
+    if len(set(taus.tolist())) >= 5 and np.all(estimates > 0):
         logs_t, logs_k = np.log(taus), np.log(estimates)
         slope, intercept = np.polyfit(logs_t, logs_k, 1)
         predicted = slope * logs_t + intercept

@@ -300,6 +300,8 @@ class TestOptions:
         ("admissibility", ["--tau-grid", "0"]),
         ("admissibility", ["--tau-grid", ","]),
         ("admissibility", ["--tau-grid", "0.1,inf"]),
+        ("admissibility", ["--tau-grid", "0.1,0.1,0.1,0.1,0.1"]),
+        ("admissibility", ["--tau-grid", "0.4,0.2,0.4"]),
         ("admissibility", ["--p", "0.5"]),
         ("admissibility", ["--p", "nan"]),
         ("admissibility", ["--p", "two"]),

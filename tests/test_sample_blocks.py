@@ -226,7 +226,7 @@ def test_lift_ties_on_scenarios(tmp_path, rng):
     """The shipped scenarios, the benchmark's seed-0 scenarios and the
     extra ones of tools/artifacts.py."""
     files = scenario_files(tmp_path)
-    assert len(files) == 12
+    assert len(files) == 13
     for path in files:
         system = parse_scenario(path).system
         g = rng.uniform(0.0, 1.0, (system.n_vertices, system.n_nodes))

@@ -4,8 +4,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posflow import ScenarioError, parse_scenario
+from posflow import (
+    Absorption,
+    MetricGraph,
+    Quadrature,
+    ScatteringKernel,
+    ScenarioError,
+    StateField,
+    TransportSystem,
+    parse_scenario,
+)
+from posflow.scenario import _build_absorption, _build_initial
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -226,14 +238,8 @@ def test_shared_constant_matches_per_edge_entries(tmp_path, rate):
     per_edge = parse_scenario(write(tmp_path, SHARED.format(
         absorption=f"[{', '.join([f'{{constant: {rate}}}'] * 3)}]",
         initial="[{constant: -0.0}, {constant: -0.0}, {constant: -0.0}]")))
-    pairs = [(shared.system.absorption.breaks, per_edge.system.absorption.breaks),
-             (shared.system.absorption.values, per_edge.system.absorption.values),
-             *zip(shared.system.absorption._table, per_edge.system.absorption._table),
-             *zip(shared.initial._grid, per_edge.initial._grid),
-             *zip(shared.initial._table, per_edge.initial._table)]
-    for got, want in pairs:
-        assert got.shape == want.shape and np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert_same_fields(shared.system.absorption, per_edge.system.absorption,
+                       shared.initial, per_edge.initial)
 
 
 @pytest.mark.parametrize("absorption, edge", [
@@ -243,9 +249,108 @@ def test_shared_constant_matches_per_edge_entries(tmp_path, rate):
 def test_constant_absorption_must_fit_the_velocity_nodes(tmp_path, absorption, edge):
     """A scenario error naming the entry, not a numpy broadcast traceback."""
     text = SHARED.format(absorption=absorption, initial="{constant: 1.0}")
-    with pytest.raises(ScenarioError, match=rf"absorption\[{edge}\]\.constant: expected one rate"):
+    with pytest.raises(ScenarioError,
+                       match=rf"absorption\[{edge}\]\.constant: expected one value or one per velocity node"):
         parse_scenario(write(tmp_path, text))
 
+
+def loop_system(lengths, n_nodes: int) -> TransportSystem:
+    """One vertex with a loop per edge length and ``n_nodes`` velocity nodes."""
+    m = len(lengths)
+    graph = MetricGraph(1, [0] * m, [0] * m, lengths, [1.0 / m] * m)
+    vgrid = Quadrature.midpoint(0.5, 1.5, n_nodes)
+    return TransportSystem(graph, vgrid, Absorption.zero(graph.lengths, n_nodes),
+                           ScatteringKernel.identity(), 5)
+
+
+@st.composite
+def edge_entry(draw, length: float, n_nodes: int, on_pieces: bool):
+    """One per-edge entry and the (knots, values) tables it stands for:
+    a constant, scalar or per node, or a table, flat or per node, whose
+    values lie on pieces, (pieces, nodes), or on knots, (nodes, knots)."""
+    number = st.one_of(st.just(-0.0), st.floats(-2.0, 2.0))
+    per_node = draw(st.booleans())
+    if draw(st.booleans()):
+        c = draw(st.lists(number, min_size=n_nodes, max_size=n_nodes)) if per_node else draw(number)
+        c = np.broadcast_to(np.asarray(c, dtype=float), (n_nodes,))
+        values = c[None, :] if on_pieces else np.column_stack([c, c])
+        return {"constant": c.tolist() if per_node else float(c[0])}, np.array([0.0, length]), values
+    tenths = sorted(draw(st.sets(st.integers(1, 9), max_size=3)))
+    x = np.array([0.0] + [length * i / 10 for i in tenths] + [length])
+    n = x.size - 1 if on_pieces else x.size
+    if per_node:
+        shape = (n, n_nodes) if on_pieces else (n_nodes, n)
+        values = np.array(draw(st.lists(number, min_size=shape[0] * shape[1],
+                                        max_size=shape[0] * shape[1]))).reshape(shape)
+        flat = values.tolist()
+    else:
+        flat = draw(st.lists(number, min_size=n, max_size=n))
+        values = np.array([flat] * n_nodes)
+        values = values.T.copy() if on_pieces else values
+    return {"table": {"x": x.tolist(), "values": flat}}, x, values
+
+
+@st.composite
+def per_edge_sections(draw):
+    """Random M, K and edge lengths, with one absorption and one initial
+    state entry per edge."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.floats(0.25, 2.0), min_size=m, max_size=m))
+    absorption = [draw(edge_entry(l, k, True)) for l in lengths]
+    initial = [draw(edge_entry(l, k, False)) for l in lengths]
+    return loop_system(lengths, k), absorption, initial
+
+
+@st.composite
+def shared_sections(draw):
+    """One absorption and one initial state entry shared by M edges: on
+    edges of one length if either is a table."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    length = draw(st.floats(0.25, 2.0))
+    absorption, initial = draw(edge_entry(length, k, True)), draw(edge_entry(length, k, False))
+    if "table" in absorption[0] or "table" in initial[0]:
+        lengths = [length] * m
+    else:
+        lengths = draw(st.lists(st.floats(0.25, 2.0), min_size=m, max_size=m))
+    return loop_system(lengths, k), absorption[0], initial[0]
+
+
+def assert_same_tables(pairs):
+    """Equal shapes, values and signs of zero."""
+    for got, want in pairs:
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_same_fields(q, want_q, f, want_f):
+    assert_same_tables([(q.breaks, want_q.breaks), (q.values, want_q.values),
+                        (q.pieces, want_q.pieces), *zip(q._table, want_q._table),
+                        *zip(f._grid, want_f._grid), *zip(f._table, want_f._table)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(per_edge_sections())
+def test_per_edge_lists_parse_to_the_tables_they_stand_for(case):
+    """Each entry of a per-edge list, a constant (scalar or per node) or a
+    table (flat or per node), builds the Absorption and StateField tables
+    of its numbers, bit for bit."""
+    system, absorption, initial = case
+    (q_entries, breaks, rates), (f_entries, xs, samples) = zip(*absorption), zip(*initial)
+    assert_same_fields(_build_absorption(list(q_entries), system.graph, system.n_nodes),
+                       Absorption(breaks, rates),
+                       _build_initial(list(f_entries), system), StateField(system, xs, samples))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_sections())
+def test_shared_entry_matches_a_list_of_copies(case):
+    """A shared entry, constant or table, builds the tables of a list of M
+    copies of it, bit for bit."""
+    system, absorption, initial = case
+    m = system.n_edges
+    assert_same_fields(_build_absorption(absorption, system.graph, system.n_nodes),
+                       _build_absorption([absorption] * m, system.graph, system.n_nodes),
+                       _build_initial(initial, system), _build_initial([initial] * m, system))
 
 
 # where each malformed variant of tools/artifacts.py is refused
@@ -259,6 +364,9 @@ MALFORMED_AT = {
     "kernel-tables-number": r"kernel\.tables: expected a list",
     "snapshots-nested": r"snapshots: expected a flat list",
     "conservation-string": r"expect_mass_conservation: expected true or false",
+    "kernel-negative": r"kernel\.value: kernel constant must be nonnegative",
+    "tolerance-negative": r"tolerances\.positivity: expected a nonnegative tolerance",
+    "schema-string": r"unsupported schema_version '1' \(expected 1\)",
 }
 
 

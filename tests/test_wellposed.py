@@ -27,7 +27,7 @@ from posflow import wellposed
 from posflow.lattice import dense_spectral_radius, gauss_panels
 from posflow.scenario import parse_scenario
 from posflow.transport import characteristic_read, flow_trace
-from posflow.wellposed import io_matrix
+from posflow.wellposed import io_matrix, zero_class_fit
 
 from conftest import ladder_yaml, make_loop, make_two_cycle, random_network
 
@@ -243,6 +243,14 @@ class TestZeroClass:
     def test_fit_needs_five_points(self, unit_loop_handle):
         scan = zero_class_scan(unit_loop_handle, 2.0, [0.4, 0.2, 0.1], n_probes=4, seed=8)
         assert scan.fit is None
+
+    def test_fit_needs_five_distinct_taus(self):
+        """A repeated tau is one point of the fit: five taus with four
+        distinct values attach no fit, and five equal ones make no
+        rank-deficient polyfit (its RankWarning is an error here)."""
+        assert zero_class_fit(2.0, [0.4, 0.2, 0.2, 0.1, 0.05], [4.0, 3.0, 3.0, 2.0, 1.0]).fit is None
+        assert zero_class_fit(2.0, [0.1] * 5, [0.3] * 5).fit is None
+        assert zero_class_fit(2.0, [0.4, 0.2, 0.1, 0.05, 0.025], [4.0, 3.0, 2.0, 1.5, 1.0]).fit is not None
 
 
 class TestObservationAdmissibility:

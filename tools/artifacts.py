@@ -9,9 +9,10 @@ p = 1 skips the zero-class scan), ``spectrum``, ``oracle`` and
 :data:`FEEDBACK` (``feedback_admissibility`` with K = 1 and with a signed K), on
 ``scenarios/*.yaml``, on the benchmark's seed-0 scenarios (written to
 ``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``) and on
-:data:`RAGGED`, :data:`DEFAULTS` and :data:`SIGNED`, written there as
-``ragged.yaml``, ``defaults.yaml`` and ``signed.yaml``.  Each run's
-artifacts, stdout, stderr and exit status go to ``OUT/<scenario>-<command>``.
+:data:`RAGGED`, :data:`DEFAULTS`, :data:`SIGNED` and :data:`NODAL`, written
+there as ``ragged.yaml``, ``defaults.yaml``, ``signed.yaml`` and
+``nodal.yaml``.  Each run's artifacts, stdout, stderr and exit status go to
+``OUT/<scenario>-<command>``.
 The malformed variants of ``scenarios/two_cycle.yaml`` in :data:`MALFORMED`
 are run with ``simulate`` alone, to ``OUT/malformed-<name>-simulate``.
 Two checkouts produce the same outputs exactly when ``diff -r`` of their
@@ -151,10 +152,37 @@ SIGNED = {
     "space_samples": 17,
 }
 
+# Shared per-edge entries of one value per velocity node, which no other
+# scenario has: an initial state constant at each node, an absorption table
+# shared by three edges of one length, and input steps given per node.
+NODAL = {
+    "schema_version": 1,
+    "name": "nodal",
+    "seed": 5,
+    "graph": {
+        "vertices": 2,
+        "edges": [
+            {"tail": 1, "head": 2, "length": 0.8, "weight": 1.0},
+            {"tail": 2, "head": 1, "length": 0.8, "weight": 0.5},
+            {"tail": 2, "head": 2, "length": 0.8, "weight": 0.5},
+        ],
+        "control_matrix": [[1.0], [0.0]],
+    },
+    "velocity": {"v_min": 0.6, "v_max": 1.2, "nodes": 3, "rule": "midpoint"},
+    "absorption": {"table": {"x": [0.0, 0.3, 0.8], "values": [[-0.1, 0.0, 0.2], [0.1, -0.3, 0.0]]}},
+    "kernel": {"mode": "flux_preserving"},
+    "initial_state": {"constant": [0.2, 1.0, 0.5]},
+    "inputs": [{"steps": {"times": [0.0, 1.0], "values": [[0.5, 0.0, 1.0], [0.0, 0.25, 0.0]]}}],
+    "horizon": 2.0,
+    "snapshots": [0.0, 0.5, 1.0, 2.0],
+    "space_samples": 33,
+    "probes": {"count": 6, "p": 2.0},
+}
+
 
 # scenarios/two_cycle.yaml with one top-level key replaced by a value of the
-# wrong shape: each must end in exit 2 and one "scenario error:" line that
-# names the key, not a traceback or a gate failure.
+# wrong shape, sign or type: each must end in exit 2 and one "scenario error:"
+# line that names the key, not a traceback or a gate failure.
 MALFORMED = {
     "absorption-floats": ("absorption", [1.0, 2.0]),
     "initial-floats": ("initial_state", [1.0, 0.5]),
@@ -165,6 +193,9 @@ MALFORMED = {
     "kernel-tables-number": ("kernel", {"mode": "table", "tables": 3}),
     "snapshots-nested": ("snapshots", [[0.0, 1.0]]),
     "conservation-string": ("expect_mass_conservation", "no"),
+    "kernel-negative": ("kernel", {"mode": "constant", "value": -1.0}),
+    "tolerance-negative": ("tolerances", {"positivity": -1.0}),
+    "schema-string": ("schema_version", "1"),
 }
 
 
@@ -181,11 +212,11 @@ def malformed_files(out: Path) -> list[Path]:
 
 def scenario_files(out: Path) -> list[Path]:
     """The shipped scenarios, then the benchmark's seed-0 scenarios, then
-    :data:`RAGGED`, :data:`DEFAULTS` and :data:`SIGNED`."""
+    :data:`RAGGED`, :data:`DEFAULTS`, :data:`SIGNED` and :data:`NODAL`."""
     files = sorted((ROOT / "scenarios").glob("*.yaml"))
     for workload in sorted(WORKLOAD_FILES):
         files += write_workload(workload, 0, out / "_scenarios").values()
-    for extra in (RAGGED, DEFAULTS, SIGNED):
+    for extra in (RAGGED, DEFAULTS, SIGNED, NODAL):
         files.append(out / "_scenarios" / f"{extra['name']}.yaml")
         files[-1].write_text(yaml.safe_dump(extra, sort_keys=False))
     return files
