@@ -119,6 +119,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _transfer_radii(system, mus) -> list[float]:
+    """r(H(mu)) at each mu of the grid; a mu where H(mu) overflows is refused
+    as a scenario error naming --mu-grid and mu."""
+    try:
+        return [transfer_radius(system, float(mu)) for mu in mus]
+    except ValueError as exc:
+        raise ScenarioError(f"--mu-grid: {exc}") from None
+
+
 def _gate(name: str, passed: bool, value=None, threshold=None) -> dict:
     g = {"name": name, "passed": bool(passed)}
     if value is not None:
@@ -223,7 +232,7 @@ def cmd_check(sc: Scenario, args) -> tuple[list[dict], dict]:
     report = sc.assumptions
     q_sup = sys_.q_sup
     mus = args.mu_grid if args.mu_grid is not None else np.linspace(q_sup + 0.5, q_sup + 8.0, 16)
-    radii = [transfer_radius(sys_, float(mu)) for mu in mus]
+    radii = _transfer_radii(sys_, mus)
     char_ok = any(r < 1.0 for r in radii)
 
     rng = np.random.default_rng(sc.seed)
@@ -283,12 +292,11 @@ def cmd_admissibility(sc: Scenario, args) -> tuple[list[dict], dict]:
 def cmd_spectrum(sc: Scenario, args) -> tuple[list[dict], dict]:
     q_sup = sc.system.q_sup
     mus = args.mu_grid if args.mu_grid is not None else np.linspace(q_sup + 0.5, q_sup + 8.0, 31)
-    rows = [SPECTRUM_HEADER]
-    radii = []
-    for mu in mus:
-        r = transfer_radius(sc.system, float(mu))
-        radii.append(r)
-        rows.append(",".join(_cells([mu, r, transfer_max_entry(sc.system, float(mu))])) + "\n")
+    radii = _transfer_radii(sc.system, mus)
+    rows = [SPECTRUM_HEADER] + [
+        ",".join(_cells([mu, r, transfer_max_entry(sc.system, float(mu))])) + "\n"
+        for mu, r in zip(mus, radii)
+    ]
     (Path(args.out) / "spectrum.csv").write_text("".join(rows))
     metrics = {
         "mu_grid": mus,

@@ -310,8 +310,11 @@ def parse_scenario(path: str | Path) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # YAML true == 1 in Python
         raise ScenarioError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    name = raw.get("name")
+    if isinstance(name, (list, dict)):
+        raise ScenarioError(f"name: expected a string, got {name!r}")
 
     graph = _build_graph(_require(raw, "graph", "scenario"))
     vgrid = _build_vgrid(_require(raw, "velocity", "scenario"))
@@ -375,7 +378,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         tolerances=tolerances,
         probes=probes,
         expect_mass_conservation=conserve,
-        name=str(raw.get("name", path.stem)),
+        name=path.stem if name is None else str(name),
         source_hash=hashlib.sha256(text).hexdigest(),
         assumptions=report,
         warnings=warnings,

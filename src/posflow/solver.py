@@ -186,8 +186,8 @@ class _LedgerIntegrals:
             c1 = max(c0 + 1, min(c0 + rows, S - 1, reach))
             rebase = np.where(q < 0.0, times[c1], 0.0)
             ends = times[c0 + 1 : c1 + 1, None]
-            w0, w1 = _segment_weights(q, np.diff(times[c0 : c1 + 1])[:, None],
-                                      np.exp(q * (rebase - ends)))
+            h = np.diff(times[c0 : c1 + 1])[:, None]
+            w0, w1 = _segment_weights(q * h, h, np.exp(q * (rebase - ends)))
             g = G[c0 : c1 + 1, vertices]
             seg = w0[:, of_rate] * g[:-1] + w1[:, of_rate] * g[1:]
             self.table[c0] = np.exp(rates * (rebase[of_rate] - carried)) * carry
@@ -205,7 +205,8 @@ class _LedgerIntegrals:
         a = np.minimum(piece_index(times, tau, "right", times.size - 1), max(times.size - 2, 0))
         vertex, q = self.vertices[u][:, None], self.rates[u]
         base = np.where(q < 0.0, self.base[a], 0.0)
-        w0, w1 = _segment_weights(q, tau - times[a], np.exp(q * (base - tau)))
+        h = tau - times[a]
+        w0, w1 = _segment_weights(q * h, h, np.exp(q * (base - tau)))
         part = w0 * self.ledger.values[a, vertex, k] + w1 * self.ledger.eval_channel(vertex, k, tau)
         return np.exp(c - q * base) * (self.table[a, u[:, None], k] + part)
 

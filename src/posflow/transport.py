@@ -27,11 +27,8 @@ from .signals import StepSignal
 
 
 def _pad_rows(rows) -> np.ndarray:
-    """Rows of shape (..., n_j) stacked into one (M, ..., n + 1) array with
-    n = max n_j; each row repeats its last entry past its end.  Rows given
-    as one (M, ..., n) array are padded with one copy of their last column."""
-    if isinstance(rows, np.ndarray):
-        return np.concatenate([rows, rows[..., -1:]], axis=-1)
+    """A sequence of rows of shape (..., n_j) stacked into one (M, ..., n + 1)
+    array with n = max n_j; each row repeats its last entry past its end."""
     sizes = np.array([r.shape[-1] for r in rows])
     cols = np.minimum(np.arange(sizes.max() + 1), sizes[:, None] - 1)
     return np.moveaxis(np.concatenate(rows, axis=-1)[..., (np.cumsum(sizes) - sizes)[:, None] + cols], -2, 0)
@@ -43,9 +40,7 @@ def _increasing_rows(rows, what: str, ends=None) -> tuple[np.ndarray, np.ndarray
     their interpolation grid: each row continues past its end in unit steps,
     so np.interp on a padded row equals np.interp on the row.  A ValueError
     names the first edge whose row is not such a row."""
-    # one (M, n) array stays whole, for _pad_rows to pad in one step
-    rows = (np.asarray(rows, dtype=float) if isinstance(rows, np.ndarray)
-            else [np.asarray(r, dtype=float) for r in rows])
+    rows = [np.asarray(r, dtype=float) for r in rows]
     sizes = np.array([r.size if r.ndim == 1 else 0 for r in rows])
     bad = sizes < 2
     if not bad.any():
@@ -61,13 +56,13 @@ def _increasing_rows(rows, what: str, ends=None) -> tuple[np.ndarray, np.ndarray
 
 
 def _segment(xp: np.ndarray, j, x) -> np.ndarray:
-    """For each x, the i with xp[j, i] <= x < xp[j, i + 1], clipped to
-    [0, B - 2]: np.interp's segment on row j of the (M, B) table xp, whose
-    rows increase from 0.  One searchsorted finds every row's segment at once
-    on the rows laid end to end, row j shifted by j * span with span above
-    every entry.  The shift keeps the order of each row but can round x onto
-    the shifted grid value just above it; stepping back from those keeps
-    the result exact."""
+    """For each x, the last i with xp[j, i] <= x, clipped to [0, B - 2]:
+    np.interp's segment on row j of the (M, B) table xp, whose rows are
+    non-decreasing from 0.  One searchsorted finds every row's segment at
+    once on the rows laid end to end, row j shifted by j * span with span
+    above every entry.  The shift keeps the order of each row but can round
+    x onto the shifted grid value just above it; stepping back from those
+    keeps the result exact."""
     M, B = xp.shape
     span = xp[:, -1].max() + 1.0
     shifted = (xp + span * np.arange(M)[:, None]).ravel()
@@ -461,11 +456,12 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi1, phi2
 
 
-def _segment_weights(q, h, factor) -> tuple[np.ndarray, np.ndarray]:
+def _segment_weights(z, h, factor) -> tuple[np.ndarray, np.ndarray]:
     """Weights (w0, w1) with int_0^h e^{q (h - r)} g(r) dr = w0 g(0) + w1 g(h)
-    for g linear on [0, h], both times ``factor``: with phi1, phi2 of z = q h
-    (:func:`_phi12`), w0 = h phi2 and w1 = h (phi1 - phi2), stable as q -> 0."""
-    phi1, phi2 = _phi12(q * h)
+    for g linear on [0, h], both times ``factor``, from the exponent z = q h:
+    w0 = h phi2(z) and w1 = h (phi1(z) - phi2(z)) (:func:`_phi12`), stable as
+    z -> 0 and exactly 0 at h = 0."""
+    phi1, phi2 = _phi12(z)
     scale = h * factor
     return scale * phi2, scale * (phi1 - phi2)
 
@@ -643,18 +639,18 @@ def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateF
 
     (R(mu) f)_j(x, v) = int_x^{l_j} exp(int_x^y (q_j - mu)/v ds) f_j(y, v)/v dy.
 
-    The y-integral is composite over the union of the sample grid and the
-    absorption breakpoints; on each panel the exponent is linear and f is
-    taken linear between its panel endpoints, so the panel integral is the
-    closed form of e^{linear} * linear.  Exact for sampled (piecewise-linear)
-    fields.  Enforces mu > sup|q| (the positivity regime).  All (edge, node)
-    pairs are one (M, K, G) block over the per-edge union grids, padded to a
-    common length G.
+    The y-integral is composite over the cuts of each edge, the padded rows
+    of its sample grid and absorption breaks sorted together; a repeated cut
+    is a panel of width 0, weight 0 and decay e^0 = 1.  On each panel the
+    exponent is linear and f is taken linear between its panel endpoints, so
+    the panel integral is the closed form of e^{linear} * linear.  Exact for
+    sampled (piecewise-linear) fields.  Enforces mu > sup|q| (the positivity
+    regime).  All (edge, node) pairs are one (M, K, G) block.
     """
     if mu <= system.q_sup:
         raise ValueError(f"mu must exceed sup|q| = {system.q_sup:.6g}")
     q = system.absorption
-    grid, sizes = _union_rows(f._grid[0], q.breaks)
+    grid = np.sort(np.concatenate([f._grid[0], q.breaks], axis=1), axis=1)
     j = np.arange(system.n_edges)[:, None, None]
     k = np.arange(system.n_nodes)[:, None]
     v = system.vgrid.nodes[k]
@@ -662,36 +658,17 @@ def resolvent_apply(system: TransportSystem, f: StateField, mu: float) -> StateF
     fy = f.eval(j, k, y)
     # W(y) = (int_0^y q - mu y)/v, linear on each panel
     W = (q.primitive(j, k, y) - mu * y) / v
-    h = np.diff(y)
-    # int_0^h e^{beta s} f(y_r + s) ds with beta = dW/dy, f linear on the panel
-    w_hi, w_lo = _segment_weights(np.diff(W) / h, h, 1.0)
-    # panels past the end of a shorter grid integrate 0 and decay by 1, so
-    # they leave the suffix sums of the grid unchanged
-    inside = np.arange(grid.shape[1] - 1) < sizes[:, None, None] - 1
-    panel = np.where(inside, w_lo * fy[..., :-1] + w_hi * fy[..., 1:], 0.0)
-    decay = np.where(inside, np.exp(np.diff(W)), 1.0)
+    dW = np.diff(W)
+    # int_0^h e^{beta s} f(y_r + s) ds with beta h = dW, f linear on the panel
+    w_hi, w_lo = _segment_weights(dW, np.diff(y), 1.0)
+    panel = w_lo * fy[..., :-1] + w_hi * fy[..., 1:]
+    decay = np.exp(dW)
     # suffix recursion over all (edge, node) pairs: S_r = int_{y_r}^{l} e^{W(y)-W(y_r)} f dy
     S = np.zeros(W.shape)
     for r in range(grid.shape[1] - 2, -1, -1):
         S[..., r] = panel[..., r] + decay[..., r] * S[..., r + 1]
     rows = S[j, k, _segment(grid, j, f._grid[0][:, None, :])] / v
     return StateField._padded(system, f._grid, rows)
-
-
-def _union_rows(xp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.union1d of row j of xp and of yp, rows padded by :func:`_pad_rows`,
-    for every row as one (M, G) table and the row sizes; G exceeds every
-    size, and each row continues past its last entry in unit steps."""
-    # repeated last entries are duplicates, which the union drops
-    both = np.sort(np.concatenate([xp, yp], axis=1), axis=1)
-    fresh = np.ones(both.shape, dtype=bool)
-    fresh[:, 1:] = both[:, 1:] != both[:, :-1]
-    pos = np.cumsum(fresh, axis=1) - 1
-    sizes = pos[:, -1] + 1
-    cols = np.arange(sizes.max() + 1)
-    grid = both[:, -1:] + 1.0 + (cols - sizes[:, None])
-    grid[np.arange(len(xp))[:, None], pos] = both
-    return grid, sizes
 
 
 def dirichlet_apply(system: TransportSystem, g: np.ndarray, mu: float) -> StateField:
@@ -806,6 +783,7 @@ def transfer_max_entry(system: TransportSystem, mu: float) -> float:
     return float(np.max(np.abs(_pair_blocks(system, mu)[1])))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite H(mu) is refused below
 def _pair_blocks(system: TransportSystem, mu: float, basis=None) -> tuple[np.ndarray, np.ndarray]:
     """The blocks J_j E_j(mu) w_j of the edges, each compressed to
     basis^T (.) basis when a (K, R) basis is given, summed in edge order per
@@ -819,6 +797,8 @@ def _pair_blocks(system: TransportSystem, mu: float, basis=None) -> tuple[np.nda
     keys, pair_of_edge = np.unique(g.heads * N + g.tails, return_inverse=True)
     sums = np.zeros((keys.size,) + blocks.shape[1:])
     np.add.at(sums, pair_of_edge.ravel(), blocks)  # parallel edges add in edge order
+    if not np.isfinite(sums).all():
+        raise ValueError(f"H(mu) is not finite at mu={mu}: an edge factor e^(-mu l_j/v_k) overflows")
     return keys, sums
 
 

@@ -463,6 +463,22 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "out" / "spectrum.csv").is_file()
 
 
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_overflowing_mu_grid_is_a_scenario_error(tmp_path, command):
+    """At mu = -1000 H(mu) overflows: exit 2 and one stderr line naming
+    --mu-grid and mu, with no traceback and no numpy warning."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posflow", command, "--scenario", str(SCENARIOS / "two_cycle.yaml"),
+         "--out", str(tmp_path / "out"), "--mu-grid=-1000:0:3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("scenario error: --mu-grid: ") and proc.stderr.count("\n") == 1
+    assert "mu=-1000.0" in proc.stderr
+
+
 NO_SCIPY_PROBE = """
 import sys
 import posflow.cli

@@ -35,6 +35,7 @@ from posflow.transport import (
     _interp_rows,
     _pad_rows,
     _phi12,
+    _segment,
     _segment_weights,
     knot_arrivals,
 )
@@ -79,7 +80,7 @@ def resolvent_ref(system, f, mu):
             fy = f.eval(j, k, grid)
             W = (primitive_ref(system, j, k, grid) - mu * grid) / v
             h = np.diff(grid)
-            w_hi, w_lo = _segment_weights(np.diff(W) / h, h, 1.0)
+            w_hi, w_lo = _segment_weights(np.diff(W), h, 1.0)
             panel = w_lo * fy[:-1] + w_hi * fy[1:]
             decay = np.exp(np.diff(W))
             S = np.zeros(grid.size)
@@ -368,3 +369,68 @@ def test_phi_functions_match_exact_series():
     want = np.array([phi_series(float(v)) for v in z])
     np.testing.assert_allclose(phi1, want[:, 0], rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(phi2, want[:, 1], rtol=1e-14, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the cut rule: a repeated cut is a panel of width 0 and weight 0
+
+
+@pytest.mark.parametrize("factor", [1.0, -2.5, 0.0, 1e300, 1e-300])
+def test_zero_width_panel_weighs_exactly_zero(factor):
+    assert _segment_weights(0.0, 0.0, factor) == (0.0, 0.0)
+
+
+def test_ledger_form_keeps_the_rate_form_bits(rng):
+    """The ledger passes z = q h; the weights are those of the rate form,
+    phi1 and phi2 of q h times h factor, to the bit."""
+    q = rng.uniform(-50.0, 50.0, 4000) * 10.0 ** rng.integers(-12, 1, 4000)
+    h = rng.uniform(0.0, 2.0, 4000) * 10.0 ** rng.integers(-12, 1, 4000)
+    factor = np.exp(rng.uniform(-30.0, 0.0, 4000))
+    phi1, phi2 = _phi12(q * h)
+    got = _segment_weights(q * h, h, factor)
+    for g, want in zip(got, (h * factor * phi2, h * factor * (phi1 - phi2))):
+        assert np.array_equal(g, want)
+
+
+def knotted_field(rng, system):
+    """Samples on per-edge grids of different lengths that contain every
+    absorption break of the edge, so the resolvent's interior cuts repeat."""
+    q = system.absorption
+    xs = [np.union1d(q.breaks[j, : q.pieces[j] + 1], rng.uniform(0.0, l, int(rng.integers(0, 30))))
+          for j, l in enumerate(system.graph.lengths)]
+    return StateField(system, xs, [rng.uniform(0.0, 1.0, (system.n_nodes, x.size)) for x in xs])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 4.0))
+def test_repeated_cuts_keep_the_resolvent_bits(n, extra, n_nodes, seed, gap):
+    """Initial knots at every absorption break: each interior break is cut
+    twice, and the block resolvent still equals the np.union1d reference to
+    the bit."""
+    rng = np.random.default_rng(seed)
+    system = kirchhoff_network(rng, n, n + extra, n_nodes, 3, 9)
+    f = knotted_field(rng, system)
+    assert_rows(resolvent_apply(system, f, system.q_sup + gap),
+                resolvent_ref(system, f, system.q_sup + gap), exact=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_segment_reads_non_decreasing_rows(M, seed):
+    """On padded rows with repeated entries, the segment of x is the last
+    knot at or below it: searchsorted right minus 1, clipped to [0, B - 2]."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(M):
+        pool = np.concatenate([[0.0], rng.uniform(0.0, rng.uniform(0.1, 1e3), 4)])
+        rows.append(np.sort(rng.choice(pool, int(rng.integers(2, 12)))))
+        rows[-1][0] = 0.0
+    xp = _pad_rows(rows)
+    B = xp.shape[1]
+    near = [np.maximum(np.nextafter(xp, -np.inf), 0.0), np.nextafter(xp, np.inf)]
+    x = np.concatenate([xp, *near, rng.uniform(0.0, 1.2, (M, 9)) * xp[:, -1:]], axis=1)
+    got = _segment(xp, np.arange(M)[:, None], x)
+    for j in range(M):
+        want = np.clip(np.searchsorted(xp[j], x[j], "right") - 1, 0, B - 2)
+        assert np.array_equal(got[j], want)

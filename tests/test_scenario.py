@@ -106,6 +106,29 @@ def test_unsupported_schema_version(tmp_path):
         parse_scenario(write(tmp_path, text))
 
 
+def test_integral_float_schema_version_parses(tmp_path):
+    """1.0 counts as 1, as for every integer field (YAML true is refused:
+    the ``schema-bool`` malformed case)."""
+    text = MINIMAL.format(length=1.0, weight=1.0, v_min=0.5).replace(
+        "schema_version: 1", "schema_version: 1.0"
+    )
+    assert parse_scenario(write(tmp_path, text)).name == "mini"
+
+
+@pytest.mark.parametrize("line, want", [("name: null", "scenario"), ("", "scenario"),
+                                        ("name: 7", "7"), ("name: two words", "two words")])
+def test_null_or_missing_name_is_the_file_stem(tmp_path, line, want):
+    text = MINIMAL.format(length=1.0, weight=1.0, v_min=0.5).replace("name: mini", line)
+    assert parse_scenario(write(tmp_path, text)).name == want
+
+
+@pytest.mark.parametrize("name", ["{a: 1}", "[]"])
+def test_list_or_mapping_name_is_refused(tmp_path, name):
+    text = MINIMAL.format(length=1.0, weight=1.0, v_min=0.5).replace("name: mini", f"name: {name}")
+    with pytest.raises(ScenarioError, match="name: expected a string"):
+        parse_scenario(write(tmp_path, text))
+
+
 def test_input_channel_count_checked(tmp_path):
     text = MINIMAL.format(length=1.0, weight=1.0, v_min=0.5) + (
         "inputs:\n"
@@ -367,6 +390,8 @@ MALFORMED_AT = {
     "kernel-negative": r"kernel\.value: kernel constant must be nonnegative",
     "tolerance-negative": r"tolerances\.positivity: expected a nonnegative tolerance",
     "schema-string": r"unsupported schema_version '1' \(expected 1\)",
+    "schema-bool": r"unsupported schema_version True \(expected 1\)",
+    "name-list": r"name: expected a string, got \[1, 2\]",
 }
 
 

@@ -13,6 +13,7 @@ from posflow import (
     StepSignal,
     TransportSystem,
     boundary_traces,
+    closed_loop_resolvent,
     closed_loop_solve,
     dirichlet_apply,
     flow_trace,
@@ -604,6 +605,19 @@ class TestTransferRadius:
                 for mu in mus:
                     assert transfer_radius(sys, mu) == dense_spectral_radius(
                         transfer_operator(sys, mu))
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_overflowing_coupling_is_refused_naming_mu(self, path):
+        """At mu = -1000 an edge factor e^(-mu l_j/v_k) overflows: H(mu) is
+        refused before any eigensolve, with a ValueError naming mu, and the
+        closed-loop resolvent inherits the refusal."""
+        sc = parse_scenario(path)
+        refusal = r"H\(mu\) is not finite at mu=-1000\.0"
+        for op in (transfer_radius, transfer_max_entry, transfer_operator):
+            with pytest.raises(ValueError, match=refusal):
+                op(sc.system, -1000.0)
+        with pytest.raises(ValueError, match=refusal):
+            closed_loop_resolvent(sc.system, sc.initial, -1000.0)
 
     def test_conservation_closed_form(self):
         # one loop edge, rank-one flux-preserving kernel, q = 0: the only

@@ -5,7 +5,8 @@
 runs ``python -m posflow`` in a fresh process against this checkout's
 ``src`` for ``simulate``, ``simulate --signed``, ``check``,
 ``admissibility``, ``admissibility --p 1`` (every scenario sets p = 2, and
-p = 1 skips the zero-class scan), ``spectrum``, ``oracle`` and
+p = 1 skips the zero-class scan), ``spectrum``, ``spectrum --mu-grid=-1000:0:3``
+(where e^(-mu l_j/v_k) overflows and H(mu) is refused), ``oracle`` and
 :data:`FEEDBACK` (``feedback_admissibility`` with K = 1 and with a signed K), on
 ``scenarios/*.yaml``, on the benchmark's seed-0 scenarios (written to
 ``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``) and on
@@ -40,6 +41,7 @@ RUNS = {
     "admissibility": ["admissibility"],
     "admissibility-p1": ["admissibility", "--p", "1"],
     "spectrum": ["spectrum"],
+    "spectrum-overflow": ["spectrum", "--mu-grid=-1000:0:3"],
     "oracle": ["oracle"],
 }
 
@@ -196,6 +198,8 @@ MALFORMED = {
     "kernel-negative": ("kernel", {"mode": "constant", "value": -1.0}),
     "tolerance-negative": ("tolerances", {"positivity": -1.0}),
     "schema-string": ("schema_version", "1"),
+    "schema-bool": ("schema_version", True),
+    "name-list": ("name", [1, 2]),
 }
 
 
