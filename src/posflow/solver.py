@@ -135,7 +135,8 @@ def _event_stamps(
     under shifts by the transit delays l_j / v_k until exhausted or the
     budget is hit.  A uniform grid of step dt_max is merged in so stamp gaps
     stay below the shortest delay (the forward sweep relies on that) and
-    bound interpolation error.  Returns (times, jump_times, closure_complete).
+    bound interpolation error.  t = 0 and the horizon are always stamps.
+    Returns (times, jump_times, closure_complete).
     """
     delays = np.unique(system.delays)
     arrivals = knot_arrivals(system, x0)
@@ -147,7 +148,7 @@ def _event_stamps(
     # jumps propagate along characteristics; track them so both one-sided
     # limits get their own ledger entry
     jumps, _ = _delay_closure(inner, delays, horizon, budget, inclusive=False)
-    stamps = np.union1d(stamps, np.concatenate([jumps, np.arange(0.0, horizon, dt_max)]))
+    stamps = np.union1d(stamps, np.concatenate([[0.0, horizon], jumps, np.arange(0.0, horizon, dt_max)]))
     return stamps, jumps, complete
 
 
@@ -197,18 +198,18 @@ class _LedgerIntegrals:
             c0 = c1
 
     def scaled(self, u: np.ndarray, tau: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """e^c F_u(tau) for tables u (P,) at times tau (P, K) within the
+        """e^c F_u(tau) for tables u (...) at times tau (..., K) within the
         stamps: the entry of the stamp before tau plus the partial segment up
         to tau, times e^c with c and the rebase summed before one exp, so
         neither factor overflows alone."""
         times, k = self.ledger.times, np.arange(self.rates.shape[1])
         a = np.minimum(piece_index(times, tau, "right", times.size - 1), max(times.size - 2, 0))
-        vertex, q = self.vertices[u][:, None], self.rates[u]
+        vertex, q = self.vertices[u][..., None], self.rates[u]
         base = np.where(q < 0.0, self.base[a], 0.0)
         h = tau - times[a]
         w0, w1 = _segment_weights(q * h, h, np.exp(q * (base - tau)))
         part = w0 * self.ledger.values[a, vertex, k] + w1 * self.ledger.eval_channel(vertex, k, tau)
-        return np.exp(c - q * base) * (self.table[a, u[:, None], k] + part)
+        return np.exp(c - q * base) * (self.table[a, u[..., None], k] + part)
 
 
 @dataclass
@@ -265,24 +266,24 @@ class ClosedLoopSolution:
 
     @cached_property
     def _pieces(self) -> tuple[np.ndarray, ...]:
-        """The absorption pieces [b_i, b_{i+1}] of all edges, flattened: edge,
-        b_i, b_{i+1}, rates q_i (P, K), the constant C_i of the growth
+        """The padded absorption pieces [b_i, b_{i+1}] (M, P) of every edge:
+        b_i, b_{i+1}, rates q_i (M, P, K), the constant C_i of the growth
         exponent (P_j(l_j) - P_j(x))/v_k = C_i + q_i (t - s) at entry time s,
-        each piece's table index, and the prefix tables
-        (:class:`_LedgerIntegrals`), one per distinct (tail vertex, rate row):
-        of the ledger for q <= 0, and of the time-reversed ledger when some
-        rate grows."""
+        from int_0^{b_i} q in the primitive table, each piece's table index
+        (M, P), and the prefix tables (:class:`_LedgerIntegrals`), one per
+        distinct (tail vertex, rate row): of the ledger for q <= 0, and of the
+        time-reversed ledger when some rate grows.  A padded piece, b_i =
+        b_{i+1} = l_j with the last piece's rates, adds no table."""
         sys_, q = self.system, self.system.absorption
-        inside = np.arange(q.values.shape[1]) < q.pieces[:, None]
-        edge = np.nonzero(inside)[0]
-        lo, hi, rates = q.breaks[:, :-1][inside], q.breaks[:, 1:][inside], q.values[inside]
-        at_lo = q.primitive(edge[:, None], np.arange(sys_.n_nodes), lo[:, None])
-        room = (sys_.graph.lengths[edge] - lo)[:, None]
-        const = (sys_.edge_primitive[edge] - at_lo - rates * room) / sys_.vgrid.nodes
-        tails = sys_.graph.tails[edge]
-        _, first, table = np.unique(np.column_stack([tails, rates]), axis=0,
+        lo, hi, rates = q.breaks[:, :-1], q.breaks[:, 1:], q.values
+        at_lo = np.moveaxis(q._table[1][..., :-1], 1, 2)
+        room = (sys_.graph.lengths[:, None] - lo)[..., None]
+        const = (sys_.edge_primitive[:, None] - at_lo - rates * room) / sys_.vgrid.nodes
+        tails = np.broadcast_to(sys_.graph.tails[:, None], lo.shape).ravel()
+        flat = rates.reshape(tails.size, -1)
+        _, first, table = np.unique(np.column_stack([tails, flat]), axis=0,
                                     return_index=True, return_inverse=True)
-        vertices, rows = tails[first], rates[first]
+        vertices, rows = tails[first], flat[first]
         grow = rows > 0.0
         tables = [_LedgerIntegrals(self.ledger, vertices, np.where(grow, 0.0, rows))]
         if grow.any():
@@ -290,7 +291,7 @@ class ClosedLoopSolution:
             end = self.ledger.times[-1]
             flipped = TraceLedger(end - self.ledger.times[::-1], self.ledger.values[::-1])
             tables.append(_LedgerIntegrals(flipped, vertices, np.where(grow, -rows, 0.0)))
-        return edge, lo, hi, rates, const, table.ravel(), tables
+        return lo, hi, rates, const, table.reshape(lo.shape), tables
 
     def _fed_mass(self, t: np.ndarray) -> np.ndarray:
         """(R, M, K) mass of the ledger-fed part of each edge and node at the
@@ -301,12 +302,13 @@ class ClosedLoopSolution:
         over the entry times s in [t - (l_j - b_i)/v_k, t - (l_j - b_{i+1})/v_k]
         clipped to [0, t], from the prefix tables: a difference of forward
         prefixes, or for a growing rate (q_i > 0) of time-reversed ones.
-        The pieces of one edge add in piece order."""
+        The padded pieces of one edge add in piece order; a piece past the
+        last has hi_s = lo_s, so it adds exactly 0."""
         sys_ = self.system
-        edge, lo, hi, rates, const, table, tables = self._pieces
-        v = sys_.vgrid.nodes
-        room = sys_.graph.lengths[edge][:, None]
-        hi_s, lo_s = (np.maximum(t - (room - b[:, None]) / v, 0.0) for b in (hi, lo))
+        lo, hi, rates, const, table, tables = self._pieces
+        v, t = sys_.vgrid.nodes, t[..., None]
+        room = sys_.graph.lengths[:, None, None]
+        hi_s, lo_s = (np.maximum(t - (room - b[..., None]) / v, 0.0) for b in (hi, lo))
         grow = rates > 0.0
         c = np.where(grow, 0.0, const + rates * t)
         part = tables[0].scaled(table, hi_s, c) - tables[0].scaled(table, lo_s, c)
@@ -315,9 +317,7 @@ class ClosedLoopSolution:
             c = np.where(grow, const + rates * (t - end), 0.0)
             back = tables[1].scaled(table, end - lo_s, c) - tables[1].scaled(table, end - hi_s, c)
             part = np.where(grow, back, part)
-        fed = np.zeros((t.shape[0], sys_.n_edges, sys_.n_nodes))
-        np.add.at(fed, (slice(None), edge), part)
-        return fed * sys_.graph.weights[:, None] * v
+        return sum(np.moveaxis(part, 2, 0)) * sys_.graph.weights[:, None] * v
 
     def _check_times(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=float).reshape(-1)
@@ -415,9 +415,16 @@ def closed_loop_solve(
     graph).  In positive mode negative initial data or inputs are rejected;
     set ``positive=False`` to run signed data without cone checks.  Values
     down to -1e-9 count as nonnegative, in the initial state as in the inputs.
+    A horizon that is not finite and nonnegative, a ``dt_max`` that is not
+    finite and positive, and a ``stamp_budget`` that is not an integer >= 1
+    are refused (ValueError naming the argument) before any other work.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not (np.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    if dt_max is not None and not (np.isfinite(dt_max) and dt_max > 0):
+        raise ValueError(f"dt_max must be finite and positive, got {dt_max}")
+    if isinstance(stamp_budget, bool) or not isinstance(stamp_budget, (int, np.integer)) or stamp_budget < 1:
+        raise ValueError(f"stamp_budget must be an integer >= 1, got {stamp_budget!r}")
     if positive:
         if x0.min_value() < -1e-9:
             raise NegativeDataError("positivity mode requires nonnegative initial data")

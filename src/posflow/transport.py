@@ -113,7 +113,8 @@ class Absorption:
     Built from one break table per edge, partitioning [0, l_j], and one
     (pieces, K) table of rates per edge, and padded once (:func:`_pad_rows`):
     ``breaks`` (M, B) repeat their last break, ``values`` (M, B - 1, K) their
-    last piece, which has length 0 there, and ``pieces`` is (M,).  Piecewise
+    last piece, which has length 0 there.  Every reader takes the padded rows
+    whole: a padded piece adds exactly 0 to any integral of q.  Piecewise
     constancy keeps every path integral of q in closed form.
     """
 
@@ -131,7 +132,6 @@ class Absorption:
         cums = np.concatenate([np.zeros(cums.shape[:2] + (1,)), cums], axis=2)
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values", rows.transpose(0, 2, 1))
-        object.__setattr__(self, "pieces", sizes - 1)
         object.__setattr__(self, "_table", (grid, cums))
 
     @classmethod
@@ -402,11 +402,10 @@ class StateField:
     def norm(self) -> float:
         """Discretized X-norm: sum over edges of the L1(x, v) norm, trapezoid
         rule in x times velocity weights, summed exactly (math.fsum)."""
-        (x, sizes, _), f = self._grid, self._table[1]
+        x, f = self._grid[0], self._table[1]
         half = np.pad(0.5 * np.diff(x, axis=1), ((0, 0), (0, 1)))  # 0 past the last knot
         w = self.system.vgrid.weights[:, None] * (half + np.roll(half, 1, axis=1))[:, None, :]
-        inside = np.broadcast_to(np.arange(x.shape[1]) < sizes[:, None, None], f.shape)
-        return math.fsum((w[inside] * np.abs(f[inside])).tolist())
+        return math.fsum((w * np.abs(f)).ravel().tolist())  # a padded knot adds an exact 0
 
     def min_value(self) -> float:
         return float(self._table[1].min())
@@ -570,20 +569,19 @@ def read_kinks(system: TransportSystem, t: float, inflow_breaks) -> np.ndarray:
     the longest row) and the images l_j - v_k (t - b) of the inflow breaks
     b.  Points outside [0, l_j] are left for the caller to clip
     (:func:`~posflow.lattice.gauss_block` does)."""
-    l, v = system.graph.lengths[:, None, None], system.vgrid.nodes[:, None]
-    breaks = np.repeat(system.absorption.breaks[:, None, :], system.n_nodes, axis=1)
+    l, v, b = system.graph.lengths[:, None, None], system.vgrid.nodes[:, None], system.absorption.breaks
+    breaks = np.broadcast_to(b[:, None, :], (b.shape[0], v.size, b.shape[1]))
     return np.concatenate([l - v * t, breaks, l - v * (t - np.asarray(inflow_breaks, dtype=float))], axis=-1)
 
 
 def initial_kinks(system: TransportSystem, f: StateField) -> tuple[np.ndarray, np.ndarray]:
     """Rows (M, Q) c and d with the kinks of the initial-fed read of f at
-    time t and node k at c - d v_k t: row j holds its n absorption breaks,
-    again (their feet), the knots of f (their feet), its last knot repeated."""
-    q, (knots, sizes, _) = system.absorption, f._grid
-    n = q.pieces[:, None] + 1
-    col, row = np.arange((2 * n[:, 0] + sizes).max() + 1), np.arange(n.size)[:, None]
-    knot = np.minimum(np.maximum(col - 2 * n, 0), knots.shape[1] - 1)
-    return np.where(col < 2 * n, q.breaks[row, col % n], knots[row, knot]), np.where(col < n, 0.0, 1.0)
+    time t and node k at c - d v_k t: row j holds its padded absorption
+    breaks, again (their feet), and the padded knots of f (their feet).  A
+    padded entry repeats a kink, a cut of width 0 that weighs nothing."""
+    breaks, knots = system.absorption.breaks, f._grid[0]
+    c = np.concatenate([breaks, breaks, knots], axis=1)
+    return c, np.concatenate([np.zeros_like(breaks), np.ones_like(breaks), np.ones_like(knots)], axis=1)
 
 
 def knot_arrivals(system: TransportSystem, f: StateField) -> np.ndarray:

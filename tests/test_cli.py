@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 sys.path.insert(0, str(ROOT / "tools"))
 
-from artifacts import SIGNED  # noqa: E402
+from artifacts import SIGNED, compare  # noqa: E402
 
 
 def run(args):
@@ -609,3 +609,27 @@ def test_malformed_numeric_field_is_a_scenario_error(tmp_path, capsys, field, ba
     assert run(["admissibility", "--scenario", scenario, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: {where}: ") and err.count("\n") == 1
+
+
+def test_artifact_compare_reports_differences_per_run(tmp_path, capsys):
+    """tools/artifacts.py --compare: per differing run, the largest relative
+    difference of its numeric cells and its sign-bit flips; a run in one
+    tree only, or a cell that is no number, is named."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for tree, cells in ((a, "1.0,-0.0,x"), (b, "1.0000000000000002,0.0,x")):
+        for run in ("same", "moved"):
+            (tree / run).mkdir(parents=True)
+        (tree / "same" / "report.json").write_text('{"m": [1.5, -0.0]}')
+        (tree / "moved" / "traces.csv").write_text(cells)
+    (b / "new").mkdir()
+    (b / "moved" / "stdout.txt").write_text("ok")
+    assert compare(a, a) == 0 and capsys.readouterr().out == ""
+    assert compare(a, b) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "moved: largest relative difference 2.22e-16, 1 sign flips",
+        f"  stdout.txt only in {b}",
+        f"new: only in {b}",
+    ]
+    (b / "same" / "report.json").write_text('{"m": [1.5, "none"]}')
+    assert compare(a, b) == 1
+    assert "  report.json: '-0.0' against 'none'" in capsys.readouterr().out.splitlines()

@@ -4,11 +4,13 @@
 reduce them from the padded arrays.  The references below are the per-edge
 loops that did the same work on the ragged tables: the L1 norm as an fsum
 over trapezoid weights, the sample extremes edge by edge, the primitive
-table from per-edge cumulative sums, and the solver's absorption pieces and
-initial-fed kinks from per-edge concatenations.  Every result must agree to
-the bit.
+table from per-edge cumulative sums, the solver's ledger-fed mass from the
+flat list of every edge's own pieces, and its initial-fed kinks from
+per-edge concatenations.  Every result must agree to the bit, save the masses
+read at the longer kink rows (see :func:`test_masses_match_the_flat_kink_rows`).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +27,8 @@ from posflow import (
     TransportSystem,
     closed_loop_solve,
 )
-from posflow.transport import _increasing_rows, _pad_rows
+from posflow.solver import TraceLedger, _LedgerIntegrals
+from posflow.transport import _increasing_rows, _pad_rows, initial_kinks
 
 # ---------------------------------------------------------------------------
 # the per-edge references
@@ -61,15 +64,41 @@ def norm_ref(system, xs, values):
     return math.fsum(terms)
 
 
-def pieces_ref(breaks, values):
-    """edge, b_i, b_{i+1} and the rates of every absorption piece."""
-    edge = np.repeat(np.arange(len(values)), [v.shape[0] for v in values])
-    lo = np.concatenate([b[:-1] for b in breaks])
-    hi = np.concatenate([b[1:] for b in breaks])
-    return edge, lo, hi, np.concatenate(values)
+def fed_mass_ref(sol, pieces, t):
+    """ClosedLoopSolution._fed_mass on the flat list of the ``pieces`` (M,)
+    real pieces of the edges, laid end to end and added back into their
+    edges in piece order by np.add.at."""
+    sys_, q = sol.system, sol.system.absorption
+    inside = np.arange(q.values.shape[1]) < np.asarray(pieces)[:, None]
+    edge = np.nonzero(inside)[0]
+    lo, hi, rates = q.breaks[:, :-1][inside], q.breaks[:, 1:][inside], q.values[inside]
+    at_lo = q.primitive(edge[:, None], np.arange(sys_.n_nodes), lo[:, None])
+    room = (sys_.graph.lengths[edge] - lo)[:, None]
+    const = (sys_.edge_primitive[edge] - at_lo - rates * room) / sys_.vgrid.nodes
+    tails = sys_.graph.tails[edge]
+    _, first, table = np.unique(np.column_stack([tails, rates]), axis=0,
+                                return_index=True, return_inverse=True)
+    vertices, rows, table = tails[first], rates[first], table.ravel()
+    grow_row, end = rows > 0.0, sol.ledger.times[-1]
+    forward = _LedgerIntegrals(sol.ledger, vertices, np.where(grow_row, 0.0, rows))
+    flipped = TraceLedger(end - sol.ledger.times[::-1], sol.ledger.values[::-1])
+    backward = _LedgerIntegrals(flipped, vertices, np.where(grow_row, -rows, 0.0))
+    v, room = sys_.vgrid.nodes, sys_.graph.lengths[edge][:, None]
+    hi_s, lo_s = (np.maximum(t - (room - b[:, None]) / v, 0.0) for b in (hi, lo))
+    grow = rates > 0.0
+    c = np.where(grow, 0.0, const + rates * t)
+    part = forward.scaled(table, hi_s, c) - forward.scaled(table, lo_s, c)
+    c = np.where(grow, const + rates * (t - end), 0.0)
+    back = backward.scaled(table, end - lo_s, c) - backward.scaled(table, end - hi_s, c)
+    part = np.where(grow, back, part)
+    fed = np.zeros((t.shape[0], sys_.n_edges, sys_.n_nodes))
+    np.add.at(fed, (slice(None), edge), part)
+    return fed * sys_.graph.weights[:, None] * v
 
 
 def initial_kinks_ref(breaks, xs):
+    """The kink rows that cut the masses before the padded rows were read
+    whole: each edge's own breaks, again and its own knots, padded."""
     rows = [np.concatenate([b, b, x]) for b, x in zip(breaks, xs)]
     shifts = [np.repeat([0.0, 1.0], [b.size, b.size + x.size]) for b, x in zip(breaks, xs)]
     return _pad_rows(rows), _pad_rows(shifts)
@@ -85,22 +114,25 @@ def same_bits(a, b):
 
 
 @st.composite
-def ragged_networks(draw):
-    """A one-vertex network of 1-5 loop edges with 1-4 absorption pieces per
-    edge and per-node rates, some of them +-0.0, and a field whose grids mix
-    2-knot and n-knot edges, its samples signed with some -0.0."""
+def ragged_networks(draw, even=False, pieces=4, knots=8):
+    """A one-vertex network of 1-5 loop edges with 1 to ``pieces`` absorption
+    pieces per edge and per-node rates, some of them +-0.0, and a field whose
+    grids mix 2-knot and 3 to ``knots``-knot edges, its samples signed with
+    some -0.0.  With ``even`` every edge has as many pieces and knots."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M, K = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     lengths = rng.uniform(0.5, 2.0, M)
     breaks, rates, xs, values = [], [], [], []
+    if even:
+        p_all, n_all = draw(st.integers(1, pieces)), draw(st.integers(2, knots))
     for l in lengths:
-        p = int(rng.integers(1, 5))
+        p = p_all if even else int(rng.integers(1, pieces + 1))
         breaks.append(np.concatenate([[0.0], np.sort(rng.uniform(0.0, l, p - 1)), [l]]))
         q = rng.uniform(-1.0, 0.5, (p, K))
         q[rng.uniform(size=q.shape) < 0.2] = 0.0
         q[rng.uniform(size=q.shape) < 0.1] = -0.0
         rates.append(q)
-        n = 2 if rng.uniform() < 0.4 else int(rng.integers(3, 9))
+        n = n_all if even else 2 if rng.uniform() < 0.4 else int(rng.integers(3, knots + 1))
         xs.append(np.concatenate([[0.0], np.sort(rng.uniform(0.0, l, n - 2)), [l]]))
         v = rng.normal(size=(K, n))
         v[rng.uniform(size=v.shape) < 0.2] = -0.0
@@ -122,7 +154,7 @@ def test_absorption_is_padded_once(case):
     table and q_sup are those of the per-edge code."""
     system, breaks, rates, _, _ = case
     q = system.absorption
-    assert q.pieces.tolist() == [v.shape[0] for v in rates]
+    assert np.count_nonzero(np.diff(q.breaks, axis=1) > 0, axis=1).tolist() == [v.shape[0] for v in rates]
     assert same_bits(q.breaks, _pad_rows(breaks))
     assert same_bits(q.values, _pad_rows([v.T for v in rates]).transpose(0, 2, 1))
     for got, want in zip(q._table, primitive_table_ref(breaks, rates)):
@@ -149,18 +181,65 @@ def test_field_reductions_match_the_per_edge_code(case):
     assert all(same_bits(a, b) for a, b in zip(f.values, values))
 
 
+def ragged_solution(case, horizon=2.0):
+    """The case's network solved from |field| to ``horizon``, long enough
+    that every edge carries ledger-fed mass, and 11 times on [0, horizon]."""
+    system, _, _, xs, values = case
+    f = StateField(system, xs, [np.abs(v) for v in values])
+    return closed_loop_solve(system, f, None, horizon, stamp_budget=500), np.linspace(0.0, horizon, 11)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(ragged_networks())
-def test_solver_pieces_and_kinks_match_the_concatenations(case):
-    """The solver's absorption pieces and initial-fed kink rows equal the
-    per-edge concatenations they replaced."""
-    system, breaks, rates, xs, values = case
-    f = StateField(system, xs, [np.abs(v) for v in values])
-    sol = closed_loop_solve(system, f, None, 0.5, stamp_budget=500)
-    for got, want in zip(sol._pieces, pieces_ref(breaks, rates)):
-        assert same_bits(got, want)
-    for got, want in zip(sol._initial_kinks, initial_kinks_ref(breaks, xs)):
-        assert same_bits(got, want)
+def test_padded_fed_mass_keeps_the_flat_piece_bits(case):
+    """The ledger-fed mass over the padded pieces, growing rates included,
+    equals the mass over each edge's own pieces laid end to end."""
+    sol, times = ragged_solution(case)
+    t = times[:, None, None]
+    assert same_bits(sol._fed_mass(t), fed_mass_ref(sol, [r.shape[0] for r in case[2]], t))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ragged_networks())
+def test_kink_rows_hold_the_per_edge_concatenations(case):
+    """Each padded kink row holds the kinks (c, d) of its edge's own breaks
+    and knots and nothing else: the padding only repeats them."""
+    system, breaks, _, xs, values = case
+    c, d = initial_kinks(system, StateField(system, xs, values))
+    want_c, want_d = initial_kinks_ref(breaks, xs)
+    for j in range(system.n_edges):
+        assert set(zip(c[j].tolist(), d[j].tolist())) == set(zip(want_c[j].tolist(), want_d[j].tolist()))
+
+
+def masses_at_flat_kinks(case, sol, times):
+    """The masses of ``sol`` cut at :func:`initial_kinks_ref` instead."""
+    _, breaks, _, xs, _ = case
+    ref = dataclasses.replace(sol)  # the same solution, its cached reads not yet made
+    ref.__dict__["_initial_kinks"] = initial_kinks_ref(breaks, xs)
+    return ref.masses(times)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ragged_networks(pieces=5, knots=24))
+def test_masses_match_the_flat_kink_rows(case):
+    """The padded kink rows only add cuts at the end of the initial-fed part,
+    panels of width 0 that weigh exactly 0.  They lengthen each row's Gauss
+    sum, and numpy's pairwise summation may associate a sum of more than 128
+    terms differently: the masses agree to 1e-15 relative."""
+    sol, times = ragged_solution(case)
+    got, want = np.array(sol.masses(times)), np.array(masses_at_flat_kinks(case, sol, times))
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ragged_networks(even=True))
+def test_masses_at_even_rows_keep_their_bits(case):
+    """Rows of one length, whose Gauss sums stay within one pairwise block of
+    numpy (at most 128 terms): the masses keep their bits."""
+    sol, times = ragged_solution(case)
+    assert (sol._initial_kinks[0].shape[1] + 1) * 5 <= 128
+    assert same_bits(sol.masses(times), masses_at_flat_kinks(case, sol, times))
 
 
 @pytest.mark.parametrize("rates", [0.3, [0.3, -0.0, 0.0], [[0.1, -0.2], [0.0, 0.4], [-0.5, 0.5]]])
@@ -171,7 +250,7 @@ def test_constant_absorption_matches_the_per_edge_tables(rates):
     breaks = [np.array([0.0, l]) for l in lengths]
     values = [np.broadcast_to(np.asarray(r, dtype=float), (1, K)) for r in per_edge]
     q = Absorption.constant(rates, lengths, K)
-    assert q.pieces.tolist() == [1, 1, 1]
+    assert same_bits(q.breaks, _pad_rows(breaks))
     for got, want in zip(q._table, primitive_table_ref(breaks, values)):
         assert same_bits(got, want)
 
@@ -215,7 +294,7 @@ def test_tables_given_as_arrays_match_the_per_edge_tables(rng):
     breaks = lengths[:, None] * np.array([0.0, 0.4, 1.0])
     rates = rng.uniform(-1.0, 1.0, (3, 2, K))
     whole, rows = Absorption(breaks, rates), Absorption(tuple(breaks), tuple(rates))
-    for name in ("breaks", "values", "pieces"):
+    for name in ("breaks", "values"):
         assert same_bits(getattr(whole, name), getattr(rows, name))
     for got, want in zip(whole._table, rows._table):
         assert same_bits(got, want)

@@ -51,8 +51,8 @@ from artifacts import scenario_files  # noqa: E402
 
 
 def primitive_ref(system, j, k, x):
-    n = system.absorption.pieces[j]
-    b = system.absorption.breaks[j, : n + 1]
+    b = np.unique(system.absorption.breaks[j])  # the edge's own breaks, without the padding
+    n = b.size - 1
     cum = np.concatenate([[0.0], np.cumsum(system.absorption.values[j, :n, k] * np.diff(b))])
     return np.interp(x, b, cum)
 
@@ -227,7 +227,7 @@ def test_lift_ties_on_scenarios(tmp_path, rng):
     """The shipped scenarios, the benchmark's seed-0 scenarios and the
     extra ones of tools/artifacts.py."""
     files = scenario_files(tmp_path)
-    assert len(files) == 13
+    assert len(files) == 14
     for path in files:
         system = parse_scenario(path).system
         g = rng.uniform(0.0, 1.0, (system.n_vertices, system.n_nodes))
@@ -396,7 +396,7 @@ def knotted_field(rng, system):
     """Samples on per-edge grids of different lengths that contain every
     absorption break of the edge, so the resolvent's interior cuts repeat."""
     q = system.absorption
-    xs = [np.union1d(q.breaks[j, : q.pieces[j] + 1], rng.uniform(0.0, l, int(rng.integers(0, 30))))
+    xs = [np.union1d(q.breaks[j], rng.uniform(0.0, l, int(rng.integers(0, 30))))
           for j, l in enumerate(system.graph.lengths)]
     return StateField(system, xs, [rng.uniform(0.0, 1.0, (system.n_nodes, x.size)) for x in xs])
 

@@ -214,7 +214,6 @@ def test_table_absorption_table_kernel_and_gauss_rule(tmp_path):
 
     q = system.absorption
     # padded once: each row repeats its last break and its last piece
-    np.testing.assert_array_equal(q.pieces, [2, 1])
     np.testing.assert_array_equal(q.breaks, [[0.0, 0.4, 1.0, 1.0], [0.0, 0.8, 0.8, 0.8]])
     np.testing.assert_array_equal(q.values, [[[0.1] * 3, [0.3] * 3, [0.3] * 3], [[0.2, 0.0, 0.5]] * 3])
 
@@ -346,8 +345,7 @@ def assert_same_tables(pairs):
 
 
 def assert_same_fields(q, want_q, f, want_f):
-    assert_same_tables([(q.breaks, want_q.breaks), (q.values, want_q.values),
-                        (q.pieces, want_q.pieces), *zip(q._table, want_q._table),
+    assert_same_tables([(q.breaks, want_q.breaks), (q.values, want_q.values), *zip(q._table, want_q._table),
                         *zip(f._grid, want_f._grid), *zip(f._table, want_f._table)])
 
 

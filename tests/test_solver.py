@@ -159,6 +159,23 @@ class TestClosedLoopSolve:
         with pytest.raises(ValueError):
             closed_loop_solve(sys, StateField.zeros(sys), None, -1.0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"horizon": np.nan}, "horizon"), ({"horizon": np.inf}, "horizon"),
+        ({"dt_max": -1.0}, "dt_max"), ({"dt_max": 0.0}, "dt_max"),
+        ({"dt_max": np.nan}, "dt_max"), ({"dt_max": np.inf}, "dt_max"),
+        ({"stamp_budget": 0}, "stamp_budget"), ({"stamp_budget": -5}, "stamp_budget"),
+        ({"stamp_budget": 2.5}, "stamp_budget"), ({"stamp_budget": True}, "stamp_budget"),
+    ])
+    def test_refuses_bad_arguments_by_name(self, kwargs, name, monkeypatch):
+        """A ValueError names the argument before any closure work; a
+        negative dt_max once dropped the dt ceiling or, with a small
+        budget, kept the sweep from advancing."""
+        sc = parse_scenario(SCENARIOS / "two_cycle.yaml")
+        monkeypatch.setattr(solver, "_event_stamps", lambda *a: pytest.fail("closure before the refusal"))
+        args = {"horizon": sc.horizon, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            closed_loop_solve(sc.system, sc.initial, sc.control, args.pop("horizon"), **args)
+
     def test_wavefront_tie_reads_initial_datum(self):
         # at t = l / v_1 the entry time t - l / v_1 is exactly 0 while v_1 t
         # overshoots l by one ulp: the characteristic still carries the
@@ -517,6 +534,15 @@ class TestEventStamps:
                     assert np.diff(sol.ledger.times).max() < sys.min_delay
                     truncated += not sol.events_complete
         assert truncated > 0
+
+    @pytest.mark.parametrize("budget", [1, 5])
+    def test_horizon_is_a_stamp_when_the_seeds_exceed_the_budget(self, budget):
+        """t = 0 and the horizon stay stamps when the budget cuts the seeds,
+        so reads and masses at the horizon do not extrapolate the ledger."""
+        sc = parse_scenario(SCENARIOS / "two_cycle.yaml")
+        sol = closed_loop_solve(sc.system, sc.initial, sc.control, sc.horizon, stamp_budget=budget)
+        assert not sol.events_complete
+        assert sol.ledger.times[0] == 0.0 and sol.ledger.times[-1] == sc.horizon
 
     def test_jump_at_horizon_takes_no_budget(self):
         # delays 1.0 and 0.6: the break 0.5 shifts to 1.1 and to the horizon 1.5

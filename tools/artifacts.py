@@ -1,6 +1,7 @@
 """Write the output of every subcommand of a checkout into one directory tree.
 
     python tools/artifacts.py OUT
+    python tools/artifacts.py --compare A B
 
 runs ``python -m posflow`` in a fresh process against this checkout's
 ``src`` for ``simulate``, ``simulate --signed``, ``check``,
@@ -10,19 +11,22 @@ p = 1 skips the zero-class scan), ``spectrum``, ``spectrum --mu-grid=-1000:0:3``
 :data:`FEEDBACK` (``feedback_admissibility`` with K = 1 and with a signed K), on
 ``scenarios/*.yaml``, on the benchmark's seed-0 scenarios (written to
 ``OUT/_scenarios`` by ``perfbench/scenarios.write_workload``) and on
-:data:`RAGGED`, :data:`DEFAULTS`, :data:`SIGNED` and :data:`NODAL`, written
-there as ``ragged.yaml``, ``defaults.yaml``, ``signed.yaml`` and
-``nodal.yaml``.  Each run's artifacts, stdout, stderr and exit status go to
-``OUT/<scenario>-<command>``.
+:data:`RAGGED`, :data:`WIDE_RAGGED`, :data:`DEFAULTS`, :data:`SIGNED` and
+:data:`NODAL`, written there as ``<name>.yaml``.  Each run's artifacts,
+stdout, stderr and exit status go to ``OUT/<scenario>-<command>``.
 The malformed variants of ``scenarios/two_cycle.yaml`` in :data:`MALFORMED`
 are run with ``simulate`` alone, to ``OUT/malformed-<name>-simulate``.
 Two checkouts produce the same outputs exactly when ``diff -r`` of their
-trees is empty.
+trees is empty.  ``--compare A B`` prints, for each run whose files differ
+between the trees A and B, the largest relative difference of its numeric
+cells and how many of them flip their sign bit (:func:`compare`).
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +103,26 @@ RAGGED = {
     "space_samples": 241,
     "tolerances": {"positivity": 1.0e-9},
     "probes": {"count": 12, "p": 2.0},
+}
+
+# RAGGED with rows of very different lengths: one absorption piece and two
+# initial knots on one edge, five pieces and twelve knots on the other.  Its
+# padded kink rows (ClosedLoopSolution._initial_kinks) are two columns wider
+# than the longest row of its own kinks, 27 against 25.
+WIDE_RAGGED = {
+    **RAGGED,
+    "name": "wide-ragged",
+    "absorption": [
+        {"constant": -0.2},
+        {"table": {"x": [0.0, 0.1, 0.25, 0.4, 0.55, 0.7],
+                   "values": [[-0.3, -0.1, 0.0], [0.1, -0.4, -0.2], [-0.5, 0.05, -0.1],
+                              [0.2, 0.0, -0.3], [-0.1, 0.3, 0.1]]}},
+    ],
+    "initial_state": [
+        {"table": {"x": [0.0, 1.0], "values": [0.5, 0.2]}},
+        {"table": {"x": [0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.35, 0.45, 0.5, 0.6, 0.65, 0.7],
+                   "values": [0.0, 1.0, 0.3, 0.8, 0.6, 0.1, 0.9, 0.4, 0.0, 0.7, 0.2, 0.5]}},
+    ],
 }
 
 # No initial state, absorption or kernel, which every other scenario sets:
@@ -216,11 +240,12 @@ def malformed_files(out: Path) -> list[Path]:
 
 def scenario_files(out: Path) -> list[Path]:
     """The shipped scenarios, then the benchmark's seed-0 scenarios, then
-    :data:`RAGGED`, :data:`DEFAULTS`, :data:`SIGNED` and :data:`NODAL`."""
+    :data:`RAGGED`, :data:`WIDE_RAGGED`, :data:`DEFAULTS`, :data:`SIGNED`
+    and :data:`NODAL`."""
     files = sorted((ROOT / "scenarios").glob("*.yaml"))
     for workload in sorted(WORKLOAD_FILES):
         files += write_workload(workload, 0, out / "_scenarios").values()
-    for extra in (RAGGED, DEFAULTS, SIGNED, NODAL):
+    for extra in (RAGGED, WIDE_RAGGED, DEFAULTS, SIGNED, NODAL):
         files.append(out / "_scenarios" / f"{extra['name']}.yaml")
         files[-1].write_text(yaml.safe_dump(extra, sort_keys=False))
     return files
@@ -237,7 +262,63 @@ def capture(rundir: Path, args: list[str], env: dict) -> None:
     (rundir / "exit_code.txt").write_text(f"{proc.returncode}\n")
 
 
+def cells(path: Path) -> list[str]:
+    """The cells of an artifact: its text split at whitespace, commas and
+    JSON punctuation."""
+    return re.split(r'[\s,:\[\]{}"]+', path.read_text())
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print one line per entry of the trees a and b whose files differ: the
+    largest relative difference |x - y| / max(|x|, |y|) of its numeric cells
+    and the number of cells whose sign bit flips, then any file only in one
+    tree or differing in a cell that is not a number.  An entry in one tree
+    only is one line.  Returns 1 if an entry differs, else 0."""
+    differ = 0
+    for run in sorted({p.name for tree in (a, b) for p in tree.iterdir()}):
+        if not ((a / run).is_dir() and (b / run).is_dir()):
+            differ = 1
+            print(f"{run}: only in {a if (a / run).is_dir() else b}")
+            continue
+        changed, worst, flips, notes = False, 0.0, 0, []
+        names = sorted({p.relative_to(tree / run) for tree in (a, b) for p in (tree / run).rglob("*") if p.is_file()})
+        for name in names:
+            pa, pb = a / run / name, b / run / name
+            if not (pa.is_file() and pb.is_file()):
+                notes.append(f"{name} only in {a if pa.is_file() else b}")
+                continue
+            if pa.read_bytes() == pb.read_bytes():
+                continue
+            changed = True
+            ca, cb = cells(pa), cells(pb)
+            if len(ca) != len(cb):
+                notes.append(f"{name}: {len(ca)} cells against {len(cb)}")
+                continue
+            for x, y in zip(ca, cb):
+                if x == y:
+                    continue
+                try:
+                    fx, fy = float(x), float(y)
+                except ValueError:
+                    notes.append(f"{name}: {x!r} against {y!r}")
+                    break
+                scale = max(abs(fx), abs(fy))
+                rel = abs(fx - fy) / scale if scale else 0.0
+                if math.isnan(rel):
+                    notes.append(f"{name}: {x} against {y}")
+                    break
+                worst, flips = max(worst, rel), flips + (math.copysign(1.0, fx) != math.copysign(1.0, fy))
+        if changed or notes:
+            differ = 1
+            print(f"{run}: largest relative difference {worst:.3g}, {flips} sign flips")
+            for note in notes:
+                print(f"  {note}")
+    return differ
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
