@@ -60,12 +60,20 @@ class Quadrature:
     @classmethod
     def gauss_legendre(cls, lo: float, hi: float, n: int) -> "Quadrature":
         """Gauss-Legendre rule mapped to [lo, hi]."""
-        x, w = np.polynomial.legendre.leggauss(n)
+        from numpy.polynomial.legendre import leggauss  # only a gauss velocity grid loads it
+
+        x, w = leggauss(n)
         half = 0.5 * (hi - lo)
         return cls(lo + half * (x + 1.0), half * w, lo, hi)
 
 
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
+# leggauss(5) to the bit, written out so that no import loads numpy.polynomial;
+# the middle weight is leggauss's, 2 ulp below 128/225
+_GAUSS5 = (
+    np.array([-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664]),
+    np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+              0.4786286704993663, 0.23692688505618928]),
+)
 
 
 def gauss_rule(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ import yaml
 
 from .graph import AssumptionReport, MetricGraph, check_assumptions
 from .lattice import Quadrature
-from .signals import StepSignal, piece_index
+from .signals import StepSignal, distinct_sorted, piece_index
 from .transport import Absorption, ScatteringKernel, StateField, TransportSystem
 
 SCHEMA_VERSION = 1
@@ -281,10 +281,8 @@ def _build_inputs(section, system: TransportSystem, horizon: float) -> StepSigna
             raise ScenarioError(f"{ctx}: values must be (len(times), nodes) or a flat list")
         all_breaks.append(times)
         channel_tables.append((times, vals))
-    # distinct breaks up to span, which is one of them; np.unique would import
-    # numpy.ma, about 14 ms of a fresh process
-    breaks = np.sort(np.concatenate(all_breaks + [np.array([span])]))
-    breaks = breaks[np.append(True, breaks[1:] != breaks[:-1]) & (breaks <= span)]
+    breaks = distinct_sorted(np.concatenate(all_breaks + [np.array([span])]))
+    breaks = breaks[breaks <= span]
     values = np.zeros((breaks.size - 1, n_controls, system.n_nodes))
     for c, (times, vals) in enumerate(channel_tables):
         values[:, c, :] = vals[piece_index(times, breaks[:-1], "right", vals.shape[0] - 1)]

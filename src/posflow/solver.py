@@ -31,7 +31,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .lattice import gauss_block
-from .signals import StepSignal, piece_index
+from .signals import StepSignal, distinct_sorted, piece_index
 from .transport import (
     CharacteristicPath,
     StateField,
@@ -95,6 +95,13 @@ class TraceLedger:
         return float(self.values.min()) if self.values.size else 0.0
 
 
+def _hits(points: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Whether each t is one of the sorted ``points``: a piece_index hit."""
+    if not points.size:
+        return np.zeros(t.shape, dtype=bool)
+    return points[piece_index(points, t, "right", points.size - 1)] == t
+
+
 def _delay_closure(
     seeds: np.ndarray, delays: np.ndarray, horizon: float, budget: int, inclusive: bool
 ) -> tuple[np.ndarray, bool]:
@@ -105,17 +112,18 @@ def _delay_closure(
     ``budget`` points; a truncated closure stops at the last full shift
     generation that fit, or returns the seeds alone if they exceed it.
     """
-    points = np.unique(seeds)
+    points = distinct_sorted(seeds)
     if points.size > budget:
         return points, False
     front = points
     while front.size:
         shifted = (front[:, None] + delays[None, :]).ravel()
         kept = shifted <= horizon if inclusive else shifted < horizon
-        fresh = np.setdiff1d(shifted[kept], points)
+        fresh = distinct_sorted(shifted[kept])
+        fresh = fresh[~_hits(points, fresh)]
         if points.size + fresh.size > budget:
             return points, False
-        points = np.union1d(points, fresh)
+        points = distinct_sorted(np.concatenate([points, fresh]))
         front = fresh
     return points, True
 
@@ -138,7 +146,7 @@ def _event_stamps(
     bound interpolation error.  t = 0 and the horizon are always stamps.
     Returns (times, jump_times, closure_complete).
     """
-    delays = np.unique(system.delays)
+    delays = distinct_sorted(system.delays)
     arrivals = knot_arrivals(system, x0)
     inner = np.empty(0) if u is None else u.breaks[(u.breaks > 0) & (u.breaks < horizon)]
     seeds = np.concatenate([[0.0, horizon], arrivals[arrivals <= horizon], inner])
@@ -148,7 +156,7 @@ def _event_stamps(
     # jumps propagate along characteristics; track them so both one-sided
     # limits get their own ledger entry
     jumps, _ = _delay_closure(inner, delays, horizon, budget, inclusive=False)
-    stamps = np.union1d(stamps, np.concatenate([[0.0, horizon], jumps, np.arange(0.0, horizon, dt_max)]))
+    stamps = distinct_sorted(np.concatenate([stamps, [0.0, horizon], jumps, np.arange(0.0, horizon, dt_max)]))
     return stamps, jumps, complete
 
 
@@ -355,7 +363,9 @@ class ClosedLoopSolution:
             end = np.maximum(sys_.graph.lengths[:, None] - vt, 0.0)
             pts, wts = gauss_block(fixed[:, None, :] - shift[:, None, :] * vt[..., None], end)
             vals = self.eval_edge(j, k, pts.reshape(pts.shape[:3] + (-1,)), t[..., None])
-            initial_fed = np.sum(wts.reshape(vals.shape) * vals, axis=-1)
+            # each row added in term order: np.sum's pairwise split would move
+            # with the padded width, which a zero-width panel's terms cannot
+            initial_fed = np.cumsum(wts.reshape(vals.shape) * vals, axis=-1)[..., -1]
             out[a : a + rows] = (initial_fed + self._fed_mass(t)) @ sys_.vgrid.weights
         return out
 
@@ -445,7 +455,7 @@ def closed_loop_solve(
     times, jumps, complete = _event_stamps(system, x0, u, horizon, dt_max, stamp_budget)
     # each jump time > 0 is stamped twice, the left limit first; the other
     # stamp times are distinct, so a left entry equals the stamp after it
-    twice = np.isin(times, jumps) & (times > 0.0)
+    twice = _hits(jumps, times) & (times > 0.0)
     stamp_times = np.repeat(times, 1 + twice)
     left = np.append(stamp_times[:-1] == stamp_times[1:], False)
     # the control inflow B u(t) of every stamp, read on the stamp's side

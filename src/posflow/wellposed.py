@@ -24,7 +24,7 @@ import numpy as np
 from . import poslti
 from .lattice import dense_spectral_radius, gauss_block, gauss_panels
 from .lattice import spectral_radius  # noqa: F401 (perfbench tracer binds it)
-from .signals import StepSignal, piece_index
+from .signals import StepSignal, distinct_sorted, piece_index
 from .transport import (
     StateField,
     TransportSystem,
@@ -160,7 +160,7 @@ class PosLTIHandle:
         return _unit_responses(self, tau, n_steps, d).reshape(n_steps, d, d)
 
     def io_samples(self, u: StepSignal, times: np.ndarray) -> np.ndarray:
-        grid = np.union1d(u.breaks, times)
+        grid = distinct_sorted(np.concatenate([u.breaks, times]))
         vals = u.values[piece_index(u.breaks, grid[:-1], "right", u.values.shape[0] - 1)]
         y = poslti.io_response(self.system, np.zeros(self.system.n), vals, grid)
         pick = np.searchsorted(grid, times)

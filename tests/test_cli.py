@@ -503,28 +503,42 @@ def test_no_command_imports_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[False, False, False, False, False]"
 
 
-NUMPY_MA_PROBE = """
-import sys
+NUMPY_SUBPACKAGE_PROBE = """
+import json, sys
 import posflow.cli
-loaded = []
-for command in ("check", "spectrum", "admissibility"):
+from posflow import PosLTI, PosLTIHandle, TransportHandle, feedback_admissibility
+from posflow.scenario import parse_scenario
+
+def loaded():
+    return [name for name in ("numpy.ma", "numpy.polynomial") if name in sys.modules]
+
+steps = [["import", loaded()]]
+for command in ("simulate", "check", "spectrum", "admissibility", "oracle"):
     assert posflow.cli.main([command, "--scenario", sys.argv[1], "--out", sys.argv[2] + "/" + command]) == 0
-    loaded.append("numpy.ma" in sys.modules)
-print(loaded)
+    steps.append([command, loaded()])
+feedback_admissibility(TransportHandle(parse_scenario(sys.argv[1]).system), 1.0, tau=3.0)
+steps.append(["feedback transport", loaded()])
+feedback_admissibility(PosLTIHandle(PosLTI([[-1.0]], [[1.0]], [[1.0]], [[0.5]])), 1.0, tau=1.0)
+steps.append(["feedback poslti", loaded()])
+print(json.dumps(steps))
 """
 
 
-def test_parsing_inputs_does_not_import_numpy_ma(tmp_path):
-    # A fresh process: np.unique imports numpy.ma (about 14 ms) on its first
-    # call, and none of these commands needs it.  loop.yaml has an input.
+def test_no_command_loads_numpy_ma_or_polynomial(tmp_path):
+    # A fresh process: plain np.unique and its kin import numpy.ma (about
+    # 10 ms) on their first call, and leggauss imports numpy.polynomial; no
+    # command needs either.  loop.yaml has an input, so simulate runs the
+    # event closure.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_MA_PROBE, str(SCENARIOS / "loop.yaml"), str(tmp_path)],
+        [sys.executable, "-c", NUMPY_SUBPACKAGE_PROBE, str(SCENARIOS / "loop.yaml"), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+    steps = ["import", "simulate", "check", "spectrum", "admissibility", "oracle",
+             "feedback transport", "feedback poslti"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[step, []] for step in steps]
 
 
 def test_unknown_command_rejected():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posflow import Quadrature, dense_spectral_radius, spectral_radius
-from posflow.lattice import gauss_block, gauss_panels, gauss_rule
+from posflow.lattice import _GAUSS5, gauss_block, gauss_panels, gauss_rule
 
 
 class TestQuadrature:
@@ -80,6 +80,12 @@ class TestGaussPanels:
             want_pts, want_wts = gauss_panels(row, e)
             assert np.array_equal(p[keep], want_pts) and np.array_equal(w[keep], want_wts)
             assert np.all(w[~keep] == 0.0)
+
+    def test_five_point_constants_are_leggauss_to_the_bit(self):
+        """The 5-point rule is written out so that no import loads
+        numpy.polynomial; it must be leggauss(5) itself."""
+        for got, want in zip(_GAUSS5, np.polynomial.legendre.leggauss(5)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSpectralRadius:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posflow import StepSignal
-from posflow.solver import TraceLedger
+from posflow.signals import distinct_sorted
+from posflow.solver import TraceLedger, _hits
 
 
 class TestStepSignal:
@@ -146,3 +147,28 @@ def test_one_piece_rule(case, side):
     assert np.array_equal(u.eval_channel(vertex, node, queries, side=side), values[idx, vertex, node])
     for t in queries[queries <= breaks[-1]]:
         assert np.array_equal(u.eval(t, side=side), values[step_piece_ref(breaks, t, side, pieces)])
+
+
+@st.composite
+def repeated_floats(draw):
+    """Up to 40 floats drawn from a pool of at most 6, so most repeat; signed
+    zeros and infinities among them; possibly none."""
+    pool = draw(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return np.array([pool[i] for i in picks], dtype=float)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(repeated_floats())
+def test_distinct_sorted_is_np_unique(values):
+    got, want = distinct_sorted(values), np.unique(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(distinct_sorted(values.reshape(-1, 1)), want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(repeated_floats(), repeated_floats())
+def test_sorted_set_hits_are_np_isin(points, t):
+    """The closure's membership test, a piece_index hit on the sorted set."""
+    assert np.array_equal(_hits(distinct_sorted(points), t), np.isin(t, points))
